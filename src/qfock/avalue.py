@@ -126,6 +126,22 @@ def a_rel(mc, e: int, l: int, charge, h: int | None = None,
     return symbol_sums(translated_symbol(mc, m, h), m)
 
 
+class AValueTable(dict):
+    """a_rel of each label at one common height h, computed on first use.
+
+    Differences of a_rel between equal-rank labels at a common height are
+    differences of true a-values, so one table at h = n + 1 orders every
+    family of equal-rank labels of rank at most n."""
+
+    def __init__(self, e: int, l: int, charge, h: int):
+        super().__init__()
+        self._params = (e, l, tuple(charge), h)
+
+    def __missing__(self, mc):
+        value = self[mc] = a_rel(mc, *self._params)
+        return value
+
+
 def precedes(mu, nu, e: int, l: int, charge, alpha: int | None = None) -> bool:
     """The strict preorder on equal-rank l-compositions: compare the symbol
     sums at a common height."""

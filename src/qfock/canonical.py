@@ -1,11 +1,22 @@
-"""Canonical basis elements via the bar recursion, and the resulting
-decomposition matrices at q = 1.
+"""Canonical basis elements, and the resulting decomposition matrices at
+q = 1, by two independent routes.
 
-For an ordered monomial v let bar(v) = v + sum of other monomials (the unit
-coefficient on v is asserted, not assumed).  Writing d = bar(v) - v and
-expanding d over the already-known canonical elements of the monomials
-reachable from v gives antisymmetric coefficients; truncating each to its
-positive-exponent half yields the corrections, and
+FockBasis builds G(lambda) for the Uglov labels of one charge through the
+Fock action, after Lascoux-Leclerc-Thibon and Uglov.  Peel a maximal good
+i-string, lambda' = e~_i^k lambda, for the lowest colour i that has a good
+node; then v = f_i^(k) G(lambda') is bar-invariant, and subtracting
+bar-invariant multiples of already-built G(nu) wherever a coefficient of v
+off lambda is not in qZ[q] leaves G(lambda).  The corrections are taken in
+(a-value, text) order and may need G(nu) of smaller a-value than lambda, so
+the build is demand-driven on an explicit stack.  decomposition_matrix uses
+this route only.
+
+CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
+by the bar recursion.  For such v let bar(v) = v + sum of other monomials
+(the unit coefficient on v is asserted, not assumed).  Writing
+d = bar(v) - v and expanding d over the already-known canonical elements of
+the monomials reachable from v gives antisymmetric coefficients; truncating
+each to its positive-exponent half yields the corrections, and
 
     G(v) = v + sum_alpha  trunc(gamma_alpha) G(alpha)
 
@@ -13,16 +24,26 @@ is the unique bar-invariant element congruent to v modulo q.  The recursion
 is driven by the topological order of the reachability DAG (bar support only
 moves "up" in a-value; a cycle would falsify that and aborts the run), so it
 never needs to compare a-values across charges, where the comparison is not
-even defined.
+even defined.  It serves the `canonical` command and is the oracle the
+tests compare the Fock route against.
 """
 
 from __future__ import annotations
 
 from .abacus import WedgeMonomial, from_pair, to_pair
-from .avalue import a_rel
+from .avalue import AValueTable
+from .crystal import good_node, uglov_set
 from .errors import InvariantError
+from .fock import _acc, apply_f
 from .laurent import LaurentPoly
-from .partitions import is_split_semisimple, mp_to_text, multipartitions, rank
+from .partitions import (
+    empty_multipartition,
+    is_split_semisimple,
+    mp_to_text,
+    multipartitions,
+    rank,
+    remove_node,
+)
 from .wedge import WedgeEngine
 
 
@@ -143,13 +164,171 @@ class CanonicalBasis:
         return {u: self.element(u) for u in enumerate_degree_component(s, n)}
 
 
+def _quantum_factorial(k: int) -> LaurentPoly:
+    """[k]! with [j] = q^(j-1) + q^(j-3) + ... + q^(1-j)."""
+    out = LaurentPoly.one()
+    for j in range(2, k + 1):
+        out = out * LaurentPoly({j - 1 - 2 * t: 1 for t in range(j)})
+    return out
+
+
+def _divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
+    """p / d for d with leading coefficient 1, or None when d does not
+    divide p in Z[q, q^-1]."""
+    top = max(d.terms)
+    floor = min(p.terms, default=0) - min(d.terms)  # lowest exponent of an exact quotient
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        lead = max(rem)
+        c = rem[lead]
+        x = lead - top
+        if x < floor:
+            return None
+        quot[x] = c
+        for y, cy in d.terms.items():
+            s = rem.get(x + y, 0) - c * cy
+            if s:
+                rem[x + y] = s
+            else:
+                rem.pop(x + y, None)
+    return LaurentPoly(quot)
+
+
+class FockBasis:
+    """Canonical elements G(lambda) of the Uglov labels of one charge,
+    built through the Fock action with no wedge straightening.
+
+    Elements are Fock-space vectors {(mp, charge): polynomial}, the form
+    CanonicalBasis.element_for_label returns.  `aval` is the a-value table at
+    height n + 1 that orders the corrections; labels up to rank n are
+    supported."""
+
+    def __init__(self, e: int, l: int, charge, n: int):
+        self.e = e
+        self.charge = tuple(charge)
+        self.aval = AValueTable(e, l, charge, n + 1)
+        vacuum = empty_multipartition(l)
+        self._g = {vacuum: {(vacuum, self.charge): LaurentPoly.one()}}
+        self._open = set()  # labels whose build has started and not finished
+
+    def peel(self, mp):
+        """(i, k, e~_i^k mp) for the lowest colour i with a good node of mp
+        and the largest such k.  A nonempty label without good nodes is not
+        in the crystal component of the vacuum, and raises."""
+        for i in range(self.e):
+            low, k = mp, 0
+            gamma = good_node(low, i, self.charge, self.e)
+            while gamma is not None:
+                low, k = remove_node(low, gamma), k + 1
+                gamma = good_node(low, i, self.charge, self.e)
+            if k:
+                return i, k, low
+        raise InvariantError(
+            "%s at charge %s has no good node: not an Uglov label"
+            % (mp_to_text(mp), self.charge)
+        )
+
+    def lift(self, i: int, k: int, low) -> dict:
+        """f_i^(k) G(low) from the stored G(low).  For a peel (i, k, low) of
+        mp it is bar-invariant with support on mp, but its coefficient at mp
+        need not be 1 yet."""
+        v = self._g[low]
+        for _ in range(k):
+            v = apply_f(i, v, self.e)
+        if k > 1:
+            fact = _quantum_factorial(k)
+            divided = {}
+            for key, c in v.items():
+                quot = _divide_exact(c, fact)
+                if quot is None:
+                    raise InvariantError(
+                        "f_%d^%d G(%s) has coefficient %s on %s, not divisible by [%d]!"
+                        % (i, k, mp_to_text(low), c, mp_to_text(key[0]), k)
+                    )
+                divided[key] = quot
+            v = divided
+        return v
+
+    def element(self, mp) -> dict:
+        """G(mp), building whatever it needs first."""
+        stack = []
+        self._push(mp, stack)
+        while stack:
+            frame = stack[-1]
+            lam, v, corrected = frame
+            if v is None:
+                i, k, low = self.peel(lam)
+                if self._push(low, stack):
+                    continue
+                v = frame[1] = self.lift(i, k, low)
+            nu = self._lowest_uncorrected(lam, v)
+            while nu is not None and not self._push(nu, stack):
+                if nu in corrected:
+                    # each subtraction only moves labels above nu in a-value
+                    raise InvariantError(
+                        "building G(%s) at charge %s needs a second correction on %s"
+                        % (mp_to_text(lam), self.charge, mp_to_text(nu))
+                    )
+                corrected.add(nu)
+                self._subtract(v, nu)
+                nu = self._lowest_uncorrected(lam, v)
+            if nu is not None:
+                continue  # resume once G(nu) is built
+            one = v.get((lam, self.charge))
+            if one is None or one.terms != {0: 1}:
+                raise InvariantError(
+                    "G(%s) at charge %s ends with coefficient %s on its label"
+                    % (mp_to_text(lam), self.charge, one)
+                )
+            self._g[lam] = v
+            self._open.discard(lam)
+            stack.pop()
+        return self._g[mp]
+
+    def _push(self, mp, stack) -> bool:
+        """Open a build of mp unless G(mp) is stored; True when opened.  A
+        label already open would make the build wait on itself."""
+        if mp in self._g:
+            return False
+        if mp in self._open:
+            raise InvariantError(
+                "build of G(%s) at charge %s waits on itself"
+                % (mp_to_text(mp), self.charge)
+            )
+        self._open.add(mp)
+        stack.append([mp, None, set()])  # label, vector so far, labels corrected
+        return True
+
+    def _lowest_uncorrected(self, lam, v):
+        """The lowest label off lam, in (a-value, text) order, whose
+        coefficient in v is not in qZ[q]; None when there is none."""
+        bad = [mp for (mp, _charge), c in v.items() if mp != lam and min(c.terms) <= 0]
+        return min(bad, key=lambda mp: (self.aval[mp], mp_to_text(mp)), default=None)
+
+    def _subtract(self, v, nu):
+        """v -= alpha G(nu), alpha the bar-invariant polynomial with
+        v[nu] - alpha in qZ[q]."""
+        c = v[(nu, self.charge)]
+        minus_alpha = {}
+        for x, cx in c.terms.items():
+            if x <= 0:
+                minus_alpha[x] = minus_alpha.get(x, 0) - cx
+                if x:
+                    minus_alpha[-x] = minus_alpha.get(-x, 0) - cx
+        minus_alpha = LaurentPoly(minus_alpha)
+        for key, d in self._g[nu].items():
+            _acc(v, key, minus_alpha * d)
+
+
 class DecompositionMatrix:
     """Rows: all l-partitions of rank n, sorted by (a_rel, text form).
     Columns: the Uglov l-partitions, sorted the same way.  Entries are the
     canonical-basis coefficients; `entries` holds them at q = 1, `qentries`
-    keeps the polynomials."""
+    keeps the polynomials, and `aval` is the a-value table at height n + 1
+    (a fresh one unless given)."""
 
-    def __init__(self, e, l, charge, n, rows, cols, qentries, checks):
+    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval=None):
         self.e = e
         self.l = l
         self.charge = charge
@@ -159,6 +338,7 @@ class DecompositionMatrix:
         self.qentries = qentries
         self.entries = {key: c.eval_one() for key, c in qentries.items()}
         self.checks = checks
+        self.aval = aval if aval is not None else AValueTable(e, l, charge, n + 1)
 
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,
@@ -205,35 +385,27 @@ class DecompositionMatrix:
         return body
 
 
-def _sorted_labels(labels, e, l, charge):
-    if not labels:
-        return []
-    h = max(max((len(comp) for comp in mp), default=0) for mp in labels) + 1
-    return sorted(labels, key=lambda mp: (a_rel(mp, e, l, charge, h), mp_to_text(mp)))
-
-
-def decomposition_matrix(e, l, charge, n, basis: CanonicalBasis | None = None,
-                         uglov=None) -> DecompositionMatrix:
-    """Columns are the canonical elements of the rank-n Uglov labels,
-    evaluated at q = 1 on the charge-matching keys.
+def decomposition_matrix(e, l, charge, n, uglov=None) -> DecompositionMatrix:
+    """Columns are the canonical elements of the rank-n Uglov labels, built
+    by FockBasis and evaluated at q = 1 on the charge-matching keys.
 
     Cross-charge and cross-rank supports of each column are required to be
     empty and recorded under checks["foreign_support"]; nonempty means the
     run hit something the theory says cannot happen.
     """
-    from .crystal import uglov_set  # local import: crystal does not need canonical
-
-    if basis is None:
-        basis = CanonicalBasis(e, l)
     if uglov is None:
         uglov = uglov_set(e, l, charge, n)
-    rows = _sorted_labels(multipartitions(l, n), e, l, charge)
-    cols = _sorted_labels(uglov, e, l, charge)
+    basis = FockBasis(e, l, charge, n)
+
+    def order(mp):
+        return (basis.aval[mp], mp_to_text(mp))
+
+    rows = sorted(multipartitions(l, n), key=order)
+    cols = sorted(uglov, key=order)
     qentries = {}
     foreign = []
     for col in cols:
-        vec = basis.element_for_label(col, charge)
-        for (mp, ch), c in vec.items():
+        for (mp, ch), c in basis.element(col).items():
             if ch != tuple(charge) or rank(mp) != n:
                 foreign.append([mp_to_text(mp), list(ch), mp_to_text(col)])
                 continue
@@ -242,17 +414,14 @@ def decomposition_matrix(e, l, charge, n, basis: CanonicalBasis | None = None,
         "semisimple": is_split_semisimple(e, charge, n),
         "foreign_support": sorted(foreign),
     }
-    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks)
+    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, basis.aval)
 
 
 def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     """Checks the triangular shape against the a-value order: unit diagonal,
     strictly larger a_rel on every off-label row of each column, uniqueness
     of each column's minimal row, and nonnegative integer entries."""
-    e, l, charge = matrix.e, matrix.l, matrix.charge
-    labels = set(matrix.rows) | set(matrix.cols)
-    h = max(max((len(comp) for comp in mp), default=0) for mp in labels) + 1
-    aval = {mp: a_rel(mp, e, l, charge, h) for mp in labels}
+    aval = matrix.aval
     violations = []
     minimal_rows = {}
     for col in matrix.cols:

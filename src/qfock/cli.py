@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invalid input, 3 unsupported regime (non-integral
-shift vector), 4 internal invariant violation (bar cycle, fuel exhaustion).
-Identical invocations produce byte-identical output; the optional cache
-directory (QFOCK_CACHE_DIR) only skips recomputation, never changes bytes.
+shift vector), 4 internal invariant violation (bar cycle, fuel exhaustion, a
+decomposition matrix with foreign support or failed unitriangularity).
+Identical invocations produce byte-identical output.  `decomp` builds its
+columns through the Fock action (canonical.FockBasis); `canonical`, `bar`
+and `straighten` run on the wedge engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .abacus import degree, from_pair, monomial_from_text
@@ -170,43 +171,6 @@ def cmd_canonical(args):
     _emit(_jdump(records), args)
 
 
-def _decomp_payload(args, e, l, charge):
-    cache_dir = os.environ.get("QFOCK_CACHE_DIR")
-    cache_path = None
-    if cache_dir:
-        name = "decomp-e%d-l%d-s%s-n%d.json" % (e, l, "_".join(map(str, charge)), args.rank)
-        cache_path = os.path.join(cache_dir, name)
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                return json.load(fh)
-    mat = decomposition_matrix(e, l, charge, args.rank)
-    payload = mat.to_json(keep_q=True)
-    payload["unitriangular"] = verify_unitriangular(mat)
-    if cache_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with open(cache_path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-    return payload
-
-
-def _payload_csv(payload) -> str:
-    lines = ["row,column,entry"]
-    for row, col, v in payload["triples"]:
-        lines.append("%s,%s,%d" % (row.replace(",", " "), col.replace(",", " "), v))
-    return "\n".join(lines) + "\n"
-
-
-def _payload_latex(payload) -> str:
-    entries = {(r, c): v for r, c, v in payload["triples"]}
-    lines = [r"\begin{array}{l|%s}" % ("c" * len(payload["columns"]))]
-    for row in payload["rows"]:
-        cells = [str(entries.get((row, col), 0)) if entries.get((row, col)) else "."
-                 for col in payload["columns"]]
-        lines.append("%s & %s \\\\" % (row, " & ".join(cells)))
-    lines.append(r"\end{array}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_decomp(args):
     e, l, charge = _ambient(args)
     if is_split_semisimple(e, charge, args.rank):
@@ -220,19 +184,23 @@ def cmd_decomp(args):
             "rank %d at this charge reaches wedge degree %d, exceeding --max-degree %d; "
             "raise the cap to proceed" % (args.rank, deg, args.max_degree)
         )
-    payload = _decomp_payload(args, e, l, charge)
-    if payload["checks"]["foreign_support"]:
+    mat = decomposition_matrix(e, l, charge, args.rank)
+    if mat.checks["foreign_support"]:
         raise InvariantError(
-            "Uglov columns acquired foreign support: %s" % payload["checks"]["foreign_support"]
+            "Uglov columns acquired foreign support: %s" % mat.checks["foreign_support"]
         )
-    if not args.keep_q:
-        payload = dict(payload)
-        payload.pop("q_triples", None)
+    report = verify_unitriangular(mat)
+    if not report["ok"]:
+        raise InvariantError(
+            "decomposition matrix is not unitriangular: %s" % report["violations"]
+        )
     if args.format == "csv":
-        _emit(_payload_csv(payload), args)
+        _emit(mat.to_csv(), args)
     elif args.format == "latex":
-        _emit(_payload_latex(payload), args)
+        _emit(mat.to_latex() + "\n", args)
     else:
+        payload = mat.to_json(keep_q=args.keep_q)
+        payload["unitriangular"] = report
         _emit(_jdump(payload), args)
 
 

@@ -9,12 +9,15 @@ without loss.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .laurent import LaurentPoly
 from .partitions import (
     above,
     add_node,
     addable_nodes,
     mp_to_text,
+    node_sort_key,
     remove_node,
     removable_nodes,
 )
@@ -71,13 +74,20 @@ def _acc(vec, key, poly):
 
 
 def apply_f(i, vec, e) -> dict:
-    """f_i: adds every addable i-node gamma with weight q^{N^b_i}."""
+    """f_i: adds every addable i-node gamma with weight q^{N^b_i}.
+
+    Adding an i-node changes no other i-node's removability (its neighbours
+    have residues i +- 1), so the removable i-nodes of mp plus gamma below
+    gamma are those of mp, and N^b_i (n_below) is read off the sorted
+    addable and removable i-nodes of mp, listed once per term."""
     out = {}
     for (mp, charge), c in vec.items():
-        for gamma in addable_nodes(mp, i, charge, e):
-            mu = add_node(mp, gamma)
-            w = n_below(mp, mu, gamma, i, charge, e)
-            _acc(out, (mu, charge), c * LaurentPoly({w: 1}))
+        adds = addable_nodes(mp, i, charge, e)
+        rems = [node_sort_key(g, charge) for g in removable_nodes(mp, i, charge, e)]
+        for k, gamma in enumerate(adds):
+            rems_below = len(rems) - bisect_right(rems, node_sort_key(gamma, charge))
+            w = len(adds) - 1 - k - rems_below
+            _acc(out, (add_node(mp, gamma), charge), c * LaurentPoly({w: 1}))
     return out
 
 

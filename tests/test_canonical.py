@@ -3,10 +3,18 @@ import random
 import pytest
 
 from qfock.abacus import WedgeMonomial, degree, from_pair, wedge_monomial
-from qfock.canonical import CanonicalBasis, DecompositionMatrix, decomposition_matrix, verify_unitriangular
+from qfock.canonical import (
+    CanonicalBasis,
+    DecompositionMatrix,
+    FockBasis,
+    _divide_exact,
+    _quantum_factorial,
+    decomposition_matrix,
+    verify_unitriangular,
+)
 from qfock.errors import InvariantError
 from qfock.laurent import LaurentPoly
-from qfock.partitions import partitions, rank
+from qfock.partitions import mp_from_text, partitions, rank
 
 from paper_data import MATRICES, UGLOV_SETS
 
@@ -82,9 +90,8 @@ def test_canonical_element_shape():
 
 
 def test_paper_matrices():
-    basis = CanonicalBasis(4, 2)
     for charge, want in MATRICES.items():
-        mat = decomposition_matrix(4, 2, charge, 4, basis=basis)
+        mat = decomposition_matrix(4, 2, charge, 4)
         got = {(row, col, v) for (row, col), v in mat.entries.items() if v}
         assert got == want
         assert mat.checks["foreign_support"] == []
@@ -150,10 +157,9 @@ def test_full_component_sweep_matches_lazy_closures():
 def test_rank5_labelings_agree_up_to_column_relabeling():
     # the three charge labelings describe one algebra at every rank, so the
     # column-vector sets must keep coinciding past the benchmark rank
-    basis = CanonicalBasis(4, 2)
     colsets = []
     for charge in [(0, 1), (4, 1), (0, 5)]:
-        mat = decomposition_matrix(4, 2, charge, 5, basis=basis)
+        mat = decomposition_matrix(4, 2, charge, 5)
         assert verify_unitriangular(mat)["ok"]
         assert mat.checks["foreign_support"] == []
         cols = {}
@@ -167,9 +173,8 @@ def test_rank5_labelings_agree_up_to_column_relabeling():
 
 def test_level_three_pipeline():
     # full pipeline at l = 3 (nine-residue straightening rules)
-    basis = CanonicalBasis(3, 3)
     for charge, ncols in [((0, 1, 2), 12), ((2, 0, 1), 12), ((0, 0, 0), 5)]:
-        mat = decomposition_matrix(3, 3, charge, 3, basis=basis)
+        mat = decomposition_matrix(3, 3, charge, 3)
         assert len(mat.rows) == 22 and len(mat.cols) == ncols
         assert verify_unitriangular(mat)["ok"]
         assert mat.checks["foreign_support"] == []
@@ -189,10 +194,9 @@ def test_entries_respect_residue_blocks():
                     counts[(b - a + charge[c - 1]) % e] += 1
         return tuple(sorted(counts.items()))
 
-    basis = CanonicalBasis(4, 2)
     for n in (4, 5):
         for charge in [(0, 1), (4, 1), (0, 5)]:
-            mat = decomposition_matrix(4, 2, charge, n, basis=basis)
+            mat = decomposition_matrix(4, 2, charge, n)
             for (row, col), v in mat.entries.items():
                 if v:
                     assert residue_content(row, charge, 4) == \
@@ -206,3 +210,67 @@ def test_column_support_is_single_charge_and_rank():
             vec = basis.element_for_label(mp, charge)
             for (row, ch), c in vec.items():
                 assert ch == charge and rank(row) == 4
+
+
+def test_fock_columns_match_wedge_columns():
+    # differential: the Fock route that decomposition_matrix uses against the
+    # wedge bar recursion, one shared wedge cache per (e, l)
+    cases = [
+        (4, 2, [(0, 1), (4, 1), (0, 5)], range(7)),
+        (4, 2, [(0, 1)], [8]),
+        (3, 3, [(0, 1, 2)], range(6)),  # rank 6 alone costs the wedge route 1 s
+        (2, 2, [(0, 1), (0, 0)], range(7)),
+    ]
+    wedge = {}
+    for e, l, charges, ranks in cases:
+        basis = wedge.setdefault((e, l), CanonicalBasis(e, l))
+        for charge in charges:
+            for n in ranks:
+                mat = decomposition_matrix(e, l, charge, n)
+                for col in mat.cols:
+                    want = basis.element_for_label(col, charge)
+                    got = {(mp, charge): c for (mp, c_col), c in mat.qentries.items()
+                           if c_col == col}
+                    assert got == want, (e, l, charge, n, col)
+
+
+def test_fock_build_traps():
+    # at (4,2), charge (0,1): 1|3,1 peels a single 0-node (the lowest colour
+    # with a good node) to 1|3, and f_0 G(1|3) has 1 + q^2 on 1|3,1 ...
+    charge = (0, 1)
+    lam, low = mp_from_text("1|3,1"), mp_from_text("1|3")
+    basis = FockBasis(4, 2, charge, 5)
+    assert basis.peel(lam) == (0, 1, low)
+    basis.element(low)
+    assert basis.lift(0, 1, low)[(lam, charge)] == LaurentPoly({0: 1, 2: 1})
+    # ... and the correction that restores the 1 needs G(1|4), lower in a-value
+    fresh = FockBasis(4, 2, charge, 5)
+    g = fresh.element(lam)
+    assert g[(lam, charge)] == LaurentPoly.one()
+    side = mp_from_text("1|4")
+    assert {mp for mp in fresh._g if rank(mp) == 5} == {lam, side}
+    assert fresh.aval[side] < fresh.aval[lam]
+
+
+def test_fock_build_cycle_guard():
+    # a planted open build of G(1|4) makes the build of G(1|3,1) wait on it
+    basis = FockBasis(4, 2, (0, 1), 5)
+    basis._open.add(mp_from_text("1|4"))
+    with pytest.raises(InvariantError, match="waits on itself"):
+        basis.element(mp_from_text("1|3,1"))
+
+
+def test_fock_build_rejects_non_uglov_labels():
+    basis = FockBasis(4, 2, (0, 1), 4)
+    assert mp_from_text("-|3,1") not in UGLOV_SETS[(0, 1)]
+    with pytest.raises(InvariantError, match="not an Uglov label"):
+        basis.element(mp_from_text("-|3,1"))
+
+
+def test_divide_exact():
+    fact = _quantum_factorial(3)
+    assert fact == LaurentPoly({-3: 1, -1: 2, 1: 2, 3: 1})  # [2][3]
+    p = LaurentPoly({5: 3, -1: -2}) * fact
+    assert _divide_exact(p, fact) == LaurentPoly({5: 3, -1: -2})
+    assert _divide_exact(p + LaurentPoly.one(), fact) is None
+    assert _divide_exact(LaurentPoly(), fact) == LaurentPoly()

@@ -113,16 +113,32 @@ def test_decomp_semisimple_warning(capsys):
     assert out.splitlines()[1:] == ["1 1,1 1,1", "2,2,1"]
 
 
-def test_decomp_cache_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QFOCK_CACHE_DIR", str(tmp_path))
+def test_decomp_ignores_cache_dir(tmp_path, capsys, monkeypatch):
+    # QFOCK_CACHE_DIR once named an on-disk payload cache; a forged file under
+    # the old cache name must be neither served nor rewritten
     args = ["decomp", "--e", "2", "--l", "2", "--charge", "0,0", "--rank", "2",
             "--format", "json"]
-    code, out1, _ = run(capsys, *args)
+    code, want, _ = run(capsys, *args)
     assert code == 0
-    cached_files = list(tmp_path.iterdir())
-    assert len(cached_files) == 1
-    code, out2, _ = run(capsys, *args)
-    assert code == 0 and out1 == out2
+    forged = tmp_path / "decomp-e2-l2-s0_0-n2.json"
+    forged.write_text('{"checks": {"foreign_support": []}, "triples": []}')
+    monkeypatch.setenv("QFOCK_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out == want
+    assert list(tmp_path.iterdir()) == [forged]
+    assert forged.read_text() == '{"checks": {"foreign_support": []}, "triples": []}'
+
+
+def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
+    import qfock.cli
+
+    monkeypatch.setattr(qfock.cli, "verify_unitriangular",
+                        lambda mat: {"ok": False, "violations": ["planted violation"]})
+    for fmt in ("csv", "latex", "json"):
+        code, out, err = run(capsys, "decomp", "--e", "4", "--l", "2", "--charge", "0,1",
+                             "--rank", "2", "--format", fmt)
+        assert code == 4 and out == ""
+        assert "internal invariant violation" in err and "planted violation" in err
 
 
 def test_json_envelope(capsys):

@@ -2,7 +2,7 @@ import random
 
 from qfock.fock import apply_e, apply_f, apply_k, fock_to_json, n_below, n_count, n_counts
 from qfock.laurent import LaurentPoly
-from qfock.partitions import addable_nodes, multipartitions
+from qfock.partitions import add_node, addable_nodes, multipartitions
 
 
 def unit(mp, charge):
@@ -32,15 +32,20 @@ def test_action_examples():
 
 
 def test_f_term_count_matches_addable_nodes():
+    # one term per addable i-node, weighted q^{N^b} as n_below counts it
     rng = random.Random(17)
-    for _ in range(100):
+    for _ in range(300):
         l = rng.randint(1, 3)
         e = rng.randint(2, 5)
-        mp = rng.choice(multipartitions(l, rng.randint(0, 5)))
+        mp = rng.choice(multipartitions(l, rng.randint(0, 7)))
         charge = tuple(rng.randint(-3, 6) for _ in range(l))
         i = rng.randint(0, e - 1)
         image = apply_f(i, unit(mp, charge), e)
         assert len(image) == len(addable_nodes(mp, i, charge, e))
+        for gamma in addable_nodes(mp, i, charge, e):
+            mu = add_node(mp, gamma)
+            w = n_below(mp, mu, gamma, i, charge, e)
+            assert image[(mu, charge)] == LaurentPoly.q_power(w)
 
 
 def test_adding_an_i_node_drops_n_count_by_two():
