@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import partitions
+from .partitions import check_multipartition, partitions
 
 
 class BeadTriple(NamedTuple):
@@ -53,11 +53,13 @@ def wedge_monomial(prefix, s: int) -> WedgeMonomial:
 
 
 def monomial_from_text(text: str) -> WedgeMonomial:
-    spart, kpart = (chunk.strip() for chunk in text.split(";"))
-    s = int(spart.split("=")[1])
-    body = kpart.split("=")[1].strip()
-    prefix = tuple(int(k) for k in body.split(",")) if body else ()
-    return wedge_monomial(prefix, s)
+    """Parse the `s=3; k=15,12` form of to_text; ValueError if malformed."""
+    fields = [chunk.split("=") for chunk in text.split(";")]
+    if [len(field) for field in fields] != [2, 2]:
+        raise ValueError("malformed monomial %r, expected 's=<int>; k=<ints>'" % text)
+    (_, spart), (_, body) = fields
+    prefix = tuple(int(k) for k in body.split(",")) if body.strip() else ()
+    return wedge_monomial(prefix, int(spart))
 
 
 def degree(u: WedgeMonomial) -> int:
@@ -133,35 +135,29 @@ def to_pair(u: WedgeMonomial, e: int, l: int) -> tuple:
 
 
 def from_pair(mp, charge, e: int, l: int) -> WedgeMonomial:
-    """The canonical monomial labeled by (mp, charge)."""
+    """The canonical monomial labeled by (mp, charge), in one pass.
+
+    Runner b carries beads at s_b + comp_i - i + 1 for its rows i and at
+    every position <= s_b - len(comp), so its first hole is at
+    s_b - len(comp) + 1.  bead_index grows with the position on each
+    runner, so every index below the lowest first hole `hole` over all
+    runners is a bead: the prefix is the sorted beads above `hole`, the
+    tail continues from hole - 1, and s = hole - 1 + len(prefix).
+    """
     if len(mp) != l or len(charge) != l:
         raise ValueError("need %d components and %d charges" % (l, l))
-    s = sum(charge)
-    depth = max((len(comp) for comp in mp), default=0) + 4
-    for _ in range(64):
-        beads = []  # (k, b)
-        deepest = []
-        for b in range(1, l + 1):
-            comp = mp[b - 1]
-            s_b = charge[b - 1]
-            ks = []
-            for i in range(1, depth + 1):
-                part = comp[i - 1] if i <= len(comp) else 0
-                ks.append(bead_index(part + s_b - i + 1, b, e, l))
-            beads.extend(ks)
-            deepest.append(ks[-1])
-        k0 = max(deepest)  # merged list is complete down to k0
-        head = sorted((k for k in beads if k >= k0), reverse=True)
-        m = len(head)
-        # the head must reach the arithmetic tail; otherwise deepen and retry
-        if m and head[-1] == s - m + 1:
-            r = m
-            while r and head[r - 1] == s - r + 1:
-                r -= 1
-            if r < m:
-                return WedgeMonomial(tuple(head[:r]), s)
-        depth *= 2
-    raise AssertionError("from_pair failed to stabilize for %r, %r" % (mp, charge))
+    check_multipartition(mp)  # a zero part would misplace the first hole
+    runners = list(enumerate(zip(mp, charge), start=1))
+    hole = min(bead_index(s_b - len(comp) + 1, b, e, l) for b, (comp, s_b) in runners)
+    beads = []
+    for b, (comp, s_b) in runners:
+        beads.extend(bead_index(part + s_b - i, b, e, l) for i, part in enumerate(comp))
+        v = s_b - len(comp)  # this runner's tail beads above the hole
+        while (k := bead_index(v, b, e, l)) > hole:
+            beads.append(k)
+            v -= 1
+    beads.sort(reverse=True)
+    return WedgeMonomial(tuple(beads), hole - 1 + len(beads))
 
 
 def enumerate_degree_component(s: int, n: int) -> list:

@@ -13,7 +13,8 @@ this route only.
 
 CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
 by the bar recursion.  For such v let bar(v) = v + sum of other monomials
-(the unit coefficient on v is asserted, not assumed).  Writing
+(WedgeEngine.bar asserts the unit coefficient on v and owns the only cache
+of bar images).  Writing
 d = bar(v) - v and expanding d over the already-known canonical elements of
 the monomials reachable from v gives antisymmetric coefficients; truncating
 each to its positive-exponent half yields the corrections, and
@@ -34,8 +35,8 @@ from .abacus import WedgeMonomial, from_pair, to_pair
 from .avalue import AValueTable
 from .crystal import good_node, uglov_set
 from .errors import InvariantError
-from .fock import _acc, apply_f
-from .laurent import LaurentPoly
+from .fock import apply_f
+from .laurent import LaurentPoly, _acc
 from .partitions import (
     empty_multipartition,
     is_split_semisimple,
@@ -48,28 +49,16 @@ from .wedge import WedgeEngine
 
 
 class CanonicalBasis:
-    """Shared straightening engine plus a global cache of bar images and
-    canonical elements, keyed by monomial.  Monomials carry their total
-    charge, so one instance serves every charge of a fixed (e, l)."""
+    """Shared straightening engine, which caches the bar images, plus a
+    global cache of canonical elements keyed by monomial.  Monomials carry
+    their total charge, so one instance serves every charge of a fixed
+    (e, l)."""
 
     def __init__(self, e: int, l: int, engine: WedgeEngine | None = None):
         self.e = e
         self.l = l
         self.engine = engine if engine is not None else WedgeEngine(e, l)
-        self._bar = {}
         self._g = {}
-
-    def bar(self, u: WedgeMonomial):
-        hit = self._bar.get(u)
-        if hit is None:
-            hit = self.engine.bar(u)
-            one = hit.get(u)
-            if one is None or one.terms != {0: 1}:
-                raise InvariantError(
-                    "bar(%s) has coefficient %s on its own monomial" % (u, one)
-                )
-            self._bar[u] = hit
-        return hit
 
     def bar_closure(self, u0: WedgeMonomial) -> list:
         """Monomials reachable from u0 through bar supports, topologically
@@ -86,7 +75,7 @@ class CanonicalBasis:
                 if state.get(u) == 1:
                     raise InvariantError("bar closure cycle through %s" % (u,))
                 state[u] = 1
-                it = iter(sorted(self.bar(u), key=lambda w: w.prefix))
+                it = iter(sorted(self.engine.bar(u), key=lambda w: w.prefix))
             advanced = False
             for w in it:
                 if w == u:
@@ -114,8 +103,8 @@ class CanonicalBasis:
         for v in reversed(order):
             if v in self._g:
                 continue
-            residual = dict(self.bar(v))
-            del residual[v]  # unit coefficient asserted in bar()
+            residual = dict(self.engine.bar(v))
+            del residual[v]  # unit coefficient asserted in WedgeEngine.bar
             g = {v: LaurentPoly({0: 1})}
             while residual:
                 alpha = min(residual, key=pos.__getitem__)
@@ -126,22 +115,10 @@ class CanonicalBasis:
                         "(bar involution broken upstream)" % (gamma, alpha)
                     )
                 beta = gamma.truncate_positive()
-                g_alpha = self._g[alpha]
-                for w, c in g_alpha.items():
-                    if beta:
-                        cur = g.get(w, LaurentPoly())
-                        s = cur + beta * c
-                        if s:
-                            g[w] = s
-                        elif w in g:
-                            del g[w]
+                for w, c in self._g[alpha].items():
+                    _acc(g, w, beta * c)
                     if w != alpha:
-                        cur = residual.get(w, LaurentPoly())
-                        s = cur - gamma * c
-                        if s:
-                            residual[w] = s
-                        elif w in residual:
-                            del residual[w]
+                        _acc(residual, w, -(gamma * c))
             self._g[v] = g
         return self._g[u0]
 
@@ -153,15 +130,6 @@ class CanonicalBasis:
         for u, c in g.items():
             out[to_pair(u, self.e, self.l)] = c
         return out
-
-    def component_elements(self, s: int, n: int):
-        """Stress mode: canonical elements for the whole charge-s degree-n
-        component, not just the monomials some column happens to reach.
-        Results are identical to per-column lazy closures (the caches are
-        shared), just exhaustive."""
-        from .abacus import enumerate_degree_component
-
-        return {u: self.element(u) for u in enumerate_degree_component(s, n)}
 
 
 def _quantum_factorial(k: int) -> LaurentPoly:
@@ -385,7 +353,7 @@ class DecompositionMatrix:
         return body
 
 
-def decomposition_matrix(e, l, charge, n, uglov=None) -> DecompositionMatrix:
+def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     """Columns are the canonical elements of the rank-n Uglov labels, built
     by FockBasis and evaluated at q = 1 on the charge-matching keys.
 
@@ -393,15 +361,13 @@ def decomposition_matrix(e, l, charge, n, uglov=None) -> DecompositionMatrix:
     empty and recorded under checks["foreign_support"]; nonempty means the
     run hit something the theory says cannot happen.
     """
-    if uglov is None:
-        uglov = uglov_set(e, l, charge, n)
     basis = FockBasis(e, l, charge, n)
 
     def order(mp):
         return (basis.aval[mp], mp_to_text(mp))
 
     rows = sorted(multipartitions(l, n), key=order)
-    cols = sorted(uglov, key=order)
+    cols = sorted(uglov_set(e, l, charge, n), key=order)
     qentries = {}
     foreign = []
     for col in cols:

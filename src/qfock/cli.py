@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported regime (non-integral
-shift vector), 4 internal invariant violation (bar cycle, fuel exhaustion, a
-decomposition matrix with foreign support or failed unitriangularity).
+Exit codes: 0 success, 2 invalid input (a ValueError from parsing or
+validation only), 3 unsupported regime (non-integral shift vector), 4
+internal invariant violation (bar cycle, a bar image without coefficient 1
+on its own monomial, fuel exhaustion, a decomposition matrix with foreign
+support or failed unitriangularity).  Any other exception is a bug and
+propagates.
 Identical invocations produce byte-identical output.  `decomp` builds its
 columns through the Fock action (canonical.FockBasis); `canonical`, `bar`
 and `straighten` run on the wedge engine.
@@ -41,13 +44,6 @@ def _emit(text: str, args):
         sys.stdout.write(_jdump(payload))
     else:
         sys.stdout.write(text)
-
-
-def _parse_charge(args, l=None):
-    charge = charge_from_text(args.charge)
-    if l is not None and len(charge) != l:
-        raise ValueError("charge %s has %d entries, expected l=%d" % (args.charge, len(charge), l))
-    return charge
 
 
 def _ambient(args):
@@ -296,7 +292,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         sys.stderr.write("internal invariant violation: %s\n" % exc)
         return 4
-    except (ValueError, IndexError, KeyError) as exc:
+    except ValueError as exc:
         sys.stderr.write("invalid input: %s\n" % exc)
         return 2
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _acc
 from .partitions import (
     above,
     add_node,
@@ -43,34 +43,6 @@ def n_below(mp, mu, gamma, i, charge, e) -> int:
         sum(1 for g in addable_nodes(mp, i, charge, e) if above(gamma, g, charge))
         - sum(1 for g in removable_nodes(mu, i, charge, e) if above(gamma, g, charge))
     )
-
-
-def n_counts(mp, i, charge, e, gamma=None):
-    """The exponent data for color i: N_i alone, or together with the
-    above/below counts N_i^a, N_i^b for an addable i-node gamma."""
-    if gamma is None:
-        return n_count(mp, i, charge, e)
-    if gamma not in addable_nodes(mp, i, charge, e):
-        raise ValueError("%r is not an addable %d-node of %r" % (gamma, i, mp))
-    mu = add_node(mp, gamma)
-    return (
-        n_count(mp, i, charge, e),
-        n_above(mp, mu, gamma, i, charge, e),
-        n_below(mp, mu, gamma, i, charge, e),
-    )
-
-
-def _acc(vec, key, poly):
-    cur = vec.get(key)
-    if cur is None:
-        if poly:
-            vec[key] = poly
-    else:
-        s = cur + poly
-        if s:
-            vec[key] = s
-        else:
-            del vec[key]
 
 
 def apply_f(i, vec, e) -> dict:

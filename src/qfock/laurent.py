@@ -27,29 +27,12 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def one(cls):
         return cls({0: 1})
 
     @classmethod
-    def term(cls, coeff, exp=0):
-        """coeff * q^exp."""
-        return cls({exp: coeff})
-
-    @classmethod
     def q_power(cls, exp):
         return cls({exp: 1})
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from [(exponent, coefficient), ...], summing duplicates."""
-        terms = {}
-        for e, c in pairs:
-            terms[e] = terms.get(e, 0) + c
-        return cls(terms)
 
     # -- ring structure ----------------------------------------------------
 
@@ -173,17 +156,19 @@ class LaurentPoly:
         return "LaurentPoly(%r)" % (self.terms,)
 
 
-ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
 
 
-def bar_poly(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
-
-
-def eval_one(p: LaurentPoly) -> int:
-    return p.eval_one()
-
-
-def truncate_positive(p: LaurentPoly) -> LaurentPoly:
-    return p.truncate_positive()
+def _acc(vec, key, poly):
+    """vec[key] += poly for a sparse {key: LaurentPoly} vector, dropping
+    zeros."""
+    cur = vec.get(key)
+    if cur is None:
+        if poly:
+            vec[key] = poly
+    else:
+        s = cur + poly
+        if s:
+            vec[key] = s
+        else:
+            del vec[key]

@@ -25,9 +25,7 @@ def is_partition(parts) -> bool:
     )
 
 
-def check_multipartition(mp, l=None):
-    if l is not None and len(mp) != l:
-        raise ValueError("expected %d components, got %d" % (l, len(mp)))
+def check_multipartition(mp):
     for comp in mp:
         if not is_partition(comp):
             raise ValueError("component %r is not a partition" % (comp,))
@@ -201,10 +199,6 @@ def is_split_semisimple(e: int, charge, n: int) -> bool:
 
 # -- compositions (for the a-value preorder machinery) -------------------------
 
-def is_composition(comp) -> bool:
-    return all(isinstance(p, int) and p > 0 for p in comp)
-
-
 def composition_rank(mc) -> int:
     return sum(sum(comp) for comp in mc)
 
@@ -239,6 +233,8 @@ def mp_to_text(mp) -> str:
 
 
 def mp_from_text(text: str) -> tuple:
+    """Parse `6,1|2,2|4,1`; ValueError unless every component is a
+    partition."""
     comps = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
@@ -246,6 +242,7 @@ def mp_from_text(text: str) -> tuple:
             comps.append(())
         else:
             comps.append(tuple(int(p) for p in chunk.split(",")))
+    check_multipartition(comps)
     return tuple(comps)
 
 

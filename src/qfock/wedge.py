@@ -33,25 +33,11 @@ from __future__ import annotations
 
 from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from .errors import InvariantError
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, _acc
 
 _MINUS_Q_INV = LaurentPoly({-1: -1})
 _PLUS_Q = LaurentPoly({1: 1})
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
-
-
-def _acc(vec, key, poly):
-    """vec[key] += poly, dropping zeros."""
-    cur = vec.get(key)
-    if cur is None:
-        if poly:
-            vec[key] = poly
-    else:
-        s = cur + poly
-        if s:
-            vec[key] = s
-        else:
-            del vec[key]
 
 
 def _odd_string(m):
@@ -257,7 +243,9 @@ class WedgeEngine:
         then independent of r), straightens them back against the frozen
         tail, and scales by (-q)^{omega'} q^{-omega}, where omega and omega'
         count index pairs i < j <= r sharing the bead letter a, resp. the
-        runner b.
+        runner b.  Every computed image must have coefficient exactly 1 on u
+        (bar is unitriangular), whether or not use_cache is set; anything
+        else raises InvariantError before the image is cached under (u, r).
         """
         n = degree(u)
         r0 = len(u.prefix)
@@ -286,6 +274,9 @@ class WedgeEngine:
             if mono and mono[-1] <= floor:
                 raise InvariantError("straightened prefix dipped into the tail")
             _acc(out, wedge_monomial(mono, u.s), pref * c)
+        one = out.get(u)
+        if one is None or one.terms != {0: 1}:
+            raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))
         if self.use_cache:
             self._bar_cache[key] = out
         return out

@@ -49,16 +49,22 @@ def test_vacuum_cases():
     assert to_pair(WedgeMonomial((), 0), 2, 2) == ((((), ())), (0, 0))
     # one box on component 1 at charge (0,0), e=2, l=2 sits at global index 3
     assert from_pair(((1,), ()), (0, 0), 2, 2) == WedgeMonomial((3,), 0)
+    # components must be partitions: a zero or increasing part is rejected
+    for mp in [((1, 0), ()), ((0,), (1,)), ((1, 2), ())]:
+        with pytest.raises(ValueError, match="not a partition"):
+            from_pair(mp, (0, 1), 4, 2)
 
 
 def test_round_trip_random():
+    # the +-40 charges put the runners' first holes far apart, so the tail
+    # beads of the high runners make up most of the prefix
     rng = random.Random(12)
-    for _ in range(500):
+    for lo, hi in [(-6, 8)] * 500 + [(-40, 40)] * 500:
         e = rng.randint(2, 5)
         l = rng.randint(1, 4)
         mp = tuple(tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 4))), reverse=True))
                    for _ in range(l))
-        charge = tuple(rng.randint(-6, 8) for _ in range(l))
+        charge = tuple(rng.randint(lo, hi) for _ in range(l))
         u = from_pair(mp, charge, e, l)
         assert to_pair(u, e, l) == (mp, charge)
         # and monomial -> pair -> monomial

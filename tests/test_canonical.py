@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qfock.abacus import WedgeMonomial, degree, from_pair, wedge_monomial
+from qfock.abacus import WedgeMonomial, degree, enumerate_degree_component, from_pair, wedge_monomial
 from qfock.canonical import (
     CanonicalBasis,
     DecompositionMatrix,
@@ -136,8 +136,8 @@ def test_bar_cycle_detection_guard():
     basis = CanonicalBasis(2, 2)
     a = wedge_monomial((4,), 0)
     b = wedge_monomial((3, 0), 0)
-    basis._bar[a] = {a: LaurentPoly.one(), b: LaurentPoly.q_power(1)}
-    basis._bar[b] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
+    basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one(), b: LaurentPoly.q_power(1)}
+    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
     with pytest.raises(InvariantError):
         basis.bar_closure(a)
 
@@ -146,7 +146,7 @@ def test_full_component_sweep_matches_lazy_closures():
     # stress mode: every element of a degree component, compared against a
     # fresh per-monomial computation
     sweep_basis = CanonicalBasis(2, 2)
-    full = sweep_basis.component_elements(0, 7)
+    full = {u: sweep_basis.element(u) for u in enumerate_degree_component(0, 7)}
     assert len(full) == len(partitions(7))
     fresh = CanonicalBasis(2, 2)
     for u, g in full.items():

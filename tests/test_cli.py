@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qfock.cli import main
 
 
@@ -37,6 +39,16 @@ def test_flotw_check(capsys):
     assert code == 2 and "invalid input" in err
 
 
+def test_mp_labels_must_be_partitions(capsys):
+    # a component that is not a partition is bad input, not a bar failure
+    # and not a silently different label
+    for argv in (["canonical", "--e", "4", "--charge", "0,1", "--mp=1,2|-"],
+                 ["canonical", "--e", "4", "--charge", "0,1", "--mp=0|1"],
+                 ["flotw-check", "--e", "4", "--charge", "0,1", "--mp=1,2|-"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "is not a partition" in err
+
+
 def test_crystal_dot(capsys):
     code, out, _ = run(capsys, "crystal", "--e", "4", "--l", "2", "--charge", "0,1",
                        "--rank", "1", "--format", "dot")
@@ -69,6 +81,25 @@ def test_bar_degree_guard(capsys):
     code, _, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", "s=0; k=99",
                        "--max-degree", "10")
     assert code == 2 and "max-degree" in err
+
+
+def test_malformed_monomials_are_invalid_input(capsys):
+    for text in ("s 1; k=9,4", "s=1; k 9,4", "s=1", "s=1; k=9; k=4", "s=1=2; k=9"):
+        code, out, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", text)
+        assert code == 2 and out == "" and "invalid input" in err
+
+
+def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
+    # exit 2 is kept for parse and validation errors; a KeyError raised
+    # inside a command is a bug and propagates
+    import qfock.cli
+
+    def broken(*args):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(qfock.cli, "is_split_semisimple", broken)
+    with pytest.raises(KeyError, match="planted"):
+        main(["semisimple", "--e", "4", "--charge", "0,1", "--rank", "4"])
 
 
 def test_canonical_command(capsys):

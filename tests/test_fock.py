@@ -1,6 +1,6 @@
 import random
 
-from qfock.fock import apply_e, apply_f, apply_k, fock_to_json, n_below, n_count, n_counts
+from qfock.fock import apply_e, apply_f, apply_k, fock_to_json, n_above, n_below, n_count
 from qfock.laurent import LaurentPoly
 from qfock.partitions import add_node, addable_nodes, multipartitions
 
@@ -16,12 +16,14 @@ def test_count_examples():
 
 
 def test_n_counts_wrapper():
-    import pytest
-
-    assert n_counts(((), ()), 0, (0, 1), 4) == 1
-    assert n_counts(((), ()), 0, (0, 1), 4, gamma=(1, 1, 1)) == (1, 0, 0)
-    with pytest.raises(ValueError):
-        n_counts(((), ()), 1, (0, 1), 4, gamma=(1, 1, 1))  # wrong residue
+    vac, gamma = ((), ()), (1, 1, 1)
+    mu = add_node(vac, gamma)
+    assert n_count(vac, 0, (0, 1), 4) == 1
+    assert (
+        n_count(vac, 0, (0, 1), 4),
+        n_above(vac, mu, gamma, 0, (0, 1), 4),
+        n_below(vac, mu, gamma, 0, (0, 1), 4),
+    ) == (1, 0, 0)
 
 
 def test_action_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qfock.laurent import LaurentPoly, bar_poly, eval_one, truncate_positive
+from qfock.laurent import LaurentPoly
 
 
 def P(**kw):
@@ -15,56 +15,56 @@ def rand_poly(rng, spread=6, size=4):
 
 
 def test_bar_examples():
-    assert bar_poly(LaurentPoly({2: 1, 0: 3})) == LaurentPoly({-2: 1, 0: 3})
-    assert bar_poly(LaurentPoly()) == LaurentPoly()
+    assert LaurentPoly({2: 1, 0: 3}).bar() == LaurentPoly({-2: 1, 0: 3})
+    assert LaurentPoly().bar() == LaurentPoly()
     p = LaurentPoly({1: 1, -1: -1})
-    assert bar_poly(p) == -p
+    assert p.bar() == -p
 
 
 def test_eval_one_examples():
-    assert eval_one(LaurentPoly({1: 1, -1: 1})) == 2
-    assert eval_one(LaurentPoly()) == 0
-    assert eval_one(LaurentPoly({3: 1, 1: -2})) == -1
+    assert LaurentPoly({1: 1, -1: 1}).eval_one() == 2
+    assert LaurentPoly().eval_one() == 0
+    assert LaurentPoly({3: 1, 1: -2}).eval_one() == -1
 
 
 def test_truncate_positive_examples():
-    assert truncate_positive(LaurentPoly({1: 1, -1: -1})) == LaurentPoly({1: 1})
+    assert LaurentPoly({1: 1, -1: -1}).truncate_positive() == LaurentPoly({1: 1})
     p = LaurentPoly({3: 2, -3: -2, 1: 1, -1: -1})
-    assert truncate_positive(p) == LaurentPoly({3: 2, 1: 1})
-    assert truncate_positive(LaurentPoly()) == LaurentPoly()
+    assert p.truncate_positive() == LaurentPoly({3: 2, 1: 1})
+    assert LaurentPoly().truncate_positive() == LaurentPoly()
 
 
 def test_truncate_positive_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
-        truncate_positive(LaurentPoly({1: 1}))
+        LaurentPoly({1: 1}).truncate_positive()
     with pytest.raises(ValueError):
-        truncate_positive(LaurentPoly({0: 2}))
+        LaurentPoly({0: 2}).truncate_positive()
 
 
 def test_bar_is_ring_involution():
     rng = random.Random(1)
     for _ in range(200):
         p, r = rand_poly(rng), rand_poly(rng)
-        assert bar_poly(bar_poly(p)) == p
-        assert bar_poly(p * r) == bar_poly(p) * bar_poly(r)
-        assert bar_poly(p + r) == bar_poly(p) + bar_poly(r)
+        assert p.bar().bar() == p
+        assert (p * r).bar() == p.bar() * r.bar()
+        assert (p + r).bar() == p.bar() + r.bar()
 
 
 def test_eval_one_is_ring_homomorphism():
     rng = random.Random(2)
     for _ in range(200):
         p, r = rand_poly(rng), rand_poly(rng)
-        assert eval_one(p * r) == eval_one(p) * eval_one(r)
-        assert eval_one(p + r) == eval_one(p) + eval_one(r)
+        assert (p * r).eval_one() == p.eval_one() * r.eval_one()
+        assert (p + r).eval_one() == p.eval_one() + r.eval_one()
 
 
 def test_truncate_positive_splits_antisymmetric_part():
     rng = random.Random(3)
     for _ in range(200):
         r = rand_poly(rng)
-        p = r - bar_poly(r)  # antisymmetric by construction
-        beta = truncate_positive(p)
-        assert beta - bar_poly(beta) == p
+        p = r - r.bar()  # antisymmetric by construction
+        beta = p.truncate_positive()
+        assert beta - beta.bar() == p
         assert all(e > 0 for e in beta.terms)
 
 

@@ -174,6 +174,22 @@ def test_fuel_exhaustion_fails_loudly():
         eng.straighten_indices(tuple(range(-5, 6)))
 
 
+def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
+    # a straightening that doubles every coefficient breaks unitriangularity;
+    # the image is rejected before it is cached, with or without the cache
+    from qfock.errors import InvariantError
+
+    u = wedge_monomial((2,), 0)
+    for use_cache in (True, False):
+        eng = WedgeEngine(2, 1, use_cache=use_cache)
+        straighten = eng.straighten_indices
+        monkeypatch.setattr(eng, "straighten_indices",
+                            lambda word: {m: c * 2 for m, c in straighten(word).items()})
+        with pytest.raises(InvariantError, match="coefficient 2 on its own monomial"):
+            eng.bar(u)
+        assert eng._bar_cache == {}
+
+
 def test_vector_json_and_index_sum_helper():
     eng = WedgeEngine(2, 1)
     u = wedge_monomial((2,), 0)
