@@ -23,6 +23,8 @@ such regimes are rejected rather than guessed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from operator import mul
 from typing import NamedTuple
 
 from .errors import UnsupportedRegimeError
@@ -67,16 +69,16 @@ def height(mc) -> int:
 def translated_symbol(mc, m: MVector, h: int) -> tuple:
     """Per-component entry lists B^(i)_j = part_j - j + h + m^(i), j = 1..h,
     missing parts read as 0."""
-    shifts = integral_shifts(m)
     if h < height(mc):
         raise ValueError("height %d is below the height of %r" % (h, mc))
-    out = []
-    for i, comp in enumerate(mc):
-        out.append(tuple(
-            (comp[j - 1] if j <= len(comp) else 0) - j + h + shifts[i]
-            for j in range(1, h + 1)
-        ))
-    return tuple(out)
+    return tuple(tuple(_entries(comp, t, h)) for comp, t in zip(mc, integral_shifts(m)))
+
+
+def _entries(comp, t: int, h: int) -> list:
+    """One component's symbol entries, top to bottom, for h >= len(comp)."""
+    top = h + t
+    return [p - j + top for j, p in enumerate(comp, 1)] + list(
+        range(top - len(comp) - 1, top - h - 1, -1))
 
 
 def _min_ramp(x: int, m: int) -> int:
@@ -86,44 +88,38 @@ def _min_ramp(x: int, m: int) -> int:
     return m * (m + 1) // 2 + (x - m) * m
 
 
-def symbol_sums(symbol, m: MVector) -> int:
-    """S1 - S2 for an already-built symbol.
-
-    Within one component the pair sum runs over unordered position pairs;
-    for the strictly decreasing symbols of partitions this is the same as
-    summing min(a, b) over entry pairs with a > b, and it is the version
-    under which the node-addition preorder property survives symbols with
-    tied entries (compositions).
-    """
-    shifts = integral_shifts(m)
-    l = len(symbol)
-    s1 = 0
-    for i in range(l):
-        bi = symbol[i]
-        for p in range(len(bi)):
-            for r in range(p + 1, len(bi)):
-                s1 += bi[p] if bi[p] < bi[r] else bi[r]
-        for j in range(i + 1, l):
-            for x in bi:
-                for y in symbol[j]:
-                    s1 += x if x < y else y
-    s2 = 0
-    for bi in symbol:
-        for x in bi:
-            for mj in shifts:
-                s2 += _min_ramp(x, mj)
-    return s1 - s2
-
-
 def a_rel(mc, e: int, l: int, charge, h: int | None = None,
-          alpha: int | None = None) -> int:
+          alpha: int | None = None, table: AValueTable | None = None) -> int:
     """The two explicit sums of the a-value at height h (defaults to the
     composition's height plus one).  Differences between equal-rank labels
-    at a common height equal differences of true a-values."""
-    m = m_vector(e, l, charge, alpha)
+    at a common height equal differences of true a-values.
+
+    `table`, an AValueTable built for the same e, l, charge and alpha,
+    lends its shift vector and its memo of S2 terms.
+
+    S1 sums min over every unordered pair of symbol positions; for the
+    strictly decreasing components of partitions this is the pairs of
+    entries x > y within a component, and over positions it is the version
+    under which the node-addition preorder property survives the tied
+    entries of compositions.  With all entries sorted descending,
+    v_1 >= v_2 >= ..., the k-th is the min of each pair it forms with the
+    k - 1 before it, ties included, so S1 = sum_k (k - 1) v_k.
+    """
+    if table is None:
+        table = AValueTable(e, l, charge, h, alpha)
     if h is None:
         h = height(mc) + 1
-    return symbol_sums(translated_symbol(mc, m, h), m)
+    elif h < height(mc):
+        raise ValueError("height %d is below the height of %r" % (h, mc))
+    entries = []
+    for comp, t in zip(mc, table.shifts):
+        entries += _entries(comp, t, h)
+    entries.sort(reverse=True)
+    ramp = table.ramp
+    for x in entries:
+        if x not in ramp:
+            ramp[x] = sum(_min_ramp(x, t) for t in table.shifts)
+    return sum(map(mul, count(), entries)) - sum(map(ramp.__getitem__, entries))
 
 
 class AValueTable(dict):
@@ -131,14 +127,20 @@ class AValueTable(dict):
 
     Differences of a_rel between equal-rank labels at a common height are
     differences of true a-values, so one table at h = n + 1 orders every
-    family of equal-rank labels of rank at most n."""
+    family of equal-rank labels of rank at most n.  The shift vector `m`
+    (alpha defaults as in m_vector) is built once per table, and `ramp[x]`
+    memoizes the S2 term sum_j sum_{k=1..x} min(k, m^(j)) of an entry x.
+    """
 
-    def __init__(self, e: int, l: int, charge, h: int):
+    def __init__(self, e: int, l: int, charge, h: int, alpha: int | None = None):
         super().__init__()
-        self._params = (e, l, tuple(charge), h)
+        self._params = (e, l, tuple(charge), h, alpha)
+        self.m = m_vector(e, l, charge, alpha)
+        self.shifts = integral_shifts(self.m)
+        self.ramp = {}
 
     def __missing__(self, mc):
-        value = self[mc] = a_rel(mc, *self._params)
+        value = self[mc] = a_rel(mc, *self._params, table=self)
         return value
 
 
@@ -148,21 +150,5 @@ def precedes(mu, nu, e: int, l: int, charge, alpha: int | None = None) -> bool:
     if composition_rank(mu) != composition_rank(nu):
         raise ValueError("precedes compares equal ranks only")
     h = max(height(mu), height(nu)) + 1
-    return a_rel(mu, e, l, charge, h, alpha) < a_rel(nu, e, l, charge, h, alpha)
-
-
-def a_table(e: int, l: int, charge, labels, h: int | None = None,
-            alpha: int | None = None, calibrate_to=None):
-    """a_rel over a family of equal-rank labels at one common height.
-
-    With calibrate_to set to a label, shifts the whole table so that label
-    maps to 0 (how the printed tables fix the unknown constant f).
-    Returns {label: value}.
-    """
-    if h is None:
-        h = max((height(mc) for mc in labels), default=0) + 1
-    vals = {mc: a_rel(mc, e, l, charge, h, alpha) for mc in labels}
-    if calibrate_to is not None:
-        base = vals[calibrate_to]
-        vals = {mc: v - base for mc, v in vals.items()}
-    return vals
+    table = AValueTable(e, l, charge, h, alpha)
+    return table[mu] < table[nu]

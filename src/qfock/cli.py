@@ -18,7 +18,7 @@ import json
 import sys
 
 from .abacus import degree, from_pair, monomial_from_text
-from .avalue import a_table, height, m_vector
+from .avalue import AValueTable, height
 from .canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predicate, uglov_set
 from .errors import InvariantError, UnsupportedRegimeError
@@ -104,7 +104,7 @@ def cmd_avalue(args):
     h = args.height
     if h is None:
         h = max((height(mp) for mp in labels), default=0) + 1
-    vals = a_table(e, l, charge, labels, h=h)
+    vals = AValueTable(e, l, charge, h)
     calibration = min(labels, key=lambda mp: (vals[mp], mp_to_text(mp)))
     base = vals[calibration]
     table = sorted(((vals[mp] - base, mp_to_text(mp)) for mp in labels))
@@ -112,7 +112,7 @@ def cmd_avalue(args):
         _emit(_jdump({
             "calibration": mp_to_text(calibration),
             "height": h,
-            "alpha": m_vector(e, l, charge).alpha,
+            "alpha": vals.m.alpha,
             "values": [{"label": t, "a": v} for v, t in table],
         }), args)
     else:
@@ -172,13 +172,6 @@ def cmd_decomp(args):
     if is_split_semisimple(e, charge, args.rank):
         sys.stderr.write(
             "warning: these parameters are split semisimple; the matrix is trivial\n"
-        )
-    deg = max((degree(from_pair(mp, charge, e, l)) for mp in multipartitions(l, args.rank)),
-              default=0)
-    if deg > args.max_degree:
-        raise ValueError(
-            "rank %d at this charge reaches wedge degree %d, exceeding --max-degree %d; "
-            "raise the cap to proceed" % (args.rank, deg, args.max_degree)
         )
     mat = decomposition_matrix(e, l, charge, args.rank)
     if mat.checks["foreign_support"]:
@@ -275,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, l=True)
     p.add_argument("--format", choices=["csv", "latex", "json"], default="csv")
     p.add_argument("--keep-q", action="store_true")
-    p.add_argument("--max-degree", type=int, default=64)
     p.set_defaults(func=cmd_decomp)
 
     return parser

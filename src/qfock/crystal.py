@@ -2,53 +2,61 @@
 Uglov multipartitions, the FLOTW membership test, and Kleshchev charges.
 
 A removable i-node is normal when it survives the signature reduction: list
-every addable and removable i-node from most 'above' to least, then let each
-addable node cancel the nearest surviving removable node above it.  The
-highest surviving removable node is the good i-node.  (The prose definition
-leaves the inclusivity of "between" open; this cancellation convention is
-the one pinned by the rank-4 Uglov sets, the FLOTW equivalence and the
-per-color degree bounds of the crystal, see the test suite.)
+every addable and removable i-node from most 'above' to least (the
+i-signature), then let each addable node cancel the nearest surviving
+removable node above it.  The highest surviving removable node is the good
+i-node.  (The prose definition leaves the inclusivity of "between" open;
+this cancellation convention is the one pinned by the rank-4 Uglov sets,
+the FLOTW equivalence and the per-color degree bounds of the crystal, see
+the test suite.)
+
+The reduced signature is the uncancelled addable nodes followed by the
+surviving removable ones.  f~_i adds the last uncancelled addable node:
+adding an i-node turns it into a removable one and changes the
+removability of no other i-node (its neighbours have residues i +- 1), so
+mp -> mp + gamma is an edge exactly when gamma becomes the good i-node of
+mp + gamma, and only the last uncancelled addable node does.
 """
 
 from __future__ import annotations
 
 from .partitions import (
     add_node,
-    addable_nodes,
     empty_multipartition,
+    i_signatures,
     mp_to_text,
     multipartitions,
-    node_sort_key,
-    removable_nodes,
     residue,
 )
 
 
-def _surviving_removables(mp, i, charge, e):
-    """Removable i-nodes left after the addable/removable cancellation,
-    most 'above' first."""
-    tagged = [(g, "R") for g in removable_nodes(mp, i, charge, e)]
-    tagged += [(g, "A") for g in addable_nodes(mp, i, charge, e)]
-    tagged.sort(key=lambda t: node_sort_key(t[0], charge))
-    stack = []
-    for g, kind in tagged:
-        if kind == "R":
-            stack.append(g)
-        elif stack:
-            stack.pop()  # addable cancels nearest surviving removable above
-    return stack
+def _reduce(sig):
+    """Reduce an i-signature.  Returns the last addable node left
+    uncancelled (None when every one cancels a removable node) and the
+    surviving removable nodes, most 'above' first."""
+    survivors = []
+    last_addable = None
+    for g, addable in sig:
+        if not addable:
+            survivors.append(g)
+        elif survivors:
+            survivors.pop()  # addable cancels nearest surviving removable above
+        else:
+            last_addable = g
+    return last_addable, survivors
 
 
 def is_normal(mp, gamma, i, charge, e) -> bool:
     """Whether the removable i-node gamma of mp survives the reduction."""
-    if residue(gamma, charge, e) != i or gamma not in removable_nodes(mp, i, charge, e):
+    sig = i_signatures(mp, charge, e)[i] if residue(gamma, charge, e) == i else []
+    if (gamma, False) not in sig:
         raise ValueError("%r is not a removable %d-node of %r" % (gamma, i, mp))
-    return gamma in _surviving_removables(mp, i, charge, e)
+    return gamma in _reduce(sig)[1]
 
 
 def good_node(mp, i, charge, e):
     """The highest normal i-node, or None."""
-    survivors = _surviving_removables(mp, i, charge, e)
+    survivors = _reduce(i_signatures(mp, charge, e)[i])[1]
     return survivors[0] if survivors else None
 
 
@@ -56,10 +64,10 @@ def good_addable_nodes(mp, charge, e):
     """The nodes gamma such that mp -> mp+gamma is a crystal edge, one per
     color at most, as (i, gamma) pairs."""
     out = []
-    for i in range(e):
-        for gamma in addable_nodes(mp, i, charge, e):
-            if good_node(add_node(mp, gamma), i, charge, e) == gamma:
-                out.append((i, gamma))
+    for i, sig in enumerate(i_signatures(mp, charge, e)):
+        gamma = _reduce(sig)[0]
+        if gamma is not None:
+            out.append((i, gamma))
     return out
 
 
@@ -136,14 +144,16 @@ def crystal_graph(e: int, l: int, charge, n: int) -> dict:
         raise ValueError("rank must be >= 0")
     layers = [multipartitions(l, m) for m in range(n + 1)]
     edges = []
-    for m in range(n):
-        for mp in layers[m]:
+    marked = {empty_multipartition(l)}
+    for layer in layers[:n]:  # each rank's marks are complete before its edges
+        for mp in layer:
+            inside = mp in marked
             for i, gamma in good_addable_nodes(mp, charge, e):
-                edges.append((mp, i, add_node(mp, gamma)))
+                mu = add_node(mp, gamma)
+                edges.append((mp, i, mu))
+                if inside:
+                    marked.add(mu)
     edges.sort()
-    marked = set()
-    for layer in uglov_layers(e, l, charge, n):
-        marked |= layer
     return {"layers": layers, "edges": edges, "uglov": marked}
 
 
@@ -155,8 +165,6 @@ def crystal_to_dot(graph, charge) -> str:
     for layer in graph["layers"]:
         for mp in layer:
             ids[mp] = "v%d" % len(ids)
-    for layer in graph["layers"]:
-        for mp in layer:
             shape = ' style=filled fillcolor="lightgrey"' if mp in graph["uglov"] else ""
             lines.append('  %s [label="%s"%s];' % (ids[mp], mp_to_text(mp), shape))
     for mp, i, mu in graph["edges"]:
@@ -166,14 +174,15 @@ def crystal_to_dot(graph, charge) -> str:
 
 
 def crystal_to_json(graph) -> dict:
+    text = {mp: mp_to_text(mp) for layer in graph["layers"] for mp in layer}
     return {
-        "layers": [[mp_to_text(mp) for mp in layer] for layer in graph["layers"]],
+        "layers": [[text[mp] for mp in layer] for layer in graph["layers"]],
         "edges": [
-            {"from": mp_to_text(mp), "color": i, "to": mp_to_text(mu)}
+            {"from": text[mp], "color": i, "to": text[mu]}
             for mp, i, mu in graph["edges"]
         ],
         "vertices": [
-            {"label": mp_to_text(mp), "uglov": mp in graph["uglov"]}
+            {"label": text[mp], "uglov": mp in graph["uglov"]}
             for layer in graph["layers"] for mp in layer
         ],
     }

@@ -9,15 +9,13 @@ without loss.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from .laurent import LaurentPoly, _acc
 from .partitions import (
     above,
     add_node,
     addable_nodes,
+    i_signatures,
     mp_to_text,
-    node_sort_key,
     remove_node,
     removable_nodes,
 )
@@ -50,16 +48,18 @@ def apply_f(i, vec, e) -> dict:
 
     Adding an i-node changes no other i-node's removability (its neighbours
     have residues i +- 1), so the removable i-nodes of mp plus gamma below
-    gamma are those of mp, and N^b_i (n_below) is read off the sorted
-    addable and removable i-nodes of mp, listed once per term."""
+    gamma are those of mp, and N^b_i (n_below) is counted off the
+    i-signature of mp, read once per term from the top down."""
     out = {}
     for (mp, charge), c in vec.items():
-        adds = addable_nodes(mp, i, charge, e)
-        rems = [node_sort_key(g, charge) for g in removable_nodes(mp, i, charge, e)]
-        for k, gamma in enumerate(adds):
-            rems_below = len(rems) - bisect_right(rems, node_sort_key(gamma, charge))
-            w = len(adds) - 1 - k - rems_below
-            _acc(out, (add_node(mp, gamma), charge), c * LaurentPoly({w: 1}))
+        sig = i_signatures(mp, charge, e)[i]
+        below = sum(1 if addable else -1 for _g, addable in sig)  # N_i of mp
+        for gamma, addable in sig:
+            if addable:
+                below -= 1  # now the nodes below gamma only
+                _acc(out, (add_node(mp, gamma), charge), c * LaurentPoly({below: 1}))
+            else:
+                below += 1
     return out
 
 

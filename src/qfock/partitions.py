@@ -60,45 +60,37 @@ def above(gamma, gamma2, charge) -> bool:
     return c1 < c2 or (c1 == c2 and gamma2[2] < gamma[2])
 
 
-def node_sort_key(node, charge):
-    """Sorting by this key lists nodes from most 'above' to least."""
-    return (content(node, charge), -node[2])
-
-
-def _addable(mp):
-    """All addable nodes of a multipartition."""
-    out = []
+def i_signatures(mp, charge, e):
+    """For each residue i, the i-signature of mp: its addable and removable
+    i-nodes, most 'above' first (by content, ties to the larger component),
+    as (node, is_addable) pairs.  One walk over mp serves every residue; no
+    two of its nodes share a content and a component."""
+    keyed = []
     for c, comp in enumerate(mp, start=1):
-        for a in range(1, len(comp) + 1):
+        s = charge[c - 1]
+        last = len(comp)
+        for a, p in enumerate(comp, start=1):
             # row a can grow iff it stays weakly below row a-1
-            if a == 1 or comp[a - 1] < comp[a - 2]:
-                out.append((a, comp[a - 1] + 1, c))
-        out.append((len(comp) + 1, 1, c))
-    return out
-
-
-def _removable(mp):
-    """All removable nodes of a multipartition."""
-    out = []
-    for c, comp in enumerate(mp, start=1):
-        for a in range(1, len(comp) + 1):
-            if a == len(comp) or comp[a] < comp[a - 1]:
-                out.append((a, comp[a - 1], c))
-    return out
+            if a == 1 or p < comp[a - 2]:
+                keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
+            if a == last or comp[a] < p:
+                keyed.append((p - a + s, -c, (a, p, c), False))
+        keyed.append((s - last, -c, (last + 1, 1, c), True))
+    keyed.sort()
+    sigs = [[] for _ in range(e)]
+    for cont, _c, node, addable in keyed:
+        sigs[cont % e].append((node, addable))
+    return sigs
 
 
 def addable_nodes(mp, i, charge, e):
     """Addable i-nodes, most 'above' first."""
-    nodes = [g for g in _addable(mp) if residue(g, charge, e) == i]
-    nodes.sort(key=lambda g: node_sort_key(g, charge))
-    return nodes
+    return [g for g, addable in i_signatures(mp, charge, e)[i] if addable]
 
 
 def removable_nodes(mp, i, charge, e):
     """Removable i-nodes, most 'above' first."""
-    nodes = [g for g in _removable(mp) if residue(g, charge, e) == i]
-    nodes.sort(key=lambda g: node_sort_key(g, charge))
-    return nodes
+    return [g for g, addable in i_signatures(mp, charge, e)[i] if not addable]
 
 
 def add_node(mp, node):

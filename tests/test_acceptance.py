@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from qfock.abacus import enumerate_degree_component, from_pair, to_pair, wedge_monomial
-from qfock.avalue import a_rel, a_table, height, m_vector, translated_symbol, precedes
+from qfock.avalue import AValueTable, a_rel, height, m_vector, translated_symbol, precedes
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
 from qfock.crystal import flotw_predicate, uglov_layers, uglov_set
@@ -66,12 +66,14 @@ def test_criterion_2_a_values():
     mps = multipartitions(2, 4)
     for charge, table in A_VALUES.items():
         minimal = min(table, key=table.get)
-        got = a_table(4, 2, charge, mps, calibrate_to=minimal)
+        aval = AValueTable(4, 2, charge, 5)  # the rank-4 labels' height plus one
+        got = {mp: aval[mp] - aval[minimal] for mp in mps}
         assert got == table, charge
         assert min(got.values()) == 0 and got[minimal] == 0
         # alpha-sensitivity, measured: the calibrated table does not move
         for alpha in (1, 2):
-            assert a_table(4, 2, charge, mps, alpha=alpha, calibrate_to=minimal) == table
+            aval = AValueTable(4, 2, charge, 5, alpha)
+            assert {mp: aval[mp] - aval[minimal] for mp in mps} == table
     print("ACCEPTANCE 2 (60 printed a-values, exact; alpha-insensitive): PASS")
 
 

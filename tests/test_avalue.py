@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from qfock.avalue import (
+    AValueTable,
     MVector,
+    _min_ramp,
     a_rel,
-    a_table,
     height,
+    integral_shifts,
     m_vector,
     precedes,
     translated_symbol,
@@ -49,21 +51,90 @@ def test_non_integral_shift_rejected():
         a_rel(((1,), ()), 3, 2, (0, 1))
 
 
+def calibrated(charge, labels, base, h, alpha=None):
+    """The a_rel table of the labels at height h, shifted so base maps to 0."""
+    aval = AValueTable(4, 2, charge, h, alpha)
+    return {mc: aval[mc] - aval[base] for mc in labels}
+
+
 def test_paper_a_tables():
     mps = multipartitions(2, 4)
     for charge, table in A_VALUES.items():
         minimal = min(table, key=table.get)
-        got = a_table(4, 2, charge, mps, calibrate_to=minimal)
+        got = calibrated(charge, mps, minimal, 5)
         assert got == table
 
 
 def test_table_calibration_is_alpha_and_height_independent():
     mps = multipartitions(2, 4)
-    reference = a_table(4, 2, (0, 1), mps, h=5, calibrate_to=((4,), ()))
+    reference = calibrated((0, 1), mps, ((4,), ()), 5)
     for alpha in (1, 2, 3):
         for h in (4, 6, 8):
-            assert a_table(4, 2, (0, 1), mps, h=h, alpha=alpha,
-                           calibrate_to=((4,), ())) == reference
+            assert calibrated((0, 1), mps, ((4,), ()), h, alpha) == reference
+
+
+def pairwise_symbol_sums(symbol, m):
+    """S1 - S2 by the defining double sums: min over every unordered pair of
+    symbol positions, minus sum_{k=1..x} min(k, m^(j)) over entries x and
+    components j.  The reference for a_rel's sorted-sum form."""
+    shifts = integral_shifts(m)
+    l = len(symbol)
+    s1 = 0
+    for i in range(l):
+        bi = symbol[i]
+        for p in range(len(bi)):
+            for r in range(p + 1, len(bi)):
+                s1 += min(bi[p], bi[r])
+        for j in range(i + 1, l):
+            for x in bi:
+                for y in symbol[j]:
+                    s1 += min(x, y)
+    s2 = 0
+    for bi in symbol:
+        for x in bi:
+            for mj in shifts:
+                s2 += _min_ramp(x, mj)
+    return s1 - s2
+
+
+def test_min_ramp_closed_form():
+    for x in range(12):
+        for mj in range(12):
+            assert _min_ramp(x, mj) == sum(min(k, mj) for k in range(1, x + 1))
+
+
+def test_a_rel_matches_pairwise_sums_on_compositions():
+    # zero parts and parts below their successors give tied symbol entries,
+    # within a component and across components
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(3000):
+        e, l = rng.choice([(4, 2), (2, 2), (3, 3), (5, 1), (4, 4)])
+        charge = tuple(rng.randint(-6, 6) for _ in range(l))
+        alpha = rng.choice([None, None, 3])
+        mc = tuple(
+            tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+            for _ in range(l)
+        )
+        h = height(mc) + rng.randint(0, 2)
+        try:
+            m = m_vector(e, l, charge, alpha)
+        except ValueError:
+            continue  # alpha too small for this charge
+        symbol = translated_symbol(mc, m, h)
+        entries = [x for b in symbol for x in b]
+        ties += len(set(entries)) < len(entries)
+        want = pairwise_symbol_sums(symbol, m)
+        assert a_rel(mc, e, l, charge, h, alpha) == want, (mc, charge, h, alpha)
+        assert AValueTable(e, l, charge, h, alpha)[mc] == want
+    assert ties > 1000
+
+
+def test_table_memo_matches_fresh_a_rel():
+    for charge in [(0, 1), (4, 1), (0, 5), (-3, 9)]:
+        aval = AValueTable(4, 2, charge, 7)
+        for mc in multipartitions(2, 6):
+            assert aval[mc] == a_rel(mc, 4, 2, charge, 7)
 
 
 def test_height_shift_property():

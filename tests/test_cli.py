@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qfock.canonical import decomposition_matrix
 from qfock.cli import main
 
 
@@ -142,6 +143,16 @@ def test_decomp_semisimple_warning(capsys):
                          "--rank", "2")
     assert code == 0 and "semisimple" in err
     assert out.splitlines()[1:] == ["1 1,1 1,1", "2,2,1"]
+
+
+def test_decomp_has_no_wedge_degree_guard(capsys):
+    # the Fock route builds no wedge monomial, so a charge whose labels sit
+    # at wedge degree 172 is no reason to refuse
+    code, out, err = run(capsys, "decomp", "--e", "4", "--charge", "0,20", "--rank", "4")
+    assert code == 0 and err == ""
+    assert out == decomposition_matrix(4, 2, (0, 20), 4).to_csv()
+    with pytest.raises(SystemExit):
+        main(["decomp", "--e", "4", "--charge", "0,1", "--rank", "4", "--max-degree", "64"])
 
 
 def test_decomp_ignores_cache_dir(tmp_path, capsys, monkeypatch):

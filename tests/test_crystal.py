@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -7,13 +8,21 @@ from qfock.crystal import (
     crystal_to_dot,
     crystal_to_json,
     flotw_predicate,
+    good_addable_nodes,
     good_node,
     is_normal,
     kleshchev_charge,
     uglov_layers,
     uglov_set,
 )
-from qfock.partitions import multipartitions, rank, removable_nodes
+from qfock.partitions import (
+    add_node,
+    addable_nodes,
+    content,
+    multipartitions,
+    rank,
+    removable_nodes,
+)
 
 from paper_data import UGLOV_SETS
 
@@ -152,3 +161,51 @@ def test_good_node_is_highest_normal():
                                if is_normal(mp, g, i, charge, e)]
                     g = good_node(mp, i, charge, e)
                     assert g == (normals[0] if normals else None)
+
+
+def surviving_removables(mp, i, charge, e):
+    """The per-residue cancellation, one residue at a time: merge the
+    addable and removable i-nodes by content (ties to the larger component),
+    then let each addable node cancel the nearest surviving removable node
+    above it."""
+    tagged = [(g, "R") for g in removable_nodes(mp, i, charge, e)]
+    tagged += [(g, "A") for g in addable_nodes(mp, i, charge, e)]
+    tagged.sort(key=lambda t: (content(t[0], charge), -t[0][2]))
+    stack = []
+    for g, kind in tagged:
+        if kind == "R":
+            stack.append(g)
+        elif stack:
+            stack.pop()
+    return stack
+
+
+def oracle_good_node(mp, i, charge, e):
+    survivors = surviving_removables(mp, i, charge, e)
+    return survivors[0] if survivors else None
+
+
+def oracle_edges(mp, charge, e):
+    """Brute-force crystal edges: add each addable i-node gamma and keep it
+    when gamma is the good i-node of mp + gamma."""
+    return [
+        (i, gamma)
+        for i in range(e)
+        for gamma in addable_nodes(mp, i, charge, e)
+        if oracle_good_node(add_node(mp, gamma), i, charge, e) == gamma
+    ]
+
+
+def test_one_pass_reduction_matches_oracles():
+    # the last uncancelled addable node is the f~_i edge, and the highest
+    # surviving removable node is the good node, on every multipartition of
+    # rank <= 6 in each ambient at two seeded charges
+    rng = random.Random(41)
+    for e, l in [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3), (2, 4)] * 2:
+        charge = tuple(rng.randint(-7, 7) for _ in range(l))
+        for n in range(7):
+            for mp in multipartitions(l, n):
+                assert good_addable_nodes(mp, charge, e) == oracle_edges(mp, charge, e), \
+                    (mp, charge, e)
+                for i in range(e):
+                    assert good_node(mp, i, charge, e) == oracle_good_node(mp, i, charge, e)

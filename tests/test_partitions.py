@@ -10,6 +10,7 @@ from qfock.partitions import (
     charge_from_text,
     charge_to_text,
     content,
+    i_signatures,
     is_split_semisimple,
     mp_from_text,
     mp_to_text,
@@ -90,6 +91,40 @@ def test_above_injective_on_addable_removable_union():
                             key = (content(g, charge), g[2])
                             assert key not in seen
                             seen.add(key)
+
+
+def brute_nodes(mp, try_node):
+    """Every (a, b, c) in a box just past mp for which try_node succeeds."""
+    out = []
+    for c, comp in enumerate(mp, start=1):
+        for a in range(1, len(comp) + 2):
+            for b in range(1, (comp[0] if comp else 0) + 2):
+                try:
+                    try_node(mp, (a, b, c))
+                except ValueError:
+                    continue
+                out.append((a, b, c))
+    return out
+
+
+def test_i_signatures_match_brute_force_node_lists():
+    # one walk per multipartition against trying add_node / remove_node on
+    # every candidate box, sorted by content with ties to the larger component
+    rng = random.Random(7)
+    for l, e in [(1, 2), (2, 4), (3, 3), (4, 2)]:
+        for n in range(6):
+            for mp in multipartitions(l, n):
+                charge = tuple(rng.randint(-7, 7) for _ in range(l))
+                tagged = [(g, True) for g in brute_nodes(mp, add_node)]
+                tagged += [(g, False) for g in brute_nodes(mp, remove_node)]
+                tagged.sort(key=lambda t: (content(t[0], charge), -t[0][2]))
+                sigs = i_signatures(mp, charge, e)
+                assert len(sigs) == e
+                for i in range(e):
+                    want = [t for t in tagged if residue(t[0], charge, e) == i]
+                    assert sigs[i] == want, (mp, charge, e, i)
+                    assert addable_nodes(mp, i, charge, e) == [g for g, a in want if a]
+                    assert removable_nodes(mp, i, charge, e) == [g for g, a in want if not a]
 
 
 def test_semisimple_examples():
