@@ -390,8 +390,13 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     aval = matrix.aval
     violations = []
     minimal_rows = {}
+    row_pos = {row: i for i, row in enumerate(matrix.rows)}
+    supports = {}
+    for (row, col), v in matrix.entries.items():
+        if v and row in row_pos:
+            supports.setdefault(col, []).append(row)
     for col in matrix.cols:
-        support = [row for row in matrix.rows if matrix.entries.get((row, col))]
+        support = sorted(supports.get(col, ()), key=row_pos.__getitem__)
         if matrix.entries.get((col, col)) != 1:
             violations.append("column %s: diagonal entry is %r, not 1"
                               % (mp_to_text(col), matrix.entries.get((col, col))))

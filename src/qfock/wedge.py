@@ -22,11 +22,11 @@ emitted index lies in [min(k1,k2), max(k1,k2)], which is what lets a prefix
 be straightened against a frozen arithmetic tail: nothing can collide with a
 tail bead that the prefix did not already touch.
 
-The engine straightens by inserting one factor at a time into an already
-ordered combination, memoized on (inserted index, ordered suffix).  The
-naive strategy (rewrite the leftmost unordered adjacent pair to a fixed
-point) is kept as an independent test oracle.  Caching never changes
-results; set use_cache=False to recompute everything from scratch.
+The engine reads the word left to right, appending one factor at a time to
+an already ordered combination, memoized on (appended index, ordered
+prefix).  The naive strategy (rewrite the leftmost unordered adjacent pair
+to a fixed point) is kept as an independent test oracle.  Caching never
+changes results; set use_cache=False to recompute everything from scratch.
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ class WedgeEngine:
     # -- insertion into an ordered monomial ---------------------------------
 
     def insert(self, j: int, mono: tuple):
-        """u_j ^ (ordered monomial) as {ordered tuple: coefficient}."""
-        if not mono or j > mono[0]:
-            return {(j,) + mono: ONE}
-        if j == mono[0]:
+        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}."""
+        if not mono or j < mono[-1]:
+            return {mono + (j,): ONE}
+        if j == mono[-1]:
             return {}
         key = (j, mono)
         hit = self._insert_cache.get(key)
@@ -166,12 +166,20 @@ class WedgeEngine:
             return hit
         self._burn()
         out = {}
-        head, rest = mono[0], mono[1:]
-        for (x, y), c in self.straighten_pair(j, head):
-            for m2, c2 in self.insert(y, rest).items():
+        init = mono[:-1]
+        for (x, y), c in self.straighten_pair(mono[-1], j):
+            # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
+            # placements are emitted here instead of through a call
+            if not init or x < init[-1]:
+                _acc(out, init + (x, y), c)
+                continue
+            for m2, c2 in self.insert(x, init).items():
                 c12 = c * c2
-                for m3, c3 in self.insert(x, m2).items():
-                    _acc(out, m3, c12 * c3)
+                if y < m2[-1]:
+                    _acc(out, m2 + (y,), c12)
+                else:
+                    for m3, c3 in self.insert(y, m2).items():
+                        _acc(out, m3, c12 * c3)
         if self.use_cache:
             self._insert_cache[key] = out
         return out
@@ -183,7 +191,7 @@ class WedgeEngine:
         develop a repeated index vanish along the way.
         """
         vec = {(): ONE}
-        for j in reversed(tuple(indices)):
+        for j in indices:
             nxt = {}
             for mono, c in vec.items():
                 for m2, c2 in self.insert(j, mono).items():

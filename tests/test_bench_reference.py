@@ -2,10 +2,12 @@
 
 perfbench/workloads.py holds SHA-256 digests of known-good CLI output and
 property checks (Uglov set = FLOTW set, sorted a-value tables, the paper's
-rank-4 matrices).  Running its `tiny` combinatorics and decomp-paper jobs
-here makes any byte drift in `uglov-set`, `avalue`, `crystal` or `decomp`
-output fail the test suite, not only a benchmark run.  The module is loaded
-read-only from its file; nothing under perfbench/ is written.
+rank-4 matrices, unit bar diagonals, canonical coefficients in qZ[q]).
+Running its `tiny` jobs of all three workloads here makes any byte drift in
+`uglov-set`, `avalue`, `crystal`, `decomp` or `bar` output, and any broken
+`canonical` element, fail the test suite, not only a benchmark run.  The
+module is loaded read-only from its file; nothing under perfbench/ is
+written.
 """
 
 import importlib.util
@@ -32,7 +34,7 @@ def workloads():
         del sys.modules[spec.name]
 
 
-@pytest.mark.parametrize("workload", ["combinatorics", "decomp-paper"])
+@pytest.mark.parametrize("workload", ["combinatorics", "decomp-paper", "wedge-cold"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_tiny_jobs_pass_the_benchmark_checks(workloads, workload, seed, capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the checks may prepend src/

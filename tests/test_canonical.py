@@ -14,7 +14,7 @@ from qfock.canonical import (
 )
 from qfock.errors import InvariantError
 from qfock.laurent import LaurentPoly
-from qfock.partitions import mp_from_text, partitions, rank
+from qfock.partitions import mp_from_text, mp_to_text, partitions, rank
 
 from paper_data import MATRICES, UGLOV_SETS
 
@@ -129,6 +129,64 @@ def test_verify_unitriangular_negative_control():
         {(r, r): LaurentPoly.one() for r in rows}, {},
     )
     assert verify_unitriangular(ident)["ok"]
+
+
+def _verify_by_lookup(matrix):
+    """Oracle: the per-(row, col) scan verify_unitriangular replaced."""
+    aval = matrix.aval
+    violations = []
+    minimal_rows = {}
+    for col in matrix.cols:
+        support = [row for row in matrix.rows if matrix.entries.get((row, col))]
+        if matrix.entries.get((col, col)) != 1:
+            violations.append("column %s: diagonal entry is %r, not 1"
+                              % (mp_to_text(col), matrix.entries.get((col, col))))
+        if not support:
+            violations.append("column %s: empty" % mp_to_text(col))
+            continue
+        amin = min(aval[row] for row in support)
+        lowest = [row for row in support if aval[row] == amin]
+        if lowest != [col]:
+            violations.append("column %s: minimal-a rows are %s"
+                              % (mp_to_text(col), [mp_to_text(r) for r in lowest]))
+        minimal_rows.setdefault(tuple(lowest), []).append(col)
+        for row in support:
+            if row != col and aval[row] <= aval[col]:
+                violations.append("column %s: row %s has a=%d <= %d"
+                                  % (mp_to_text(col), mp_to_text(row), aval[row], aval[col]))
+    for lowest, cols in minimal_rows.items():
+        if len(cols) > 1:
+            violations.append("columns %s share the minimal row set %s"
+                              % ([mp_to_text(c) for c in cols], [mp_to_text(r) for r in lowest]))
+    for (row, col), v in matrix.entries.items():
+        if v < 0:
+            violations.append("entry (%s, %s) = %d is negative"
+                              % (mp_to_text(row), mp_to_text(col), v))
+    return {"ok": not violations, "violations": violations}
+
+
+def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
+    mat = decomposition_matrix(4, 2, (0, 1), 5)
+    assert verify_unitriangular(mat) == _verify_by_lookup(mat) == {"ok": True, "violations": []}
+    clean = dict(mat.entries)
+    c0, c1, c2, c3 = mat.cols[:4]
+    mat.entries[c0, c0] = 2  # diagonal not 1
+    for row in mat.rows:  # empty column
+        mat.entries.pop((row, c1), None)
+    mat.entries[c0, c2] = 1  # a row of lower a-value than its column
+    mat.entries[mat.rows[-1], c3] = -1  # negative entry
+    mat.entries[mat.rows[-2], c3] = 0  # explicit zero: not support
+    mat.entries[(("9",), ()), c3] = -3  # a row outside the matrix
+    report = verify_unitriangular(mat)
+    assert report == _verify_by_lookup(mat)
+    assert len(report["violations"]) >= 5
+    rng = random.Random(11)
+    for _ in range(40):  # random corruptions, shared minimal rows included
+        mat.entries = dict(clean)
+        for _ in range(rng.randint(1, 12)):
+            key = (rng.choice(mat.rows), rng.choice(mat.cols))
+            mat.entries[key] = rng.choice([-1, 0, 1, 2])
+        assert verify_unitriangular(mat) == _verify_by_lookup(mat)
 
 
 def test_bar_cycle_detection_guard():

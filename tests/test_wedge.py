@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from qfock.abacus import WedgeMonomial, degree, enumerate_degree_component, wedge_monomial
-from qfock.laurent import LaurentPoly
+from qfock.abacus import (
+    WedgeMonomial,
+    degree,
+    enumerate_degree_component,
+    monomial_from_text,
+    wedge_monomial,
+)
+from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.wedge import WedgeEngine, index_sum, vector_to_json
 
 
@@ -68,6 +74,71 @@ def test_index_sum_conservation():
         word = tuple(rng.randint(-8, 10) for _ in range(rng.randint(2, 5)))
         for mono in eng.straighten_indices(word):
             assert sum(mono) == sum(word)
+
+
+def prepend_straighten(eng, word):
+    """Second route: read the word right to left, each factor entering at
+    the top of an ordered monomial (memoized on index and ordered suffix)."""
+    cache = {}
+
+    def insert(j, mono):
+        if not mono or j > mono[0]:
+            return {(j,) + mono: ONE}
+        if j == mono[0]:
+            return {}
+        if (j, mono) not in cache:
+            out = {}
+            for (x, y), c in eng.straighten_pair(j, mono[0]):
+                for m2, c2 in insert(y, mono[1:]).items():
+                    for m3, c3 in insert(x, m2).items():
+                        _acc(out, m3, c * c2 * c3)
+            cache[j, mono] = out
+        return cache[j, mono]
+
+    vec = {(): ONE}
+    for j in reversed(word):
+        nxt = {}
+        for mono, c in vec.items():
+            for m2, c2 in insert(j, mono).items():
+                _acc(nxt, m2, c * c2)
+        vec = nxt
+    return vec
+
+
+def bar_word(u):
+    """The word bar straightens: the first r factors of u reversed."""
+    r = max(degree(u), len(u.prefix))
+    factors = list(u.prefix) + [u.s - i + 1 for i in range(len(u.prefix) + 1, r + 1)]
+    return tuple(reversed(factors))
+
+
+def test_append_straightening_matches_prepend_route_on_bar_words():
+    for (e, l) in [(4, 2), (3, 3), (2, 2)]:
+        eng = WedgeEngine(e, l)
+        for n in range(13):
+            for u in enumerate_degree_component(1, n):
+                word = bar_word(u)
+                assert eng.straighten_indices(word) == prepend_straighten(eng, word), (e, l, u)
+
+
+def test_append_straightening_matches_prepend_route_on_random_words():
+    rng = random.Random(5)
+    ambients = [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3)]
+    engines = {(e, l, c): WedgeEngine(e, l, use_cache=c) for e, l in ambients for c in (True, False)}
+    for _ in range(200):
+        e, l = rng.choice(ambients)
+        word = tuple(rng.randint(-10, 10) for _ in range(rng.randint(0, 8)))
+        want = prepend_straighten(engines[e, l, False], word)
+        for use_cache in (True, False):
+            assert engines[e, l, use_cache].straighten_indices(word) == want, (e, l, word)
+
+
+def test_bar_fuel_regression_guard():
+    # left-to-right reading moves only the prefix factors past the tail;
+    # the right-to-left reading spent 83 600 steps on this monomial
+    eng = WedgeEngine(4, 2)
+    eng.bar(monomial_from_text("s=-16; k=8"))
+    assert eng._spent <= 45_000
 
 
 def test_semiinfinite_straighten():
