@@ -1,15 +1,19 @@
 """Canonical basis elements, and the resulting decomposition matrices at
 q = 1, by two independent routes.
 
-FockBasis builds G(lambda) for the Uglov labels of one charge through the
-Fock action, after Lascoux-Leclerc-Thibon and Uglov.  Peel a maximal good
+FockBasis builds G(lambda) for every label of one charge through the Fock
+action, after Lascoux-Leclerc-Thibon and Uglov.  Peel a maximal good
 i-string, lambda' = e~_i^k lambda, for the lowest colour i that has a good
-node; then v = f_i^(k) G(lambda') is bar-invariant, and subtracting
-bar-invariant multiples of already-built G(nu) wherever a coefficient of v
-off lambda is not in qZ[q] leaves G(lambda).  The corrections are taken in
-(a-value, text) order and may need G(nu) of smaller a-value than lambda, so
-the build is demand-driven on an explicit stack.  decomposition_matrix uses
-this route only.
+node; then v = f_i^(k) G(lambda') is bar-invariant (Uglov's bar involution
+commutes with f_i), and subtracting bar-invariant multiples of G(nu)
+wherever a coefficient of v off lambda is not in qZ[q] leaves G(lambda).
+A label with no good node at any colour is a highest-weight vertex of its
+crystal component; its G alone comes from the wedge recursion below.  The
+corrections are taken in wedge dominance order (see FockBasis.key), which
+needs no a-value, and may need G(nu) of labels below lambda or in other
+components, so the build is demand-driven on an explicit stack.  The
+`canonical` command and decomposition_matrix use this route; the latter
+refuses a column that would need the wedge recursion.
 
 CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
 by the bar recursion.  For such v let bar(v) = v + sum of other monomials
@@ -25,8 +29,8 @@ is the unique bar-invariant element congruent to v modulo q.  The recursion
 is driven by the topological order of the reachability DAG (bar support only
 moves "up" in a-value; a cycle would falsify that and aborts the run), so it
 never needs to compare a-values across charges, where the comparison is not
-even defined.  It serves the `canonical` command and is the oracle the
-tests compare the Fock route against.
+even defined.  It serves FockBasis's highest-weight labels and is the oracle
+the tests compare the Fock route against.
 """
 
 from __future__ import annotations
@@ -164,26 +168,43 @@ def _divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 
 
 class FockBasis:
-    """Canonical elements G(lambda) of the Uglov labels of one charge,
-    built through the Fock action with no wedge straightening.
+    """Canonical elements G(lambda) of the labels of one charge, built
+    through the Fock action.  Only highest-weight labels go to the wedge
+    engine, through one CanonicalBasis made when the first needs it;
+    `wedge_labels` lists them in the order they were sent.
 
     Elements are Fock-space vectors {(mp, charge): polynomial}, the form
-    CanonicalBasis.element_for_label returns.  `aval` is the a-value table at
-    height n + 1 that orders the corrections; labels up to rank n are
-    supported."""
+    CanonicalBasis.element_for_label returns."""
 
-    def __init__(self, e: int, l: int, charge, n: int):
+    def __init__(self, e: int, l: int, charge):
         self.e = e
+        self.l = l
         self.charge = tuple(charge)
-        self.aval = AValueTable(e, l, charge, n + 1)
         vacuum = empty_multipartition(l)
         self._g = {vacuum: {(vacuum, self.charge): LaurentPoly.one()}}
         self._open = set()  # labels whose build has started and not finished
+        self._key = {}
+        self._wedge = None
+        self.wedge_labels = []
+
+    def key(self, mp):
+        """Correction order: -sum_i (k_i^2 - (s - i + 1)^2) over the prefix
+        of mp's wedge monomial, then text.  Bar supports strictly lower the
+        sum of squares, so the first entry strictly grows from a label to
+        every other label in the support of its G."""
+        hit = self._key.get(mp)
+        if hit is None:
+            u = from_pair(mp, self.charge, self.e, self.l)
+            hit = self._key[mp] = (
+                -sum(k * k - (u.s - i) ** 2 for i, k in enumerate(u.prefix)),
+                mp_to_text(mp),
+            )
+        return hit
 
     def peel(self, mp):
         """(i, k, e~_i^k mp) for the lowest colour i with a good node of mp
-        and the largest such k.  A nonempty label without good nodes is not
-        in the crystal component of the vacuum, and raises."""
+        and the largest such k; None when mp has no good node, i.e. is a
+        highest-weight vertex of its crystal component."""
         for i in range(self.e):
             low, k = mp, 0
             gamma = good_node(low, i, self.charge, self.e)
@@ -192,10 +213,21 @@ class FockBasis:
                 gamma = good_node(low, i, self.charge, self.e)
             if k:
                 return i, k, low
-        raise InvariantError(
-            "%s at charge %s has no good node: not an Uglov label"
-            % (mp_to_text(mp), self.charge)
-        )
+        return None
+
+    def _highest(self, mp) -> dict:
+        """G(mp) of a highest-weight label, from the wedge recursion."""
+        if self._wedge is None:
+            self._wedge = CanonicalBasis(self.e, self.l)
+        self.wedge_labels.append(mp)
+        g = self._wedge.element_for_label(mp, self.charge)
+        foreign = [key for key in g if key[1] != self.charge]
+        if foreign:
+            raise InvariantError(
+                "wedge-built G(%s) at charge %s has support at charges %s"
+                % (mp_to_text(mp), self.charge, sorted({ch for _mp, ch in foreign}))
+            )
+        return g
 
     def lift(self, i: int, k: int, low) -> dict:
         """f_i^(k) G(low) from the stored G(low).  For a peel (i, k, low) of
@@ -226,14 +258,18 @@ class FockBasis:
             frame = stack[-1]
             lam, v, corrected = frame
             if v is None:
-                i, k, low = self.peel(lam)
-                if self._push(low, stack):
-                    continue
-                v = frame[1] = self.lift(i, k, low)
+                peeled = self.peel(lam)
+                if peeled is None:
+                    v = frame[1] = self._highest(lam)
+                else:
+                    i, k, low = peeled
+                    if self._push(low, stack):
+                        continue
+                    v = frame[1] = self.lift(i, k, low)
             nu = self._lowest_uncorrected(lam, v)
             while nu is not None and not self._push(nu, stack):
                 if nu in corrected:
-                    # each subtraction only moves labels above nu in a-value
+                    # each subtraction only moves labels above nu in key order
                     raise InvariantError(
                         "building G(%s) at charge %s needs a second correction on %s"
                         % (mp_to_text(lam), self.charge, mp_to_text(nu))
@@ -269,10 +305,10 @@ class FockBasis:
         return True
 
     def _lowest_uncorrected(self, lam, v):
-        """The lowest label off lam, in (a-value, text) order, whose
-        coefficient in v is not in qZ[q]; None when there is none."""
+        """The lowest label off lam, in key order, whose coefficient in v is
+        not in qZ[q]; None when there is none."""
         bad = [mp for (mp, _charge), c in v.items() if mp != lam and min(c.terms) <= 0]
-        return min(bad, key=lambda mp: (self.aval[mp], mp_to_text(mp)), default=None)
+        return min(bad, key=self.key, default=None)
 
     def _subtract(self, v, nu):
         """v -= alpha G(nu), alpha the bar-invariant polynomial with
@@ -355,23 +391,32 @@ class DecompositionMatrix:
 
 def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     """Columns are the canonical elements of the rank-n Uglov labels, built
-    by FockBasis and evaluated at q = 1 on the charge-matching keys.
+    by FockBasis and evaluated at q = 1 on the charge-matching keys.  Every
+    label such a build meets lies in the crystal component of the vacuum, so
+    a build that sends one to the wedge engine raises.
 
     Cross-charge and cross-rank supports of each column are required to be
     empty and recorded under checks["foreign_support"]; nonempty means the
     run hit something the theory says cannot happen.
     """
-    basis = FockBasis(e, l, charge, n)
+    aval = AValueTable(e, l, charge, n + 1)
+    basis = FockBasis(e, l, charge)
 
     def order(mp):
-        return (basis.aval[mp], mp_to_text(mp))
+        return (aval[mp], mp_to_text(mp))
 
     rows = sorted(multipartitions(l, n), key=order)
     cols = sorted(uglov_set(e, l, charge, n), key=order)
     qentries = {}
     foreign = []
     for col in cols:
-        for (mp, ch), c in basis.element(col).items():
+        g = basis.element(col)
+        if basis.wedge_labels:
+            raise InvariantError(
+                "building the Uglov column %s at charge %s needed the wedge engine for %s"
+                % (mp_to_text(col), tuple(charge), mp_to_text(basis.wedge_labels[0]))
+            )
+        for (mp, ch), c in g.items():
             if ch != tuple(charge) or rank(mp) != n:
                 foreign.append([mp_to_text(mp), list(ch), mp_to_text(col)])
                 continue
@@ -380,13 +425,15 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
         "semisimple": is_split_semisimple(e, charge, n),
         "foreign_support": sorted(foreign),
     }
-    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, basis.aval)
+    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, aval)
 
 
 def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     """Checks the triangular shape against the a-value order: unit diagonal,
     strictly larger a_rel on every off-label row of each column, uniqueness
-    of each column's minimal row, and nonnegative integer entries."""
+    of each column's minimal row, nonnegative integer entries, and, since
+    the d_{lambda mu}(q) are parabolic Kazhdan-Lusztig polynomials,
+    nonnegative q-coefficients."""
     aval = matrix.aval
     violations = []
     minimal_rows = {}
@@ -427,5 +474,11 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
         if v < 0:
             violations.append(
                 "entry (%s, %s) = %d is negative" % (mp_to_text(row), mp_to_text(col), v)
+            )
+    for (row, col), p in matrix.qentries.items():
+        if any(c < 0 for c in p.terms.values()):
+            violations.append(
+                "entry (%s, %s) = %s has a negative coefficient"
+                % (mp_to_text(row), mp_to_text(col), p)
             )
     return {"ok": not violations, "violations": violations}

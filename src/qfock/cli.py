@@ -6,9 +6,11 @@ internal invariant violation (bar cycle, a bar image without coefficient 1
 on its own monomial, fuel exhaustion, a decomposition matrix with foreign
 support or failed unitriangularity).  Any other exception is a bug and
 propagates.
-Identical invocations produce byte-identical output.  `decomp` builds its
-columns through the Fock action (canonical.FockBasis); `canonical`, `bar`
-and `straighten` run on the wedge engine.
+Identical invocations produce byte-identical output.  `decomp` and
+`canonical` build canonical elements through the Fock action
+(canonical.FockBasis); `canonical` hands the highest-weight labels of
+crystal components other than the vacuum's to the wedge engine, and `bar`
+and `straighten` run on it alone.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 
 from .abacus import degree, from_pair, monomial_from_text
 from .avalue import AValueTable, height
-from .canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
+from .canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predicate, uglov_set
 from .errors import InvariantError, UnsupportedRegimeError
 from .fock import fock_to_json
@@ -158,8 +160,7 @@ def cmd_canonical(args):
             "label has wedge degree %d, exceeding --max-degree %d; raise the cap to proceed"
             % (degree(u0), args.max_degree)
         )
-    basis = CanonicalBasis(e, l)
-    vec = basis.element_for_label(mp, charge)
+    vec = FockBasis(e, l, charge).element(mp)
     records = fock_to_json(vec)
     if not args.keep_q:
         for record in records:

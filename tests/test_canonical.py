@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from qfock.abacus import WedgeMonomial, degree, enumerate_degree_component, from_pair, wedge_monomial
+from qfock import canonical
+from qfock.abacus import (
+    WedgeMonomial,
+    degree,
+    enumerate_degree_component,
+    from_pair,
+    to_pair,
+    wedge_monomial,
+)
+from qfock.avalue import AValueTable
 from qfock.canonical import (
     CanonicalBasis,
     DecompositionMatrix,
@@ -12,9 +21,10 @@ from qfock.canonical import (
     decomposition_matrix,
     verify_unitriangular,
 )
+from qfock.crystal import uglov_set
 from qfock.errors import InvariantError
 from qfock.laurent import LaurentPoly
-from qfock.partitions import mp_from_text, mp_to_text, partitions, rank
+from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
 
 from paper_data import MATRICES, UGLOV_SETS
 
@@ -162,6 +172,10 @@ def _verify_by_lookup(matrix):
         if v < 0:
             violations.append("entry (%s, %s) = %d is negative"
                               % (mp_to_text(row), mp_to_text(col), v))
+    for (row, col), p in matrix.qentries.items():
+        if min(p.terms.values(), default=0) < 0:
+            violations.append("entry (%s, %s) = %s has a negative coefficient"
+                              % (mp_to_text(row), mp_to_text(col), p))
     return {"ok": not violations, "violations": violations}
 
 
@@ -180,6 +194,15 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     report = verify_unitriangular(mat)
     assert report == _verify_by_lookup(mat)
     assert len(report["violations"]) >= 5
+    # a q-entry with a negative coefficient but a positive value at q = 1
+    mat.entries = dict(clean)
+    off = next(key for key, p in mat.qentries.items() if key[0] != key[1] and p)
+    mat.qentries[off] = LaurentPoly({1: 2, 3: -1})
+    report = verify_unitriangular(mat)
+    assert report == _verify_by_lookup(mat)
+    assert report["violations"] == ["entry (%s, %s) = %s has a negative coefficient"
+                                    % (mp_to_text(off[0]), mp_to_text(off[1]),
+                                       mat.qentries[off])]
     rng = random.Random(11)
     for _ in range(40):  # random corruptions, shared minimal rows included
         mat.entries = dict(clean)
@@ -297,32 +320,89 @@ def test_fock_build_traps():
     # with a good node) to 1|3, and f_0 G(1|3) has 1 + q^2 on 1|3,1 ...
     charge = (0, 1)
     lam, low = mp_from_text("1|3,1"), mp_from_text("1|3")
-    basis = FockBasis(4, 2, charge, 5)
+    basis = FockBasis(4, 2, charge)
     assert basis.peel(lam) == (0, 1, low)
     basis.element(low)
     assert basis.lift(0, 1, low)[(lam, charge)] == LaurentPoly({0: 1, 2: 1})
-    # ... and the correction that restores the 1 needs G(1|4), lower in a-value
-    fresh = FockBasis(4, 2, charge, 5)
+    # ... and the correction that restores the 1 needs G(1|4), lower in
+    # the correction order and in a-value
+    fresh = FockBasis(4, 2, charge)
     g = fresh.element(lam)
     assert g[(lam, charge)] == LaurentPoly.one()
     side = mp_from_text("1|4")
     assert {mp for mp in fresh._g if rank(mp) == 5} == {lam, side}
-    assert fresh.aval[side] < fresh.aval[lam]
+    assert fresh.key(side) < fresh.key(lam)
+    aval = AValueTable(4, 2, charge, 6)
+    assert aval[side] < aval[lam]
 
 
 def test_fock_build_cycle_guard():
     # a planted open build of G(1|4) makes the build of G(1|3,1) wait on it
-    basis = FockBasis(4, 2, (0, 1), 5)
+    basis = FockBasis(4, 2, (0, 1))
     basis._open.add(mp_from_text("1|4"))
     with pytest.raises(InvariantError, match="waits on itself"):
         basis.element(mp_from_text("1|3,1"))
 
 
-def test_fock_build_rejects_non_uglov_labels():
-    basis = FockBasis(4, 2, (0, 1), 4)
-    assert mp_from_text("-|3,1") not in UGLOV_SETS[(0, 1)]
-    with pytest.raises(InvariantError, match="not an Uglov label"):
-        basis.element(mp_from_text("-|3,1"))
+def test_fock_build_of_non_uglov_labels(monkeypatch):
+    # -|3,1 lies outside the vacuum's crystal component; the Fock route
+    # builds it down to a highest-weight label that the wedge engine serves
+    charge = (0, 1)
+    lam = mp_from_text("-|3,1")
+    assert lam not in UGLOV_SETS[charge]
+    basis = FockBasis(4, 2, charge)
+    assert basis.element(lam) == CanonicalBasis(4, 2).element_for_label(lam, charge)
+    highest = mp_from_text("-|1,1")
+    assert basis.wedge_labels == [highest] and basis.peel(highest) is None
+    # decomposition_matrix refuses a column that would need the wedge engine
+    monkeypatch.setattr(canonical, "uglov_set", lambda *args: uglov_set(*args) | {lam})
+    with pytest.raises(InvariantError, match="needed the wedge engine"):
+        decomposition_matrix(4, 2, charge, 4)
+
+
+# Every label of ranks <= n at (e, l, charge, n), Uglov or not: three
+# ambients whose shift vector is not integral ((3,2), (5,2), (2,3)) and one
+# widely spread charge, (0, 9).
+ALL_LABEL_AMBIENTS = [
+    (4, 2, (0, 1), 5), (4, 2, (4, 1), 5), (4, 2, (0, 9), 4),
+    (3, 2, (0, 1), 5), (3, 2, (0, 0), 5), (3, 2, (2, -3), 4),
+    (5, 2, (0, 2), 5), (2, 2, (0, 1), 6), (3, 3, (0, 1, 2), 4), (2, 3, (0, 0, 1), 4),
+]
+
+
+@pytest.fixture(scope="module")
+def wedge_oracles():
+    """One CanonicalBasis per (e, l), shared by the tests over every label."""
+    return {}
+
+
+def test_fock_route_matches_wedge_route_on_every_label(wedge_oracles):
+    for e, l, charge, top in ALL_LABEL_AMBIENTS:
+        oracle = wedge_oracles.setdefault((e, l), CanonicalBasis(e, l))
+        basis = FockBasis(e, l, charge)
+        for n in range(top + 1):
+            for mp in multipartitions(l, n):
+                assert basis.element(mp) == oracle.element_for_label(mp, charge), \
+                    (e, l, charge, mp_to_text(mp))
+
+
+def test_correction_key_grows_along_bar_supports_and_canonical_supports(wedge_oracles):
+    # the order FockBasis corrects in: along every bar-support edge u -> w
+    # (w != u) the wedge dominance sum falls, so the key's first entry
+    # strictly grows; so it does from each label to the rest of its G
+    for e, l, charge, top in ALL_LABEL_AMBIENTS:
+        oracle = wedge_oracles.setdefault((e, l), CanonicalBasis(e, l))
+        basis = FockBasis(e, l, charge)
+        for n in range(min(top, 5) + 1):
+            for mp in multipartitions(l, n):
+                low = basis.key(mp)[0]
+                u = from_pair(mp, charge, e, l)
+                for w in oracle.engine.bar(u):
+                    if w != u:
+                        nu, ch = to_pair(w, e, l)
+                        assert ch == charge and basis.key(nu)[0] > low, (e, l, charge, mp, nu)
+                for nu, ch in basis.element(mp):
+                    assert nu == mp or basis.key(nu)[0] > low, (e, l, charge, mp, nu)
 
 
 def test_divide_exact():

@@ -183,6 +183,25 @@ def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
         assert "internal invariant violation" in err and "planted violation" in err
 
 
+def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):
+    # canonical of an Uglov label, and decomp, build no CanonicalBasis;
+    # -|3,1 at (3,2) peels down to -|1,1, which has no good node and does
+    import qfock.canonical
+
+    built = []
+    wedge_basis = qfock.canonical.CanonicalBasis
+    monkeypatch.setattr(qfock.canonical, "CanonicalBasis",
+                        lambda *args: built.append(args) or wedge_basis(*args))
+    code, _, _ = run(capsys, "canonical", "--e", "4", "--charge", "0,1", "--mp", "3,1|-")
+    assert code == 0 and built == []
+    code, _, _ = run(capsys, "decomp", "--e", "4", "--charge", "0,1", "--rank", "5")
+    assert code == 0 and built == []
+    code, out, _ = run(capsys, "canonical", "--e", "3", "--charge", "0,1", "--mp=-|3,1",
+                       "--keep-q")
+    assert code == 0 and built == [(3, 2)]
+    assert '"multipartition": "-|3,1"' in out
+
+
 def test_json_envelope(capsys):
     code, out, _ = run(capsys, "--json", "semisimple", "--e", "4", "--charge", "0,1",
                        "--rank", "4")
