@@ -144,6 +144,13 @@ def cmd_bar(args):
             "monomial degree %d exceeds --max-degree %d; raise the cap to proceed"
             % (degree(u), args.max_degree)
         )
+    # the work grows with the number of factors reversed, r >= degree >= the
+    # prefix length of a parsed monomial, so the cap bounds r too
+    if args.r is not None and args.r > args.max_degree:
+        raise ValueError(
+            "--r %d exceeds --max-degree %d; raise the cap to proceed"
+            % (args.r, args.max_degree)
+        )
     vec = engine.bar(u, r=args.r)
     if args.format == "json":
         _emit(_jdump(vector_to_json(vec)), args)

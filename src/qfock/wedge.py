@@ -23,10 +23,12 @@ be straightened against a frozen arithmetic tail: nothing can collide with a
 tail bead that the prefix did not already touch.
 
 The engine reads the word left to right, appending one factor at a time to
-an already ordered combination, memoized on (appended index, ordered
-prefix).  The naive strategy (rewrite the leftmost unordered adjacent pair
-to a fixed point) is kept as an independent test oracle.  Caching never
-changes results; set use_cache=False to recompute everything from scratch.
+an already ordered combination.  Appending u_j to an ordered prefix A + B,
+where A is the leading run of entries above j, never touches A: every index
+the straightening emits lies in [min(B), j].  So the memo is keyed on
+(appended index, B) alone and A is re-attached to each result, which lets
+prefixes that differ only above j share one entry.  Caching never changes
+results; set use_cache=False to recompute everything from scratch.
 """
 
 from __future__ import annotations
@@ -155,33 +157,52 @@ class WedgeEngine:
     # -- insertion into an ordered monomial ---------------------------------
 
     def insert(self, j: int, mono: tuple):
-        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}."""
+        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}.
+
+        Split mono into A, its leading run of entries above j, and B.  Every
+        index a pair straightening emits lies in [mono[-1], j], below every
+        entry of A, so each placement stops before reaching A:
+        insert(j, A + B) == {A + m: c for m, c in insert(j, B).items()}.
+        The memo is keyed on (j, B) only, A is re-attached on the way out,
+        and each miss burns one unit of fuel.  Within a miss the products
+        for one straightened pair are summed before the pair coefficient
+        multiplies them, once per result monomial.
+        """
         if not mono or j < mono[-1]:
             return {mono + (j,): ONE}
         if j == mono[-1]:
             return {}
-        key = (j, mono)
-        hit = self._insert_cache.get(key)
-        if hit is not None:
-            return hit
-        self._burn()
-        out = {}
-        init = mono[:-1]
-        for (x, y), c in self.straighten_pair(mono[-1], j):
-            # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
-            # placements are emitted here instead of through a call
-            if not init or x < init[-1]:
-                _acc(out, init + (x, y), c)
-                continue
-            for m2, c2 in self.insert(x, init).items():
-                c12 = c * c2
-                if y < m2[-1]:
-                    _acc(out, m2 + (y,), c12)
-                else:
-                    for m3, c3 in self.insert(y, m2).items():
-                        _acc(out, m3, c12 * c3)
-        if self.use_cache:
-            self._insert_cache[key] = out
+        # split off the leading run above j; mono[-1] < j ends the scan
+        lo = 0
+        while mono[lo] > j:
+            lo += 1
+        tail = mono[lo:]
+        key = (j, tail)
+        out = self._insert_cache.get(key)
+        if out is None:
+            self._burn()
+            out = {}
+            init = tail[:-1]
+            for (x, y), c in self.straighten_pair(tail[-1], j):
+                # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
+                # placements are emitted here instead of through a call
+                if not init or x < init[-1]:
+                    _acc(out, init + (x, y), c)
+                    continue
+                part = {}
+                for m2, c2 in self.insert(x, init).items():
+                    if y < m2[-1]:
+                        _acc(part, m2 + (y,), c2)
+                    else:
+                        for m3, c3 in self.insert(y, m2).items():
+                            _acc(part, m3, c2 * c3)
+                for m, p in part.items():
+                    _acc(out, m, c * p)
+            if self.use_cache:
+                self._insert_cache[key] = out
+        if lo:
+            head = mono[:lo]
+            return {head + m: c for m, c in out.items()}
         return out
 
     def straighten_indices(self, indices):
@@ -198,27 +219,6 @@ class WedgeEngine:
                     _acc(nxt, m2, c * c2)
             vec = nxt
         return vec
-
-    def straighten_naive(self, indices):
-        """Test oracle: rewrite the leftmost unordered adjacent pair until
-        every monomial is ordered.  Exponential; keep inputs short."""
-        work = {tuple(indices): ONE}
-        done = {}
-        while work:
-            mono, c = work.popitem()
-            self._burn()
-            spot = None
-            for i in range(len(mono) - 1):
-                if mono[i] <= mono[i + 1]:
-                    spot = i
-                    break
-            if spot is None:
-                _acc(done, mono, c)
-                continue
-            for (x, y), c2 in self.straighten_pair(mono[spot], mono[spot + 1]):
-                nxt = mono[:spot] + (x, y) + mono[spot + 2:]
-                _acc(work, nxt, c * c2)
-        return done
 
     # -- semi-infinite wrappers ----------------------------------------------
 
@@ -310,9 +310,3 @@ def vector_to_json(vec):
         for u, c in items
     ]
 
-
-def index_sum(u: WedgeMonomial, depth: int) -> int:
-    """Sum of the first `depth` indices; conserved by straightening when the
-    compared monomials share s (used as a test invariant)."""
-    ks = list(u.prefix) + [u.s - i + 1 for i in range(len(u.prefix) + 1, depth + 1)]
-    return sum(ks[:depth])

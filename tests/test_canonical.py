@@ -223,6 +223,15 @@ def test_bar_cycle_detection_guard():
         basis.bar_closure(a)
 
 
+def test_wedge_route_fuel_regression_guard():
+    # the bars of one closure share insert-memo entries once the memo ignores
+    # the prefix above the new factor; keyed on the whole ordered prefix this
+    # label spent 45 610 steps
+    basis = CanonicalBasis(3, 3)
+    basis.element(from_pair(mp_from_text("6,1|-|-"), (0, 1, 2), 3, 3))
+    assert basis.engine._spent <= 15_000
+
+
 def test_full_component_sweep_matches_lazy_closures():
     # stress mode: every element of a degree component, compared against a
     # fresh per-monomial computation

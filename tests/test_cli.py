@@ -84,6 +84,19 @@ def test_bar_degree_guard(capsys):
     assert code == 2 and "max-degree" in err
 
 
+def test_bar_reversal_length_guard(capsys):
+    # the work grows with the number of factors reversed, so a long --r on a
+    # shallow monomial is refused like a deep monomial
+    for argv in (("--r", "400"), ("--r", "60", "--max-degree", "24"),
+                 ("--r", "25", "--max-degree", "24")):
+        code, out, err = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
+                             *argv)
+        assert code == 2 and out == "" and "exceeds --max-degree" in err, argv
+    code, out, _ = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
+                       "--r", "24", "--max-degree", "24")
+    assert code == 0 and "[s=0; k=1]" in out
+
+
 def test_malformed_monomials_are_invalid_input(capsys):
     for text in ("s 1; k=9,4", "s=1; k 9,4", "s=1", "s=1; k=9; k=4", "s=1=2; k=9"):
         code, out, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", text)
