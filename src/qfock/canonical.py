@@ -5,8 +5,10 @@ FockBasis builds G(lambda) for every label of one charge through the Fock
 action, after Lascoux-Leclerc-Thibon and Uglov.  Peel a maximal good
 i-string, lambda' = e~_i^k lambda, for the lowest colour i that has a good
 node; then v = f_i^(k) G(lambda') is bar-invariant (Uglov's bar involution
-commutes with f_i), and subtracting bar-invariant multiples of G(nu)
-wherever a coefficient of v off lambda is not in qZ[q] leaves G(lambda).
+commutes with f_i).  fock.apply_f builds the divided power in one pass, as
+a sum over the k-sets of addable i-nodes, with no division by [k]!.
+Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
+off lambda is not in qZ[q] leaves G(lambda).
 A label with no good node at any colour is a highest-weight vertex of its
 crystal component; its G alone comes from the wedge recursion below.  The
 corrections are taken in wedge dominance order (see FockBasis.key), which
@@ -136,37 +138,6 @@ class CanonicalBasis:
         return out
 
 
-def _quantum_factorial(k: int) -> LaurentPoly:
-    """[k]! with [j] = q^(j-1) + q^(j-3) + ... + q^(1-j)."""
-    out = LaurentPoly.one()
-    for j in range(2, k + 1):
-        out = out * LaurentPoly({j - 1 - 2 * t: 1 for t in range(j)})
-    return out
-
-
-def _divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
-    """p / d for d with leading coefficient 1, or None when d does not
-    divide p in Z[q, q^-1]."""
-    top = max(d.terms)
-    floor = min(p.terms, default=0) - min(d.terms)  # lowest exponent of an exact quotient
-    rem = dict(p.terms)
-    quot = {}
-    while rem:
-        lead = max(rem)
-        c = rem[lead]
-        x = lead - top
-        if x < floor:
-            return None
-        quot[x] = c
-        for y, cy in d.terms.items():
-            s = rem.get(x + y, 0) - c * cy
-            if s:
-                rem[x + y] = s
-            else:
-                rem.pop(x + y, None)
-    return LaurentPoly(quot)
-
-
 class FockBasis:
     """Canonical elements G(lambda) of the labels of one charge, built
     through the Fock action.  Only highest-weight labels go to the wedge
@@ -229,27 +200,6 @@ class FockBasis:
             )
         return g
 
-    def lift(self, i: int, k: int, low) -> dict:
-        """f_i^(k) G(low) from the stored G(low).  For a peel (i, k, low) of
-        mp it is bar-invariant with support on mp, but its coefficient at mp
-        need not be 1 yet."""
-        v = self._g[low]
-        for _ in range(k):
-            v = apply_f(i, v, self.e)
-        if k > 1:
-            fact = _quantum_factorial(k)
-            divided = {}
-            for key, c in v.items():
-                quot = _divide_exact(c, fact)
-                if quot is None:
-                    raise InvariantError(
-                        "f_%d^%d G(%s) has coefficient %s on %s, not divisible by [%d]!"
-                        % (i, k, mp_to_text(low), c, mp_to_text(key[0]), k)
-                    )
-                divided[key] = quot
-            v = divided
-        return v
-
     def element(self, mp) -> dict:
         """G(mp), building whatever it needs first."""
         stack = []
@@ -265,7 +215,8 @@ class FockBasis:
                     i, k, low = peeled
                     if self._push(low, stack):
                         continue
-                    v = frame[1] = self.lift(i, k, low)
+                    # bar-invariant and on lam, with lam's coefficient not yet 1
+                    v = frame[1] = apply_f(i, self._g[low], self.e, k)
             nu = self._lowest_uncorrected(lam, v)
             while nu is not None and not self._push(nu, stack):
                 if nu in corrected:

@@ -49,9 +49,12 @@ def _emit(text: str, args):
 
 
 def _ambient(args):
-    """(e, l, charge) with l defaulted from the charge length."""
+    """(e, l, charge) with l defaulted from the charge length when --l is
+    absent."""
     charge = charge_from_text(args.charge)
-    l = getattr(args, "l", None) or len(charge)
+    l = getattr(args, "l", None)
+    if l is None:
+        l = len(charge)
     if args.e < 2 or l < 1:
         raise ValueError("need e >= 2 and l >= 1")
     if len(charge) != l:

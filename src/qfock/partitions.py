@@ -174,6 +174,8 @@ def is_split_semisimple(e: int, charge, n: int) -> bool:
     """True iff the specialized Ariki-Koike algebra on n strands is split
     semisimple: e > n, and no pair of charge entries satisfies
     d + s_i = s_j mod e for any |d| < n."""
+    if n < 0:
+        raise ValueError("rank must be >= 0")
     if n == 0:
         return True
     if e <= n:

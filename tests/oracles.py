@@ -5,7 +5,9 @@ fault in the optimized code cannot hide in them as well.
 """
 
 from qfock.abacus import WedgeMonomial
-from qfock.laurent import ONE, _acc
+from qfock.fock import apply_f
+from qfock.laurent import ONE, LaurentPoly, _acc
+from qfock.partitions import above, addable_nodes, remove_node, removable_nodes
 
 
 def straighten_naive(eng, indices):
@@ -36,3 +38,89 @@ def index_sum(u: WedgeMonomial, depth: int) -> int:
     compared monomials share s."""
     ks = list(u.prefix) + [u.s - i + 1 for i in range(len(u.prefix) + 1, depth + 1)]
     return sum(ks[:depth])
+
+
+def n_count(mp, i, charge, e) -> int:
+    """Addable minus removable i-nodes of mp."""
+    return len(addable_nodes(mp, i, charge, e)) - len(removable_nodes(mp, i, charge, e))
+
+
+def n_above(mp, mu, gamma, i, charge, e) -> int:
+    """Addable i-nodes of mp above gamma, minus removable i-nodes of mu
+    above gamma (mu = mp plus gamma)."""
+    return (
+        sum(1 for g in addable_nodes(mp, i, charge, e) if above(g, gamma, charge))
+        - sum(1 for g in removable_nodes(mu, i, charge, e) if above(g, gamma, charge))
+    )
+
+
+def n_below(mp, mu, gamma, i, charge, e) -> int:
+    """Same count on the nodes below gamma."""
+    return (
+        sum(1 for g in addable_nodes(mp, i, charge, e) if above(gamma, g, charge))
+        - sum(1 for g in removable_nodes(mu, i, charge, e) if above(gamma, g, charge))
+    )
+
+
+def apply_e(i, vec, e) -> dict:
+    """e_i: removes every removable i-node gamma with weight q^{-N^a_i}."""
+    out = {}
+    for (mp, charge), c in vec.items():
+        for gamma in removable_nodes(mp, i, charge, e):
+            mu = remove_node(mp, gamma)
+            w = -n_above(mu, mp, gamma, i, charge, e)
+            _acc(out, (mu, charge), c * LaurentPoly({w: 1}))
+    return out
+
+
+def apply_k(i, vec, e) -> dict:
+    """k_i: diagonal with weight q^{N_i}."""
+    out = {}
+    for (mp, charge), c in vec.items():
+        _acc(out, (mp, charge), c * LaurentPoly({n_count(mp, i, charge, e): 1}))
+    return out
+
+
+def quantum_factorial(k: int) -> LaurentPoly:
+    """[k]! with [j] = q^(j-1) + q^(j-3) + ... + q^(1-j)."""
+    out = LaurentPoly.one()
+    for j in range(2, k + 1):
+        out = out * LaurentPoly({j - 1 - 2 * t: 1 for t in range(j)})
+    return out
+
+
+def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
+    """p / d for d with leading coefficient 1, or None when d does not
+    divide p in Z[q, q^-1]."""
+    top = max(d.terms)
+    floor = min(p.terms, default=0) - min(d.terms)  # lowest exponent of an exact quotient
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        lead = max(rem)
+        c = rem[lead]
+        x = lead - top
+        if x < floor:
+            return None
+        quot[x] = c
+        for y, cy in d.terms.items():
+            s = rem.get(x + y, 0) - c * cy
+            if s:
+                rem[x + y] = s
+            else:
+                rem.pop(x + y, None)
+    return LaurentPoly(quot)
+
+
+def divided_power_by_division(i, vec, e, k) -> dict:
+    """f_i^(k) the long way: k single applications of f_i, then every
+    coefficient divided exactly by [k]!."""
+    for _ in range(k):
+        vec = apply_f(i, vec, e)
+    fact = quantum_factorial(k)
+    out = {}
+    for key, c in vec.items():
+        quot = divide_exact(c, fact)
+        assert quot is not None, "%s on %s is not divisible by [%d]!" % (c, key, k)
+        out[key] = quot
+    return out

@@ -16,19 +16,22 @@ from qfock.abacus import enumerate_degree_component, from_pair, to_pair, wedge_m
 from qfock.avalue import AValueTable, a_rel, height, m_vector, translated_symbol, precedes
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
-from qfock.crystal import flotw_predicate, uglov_layers, uglov_set
-from qfock.fock import apply_e, apply_f, n_count
+from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_layers, uglov_set
+from qfock.fock import apply_f
 from qfock.laurent import LaurentPoly
 from qfock.partitions import (
+    add_node,
     add_nodes_to_part,
     is_split_semisimple,
+    mp_from_text,
     mp_to_text,
     multipartitions,
     rank,
+    remove_node,
 )
 from qfock.wedge import WedgeEngine
 
-from oracles import straighten_naive
+from oracles import apply_e, n_count, straighten_naive
 from paper_data import A_VALUES, MATRICES, UGLOV_SETS, WORKED_LABEL, WORKED_MONOMIAL
 
 CHARGES = [(0, 1), (4, 1), (0, 5)]
@@ -91,6 +94,51 @@ def test_criterion_3_crystal_labelings(matrices):
         assert len(colvec[charge]) == 13
     assert colvec[(0, 1)] == colvec[(4, 1)] == colvec[(0, 5)]
     print("ACCEPTANCE 3 (Uglov sets + column-relabeling agreement): PASS")
+
+
+def _relabel(mp, e, charge, target):
+    """Psi: the label at charge `target` reached from the vacuum by the
+    colours of a good-node path from the vacuum to mp at `charge`."""
+    colours = []
+    while rank(mp):
+        i, gamma = next((i, g) for i in range(e)
+                        if (g := good_node(mp, i, charge, e)) is not None)
+        colours.append(i)
+        mp = remove_node(mp, gamma)
+    for i in reversed(colours):
+        mp = add_node(mp, dict(good_addable_nodes(mp, target, e))[i])
+    return mp
+
+
+def test_criterion_3_labelings_agree_by_crystal_isomorphism():
+    # the column labeled mu at s equals, at q = 1, the column labeled Psi(mu)
+    # at a congruent charge s'; the q-polynomials need not agree
+    t0 = time.time()
+    compared = 0
+    for e, l, charges, top in [(4, 2, CHARGES, 6), (3, 3, [(0, 1, 2), (3, 1, 2), (0, 4, -1)], 5)]:
+        for n in range(top + 1):
+            columns = {}
+            for charge in charges:
+                mat = decomposition_matrix(e, l, charge, n)
+                columns[charge] = {col: {} for col in mat.cols}
+                for (row, col), v in mat.entries.items():
+                    if v:
+                        columns[charge][col][row] = v
+            for s, s2 in product(charges, repeat=2):
+                for col, entries in columns[s].items():
+                    image = _relabel(col, e, s, s2)
+                    assert image in columns[s2], (e, l, s, s2, col)
+                    assert columns[s2][image] == entries, (e, l, s, s2, col, image)
+                    compared += 1
+    # the q-polynomials differ: 2|- at (0,1) is 2|- + q 1|1, its image 1|1 at
+    # (0,5) is q 2|- + 1|1
+    two, one_one = mp_from_text("2|-"), mp_from_text("1|1")
+    assert _relabel(two, 4, (0, 1), (0, 5)) == one_one
+    here, there = decomposition_matrix(4, 2, (0, 1), 2), decomposition_matrix(4, 2, (0, 5), 2)
+    assert here.qentries[(two, two)] == there.qentries[(one_one, one_one)] == LaurentPoly.one()
+    assert here.qentries[(one_one, two)] == there.qentries[(two, one_one)] == LaurentPoly.q_power(1)
+    print("ACCEPTANCE 3a (columns agree under the crystal relabeling Psi, %d pairs): PASS"
+          "  [%.1fs]" % (compared, time.time() - t0))
 
 
 def test_criterion_4_flotw_equivalence():

@@ -228,3 +228,19 @@ def test_invalid_inputs(capsys):
     assert code == 2 and "invalid input" in err
     code, _, err = run(capsys, "semisimple", "--e", "4", "--charge", "zero", "--rank", "1")
     assert code == 2
+
+
+def test_level_zero_is_refused(capsys):
+    # --l 0 is a level, not an absent option: it must not fall back to the
+    # charge length
+    for argv in (["uglov-set", "--e", "4", "--l", "0", "--charge", "0,1", "--rank", "2"],
+                 ["canonical", "--e", "4", "--l", "0", "--charge", "0,1", "--mp=1|2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == "invalid input: need e >= 2 and l >= 1\n"
+
+
+def test_negative_rank_is_refused(capsys):
+    # refused before decomp's semisimplicity warning, which it would fake
+    for command in ("semisimple", "decomp"):
+        code, out, err = run(capsys, command, "--e", "4", "--charge", "0,1", "--rank=-1")
+        assert code == 2 and out == "" and err == "invalid input: rank must be >= 0\n"

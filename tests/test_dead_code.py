@@ -1,13 +1,14 @@
-"""Every module-level function or class in src/qfock, and every non-dunder
-method of such a class, must be named somewhere outside its own definition
-in src/ or tests/.  A name that nothing calls, imports or reads is dead
-code."""
+"""Every module-level function or class in src/qfock and in the test
+oracles (tests/oracles.py), and every non-dunder method of such a class,
+must be named somewhere outside its own definition in src/ or tests/.  A
+name that nothing calls, imports or reads is dead code."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qfock"
+CHECKED = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "oracles.py"]
 
 
 def _definitions(path, tree):
@@ -42,7 +43,7 @@ def test_no_unreferenced_definitions():
         for name, where, line in _references(path, tree):
             uses.setdefault(name, []).append((where, line))
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in CHECKED:
         for name, where, first, last in _definitions(path, trees[path]):
             outside = [u for u in uses.get(name, ())
                        if not (u[0] == where and first <= u[1] <= last)]

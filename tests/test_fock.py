@@ -1,8 +1,10 @@
 import random
 
-from qfock.fock import apply_e, apply_f, apply_k, fock_to_json, n_above, n_below, n_count
+from qfock.fock import apply_f, fock_to_json
 from qfock.laurent import LaurentPoly
 from qfock.partitions import add_node, addable_nodes, multipartitions
+
+from oracles import apply_e, apply_k, divided_power_by_division, n_above, n_below, n_count
 
 
 def unit(mp, charge):
@@ -50,10 +52,45 @@ def test_f_term_count_matches_addable_nodes():
             assert image[(mu, charge)] == LaurentPoly.q_power(w)
 
 
+def test_divided_power_matches_division_by_quantum_factorial():
+    # f_i^(k) in one pass against k single steps and exact division by
+    # [k]!, on multi-term vectors with random coefficients, one charge each
+    rng = random.Random(23)
+    beyond = 0
+    for _ in range(300):
+        l = rng.randint(1, 3)
+        e = rng.randint(2, 5)
+        charge = tuple(rng.randint(-3, 6) for _ in range(l))
+        i = rng.randint(0, e - 1)
+        k = rng.randint(1, 4)
+        pool = multipartitions(l, rng.randint(0, 6))
+        labels = rng.sample(pool, min(3, len(pool)))
+        vec = {
+            (mp, charge): LaurentPoly({rng.randint(-3, 3): rng.choice([-2, -1, 1, 3])
+                                       for _ in range(rng.randint(1, 3))})
+            for mp in labels
+        }
+        got = apply_f(i, vec, e, k)
+        assert got == divided_power_by_division(i, vec, e, k), (l, e, charge, i, k, vec)
+        if all(len(addable_nodes(mp, i, charge, e)) < k for mp in labels):
+            beyond += 1
+            assert got == {}
+    assert beyond > 0
+
+
+def test_divided_power_examples():
+    # at e=4, charge (0,1): the vacuum has one addable 0-node, so f_0^(2)
+    # kills it; 1|- has two addable 1-nodes, and f_1^(2) adds both with q^0
+    charge = (0, 1)
+    vac = ((), ())
+    assert apply_f(0, unit(vac, charge), 4, 2) == {}
+    one = unit(((1,), ()), charge)
+    assert set(addable_nodes(((1,), ()), 1, charge, 4)) == {(1, 2, 1), (1, 1, 2)}
+    assert apply_f(1, one, 4, 2) == unit(((2,), (1,)), charge)
+
+
 def test_adding_an_i_node_drops_n_count_by_two():
     rng = random.Random(18)
-    from qfock.partitions import add_node
-
     for _ in range(200):
         l = rng.randint(1, 3)
         e = rng.randint(2, 6)

@@ -132,6 +132,8 @@ def test_semisimple_examples():
     assert is_split_semisimple(5, (0,), 4) is True
     assert is_split_semisimple(2, (0, 1), 0) is True
     assert is_split_semisimple(17, (3, 3), 1) is False  # equal parameters, d = 0
+    with pytest.raises(ValueError):
+        is_split_semisimple(5, (0,), -1)
 
 
 def test_semisimple_shift_invariance():
