@@ -11,7 +11,7 @@ Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
 off lambda is not in qZ[q] leaves G(lambda).
 A label with no good node at any colour is a highest-weight vertex of its
 crystal component; its G alone comes from the wedge recursion below.  The
-corrections are taken in wedge dominance order (see FockBasis.key), which
+corrections are taken in wedge dominance order (see dominance), which
 needs no a-value, and may need G(nu) of labels below lambda or in other
 components, so the build is demand-driven on an explicit stack.  The
 `canonical` command and decomposition_matrix use this route; the latter
@@ -28,11 +28,12 @@ each to its positive-exponent half yields the corrections, and
     G(v) = v + sum_alpha  trunc(gamma_alpha) G(alpha)
 
 is the unique bar-invariant element congruent to v modulo q.  The recursion
-is driven by the topological order of the reachability DAG (bar support only
-moves "up" in a-value; a cycle would falsify that and aborts the run), so it
-never needs to compare a-values across charges, where the comparison is not
-even defined.  It serves FockBasis's highest-weight labels and is the oracle
-the tests compare the Fock route against.
+takes the monomials reachable from v in wedge dominance order, the order
+FockBasis corrects in: every bar support rises in dominance, and a bar
+support that does not rise aborts the run.  So it never compares a-values,
+which are not even defined across charges.  It serves FockBasis's
+highest-weight labels and is the oracle the tests compare the Fock route
+against.
 """
 
 from __future__ import annotations
@@ -54,50 +55,49 @@ from .partitions import (
 from .wedge import WedgeEngine
 
 
+def dominance(u: WedgeMonomial) -> int:
+    """Wedge dominance: -sum_i (k_i^2 - (s - i + 1)^2) over u's prefix.  A
+    pair rewrite keeps k1 + k2 and emits indices in [k1, k2], so every term
+    but the plain reversal has a smaller sum of squares: every w != u in the
+    support of bar(u), and so of G(u), has strictly larger dominance."""
+    return -sum(k * k - (u.s - i) ** 2 for i, k in enumerate(u.prefix))
+
+
 class CanonicalBasis:
     """Shared straightening engine, which caches the bar images, plus a
     global cache of canonical elements keyed by monomial.  Monomials carry
     their total charge, so one instance serves every charge of a fixed
     (e, l)."""
 
-    def __init__(self, e: int, l: int, engine: WedgeEngine | None = None):
+    def __init__(self, e: int, l: int):
         self.e = e
         self.l = l
-        self.engine = engine if engine is not None else WedgeEngine(e, l)
+        self.engine = WedgeEngine(e, l)
         self._g = {}
 
     def bar_closure(self, u0: WedgeMonomial) -> list:
-        """Monomials reachable from u0 through bar supports, topologically
-        sorted (u0 first, sinks last).  A cycle aborts: it would falsify the
-        a-value growth of bar supports."""
-        order = []
-        state = {}  # 1 = on stack, 2 = done
-        stack = [(u0, None)]
-        while stack:
-            u, it = stack.pop()
-            if it is None:
-                if state.get(u) == 2:
-                    continue
-                if state.get(u) == 1:
-                    raise InvariantError("bar closure cycle through %s" % (u,))
-                state[u] = 1
-                it = iter(sorted(self.engine.bar(u), key=lambda w: w.prefix))
-            advanced = False
-            for w in it:
+        """Monomials reachable from u0 through bar supports, sorted by
+        (dominance, prefix): u0 first, each before everything its bar image
+        reaches.  A bar support that does not rise in wedge dominance
+        aborts."""
+        dom = {u0: dominance(u0)}
+        work = [u0]
+        while work:
+            u = work.pop()
+            low = dom[u]
+            for w in self.engine.bar(u):
                 if w == u:
                     continue
-                if state.get(w) == 1:
-                    raise InvariantError("bar closure cycle through %s" % (w,))
-                if state.get(w) != 2:
-                    stack.append((u, it))
-                    stack.append((w, None))
-                    advanced = True
-                    break
-            if not advanced:
-                state[u] = 2
-                order.append(u)
-        order.reverse()
-        return order
+                d = dom.get(w)
+                if d is None:
+                    d = dom[w] = dominance(w)
+                    work.append(w)
+                if d <= low:
+                    raise InvariantError(
+                        "bar(%s) has support %s, which does not rise in wedge dominance"
+                        % (u, w)
+                    )
+        return sorted(dom, key=lambda u: (dom[u], u.prefix))
 
     def element(self, u0: WedgeMonomial):
         """The canonical element G(u0) as {monomial: polynomial}."""
@@ -159,15 +159,13 @@ class FockBasis:
         self.wedge_labels = []
 
     def key(self, mp):
-        """Correction order: -sum_i (k_i^2 - (s - i + 1)^2) over the prefix
-        of mp's wedge monomial, then text.  Bar supports strictly lower the
-        sum of squares, so the first entry strictly grows from a label to
-        every other label in the support of its G."""
+        """Correction order: the dominance of mp's wedge monomial, then
+        text.  The first entry strictly grows from a label to every other
+        label in the support of its G."""
         hit = self._key.get(mp)
         if hit is None:
-            u = from_pair(mp, self.charge, self.e, self.l)
             hit = self._key[mp] = (
-                -sum(k * k - (u.s - i) ** 2 for i, k in enumerate(u.prefix)),
+                dominance(from_pair(mp, self.charge, self.e, self.l)),
                 mp_to_text(mp),
             )
         return hit
@@ -280,10 +278,9 @@ class DecompositionMatrix:
     """Rows: all l-partitions of rank n, sorted by (a_rel, text form).
     Columns: the Uglov l-partitions, sorted the same way.  Entries are the
     canonical-basis coefficients; `entries` holds them at q = 1, `qentries`
-    keeps the polynomials, and `aval` is the a-value table at height n + 1
-    (a fresh one unless given)."""
+    keeps the polynomials, and `aval` is the a-value table at height n + 1."""
 
-    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval=None):
+    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval):
         self.e = e
         self.l = l
         self.charge = charge
@@ -293,7 +290,7 @@ class DecompositionMatrix:
         self.qentries = qentries
         self.entries = {key: c.eval_one() for key, c in qentries.items()}
         self.checks = checks
-        self.aval = aval if aval is not None else AValueTable(e, l, charge, n + 1)
+        self.aval = aval
 
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,

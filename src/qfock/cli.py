@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 invalid input (a ValueError from parsing or
 validation only), 3 unsupported regime (non-integral shift vector), 4
-internal invariant violation (bar cycle, a bar image without coefficient 1
-on its own monomial, fuel exhaustion, a decomposition matrix with foreign
-support or failed unitriangularity).  Any other exception is a bug and
-propagates.
+internal invariant violation (a bar support that does not rise in wedge
+dominance, a bar image without coefficient 1 on its own monomial, fuel
+exhaustion, a decomposition matrix with foreign support or failed
+unitriangularity).  Any other exception is a bug and propagates.
 Identical invocations produce byte-identical output.  `decomp` and
 `canonical` build canonical elements through the Fock action
 (canonical.FockBasis); `canonical` hands the highest-weight labels of

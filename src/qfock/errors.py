@@ -10,6 +10,7 @@ class UnsupportedRegimeError(ValueError):
 
 
 class InvariantError(RuntimeError):
-    """An internal mathematical invariant failed (bar cycle, fuel exhausted,
-    non-antisymmetric correction).  Never caught internally: something is
-    wrong with the computation itself, and the run must fail loudly."""
+    """An internal mathematical invariant failed (a bar support that does not
+    rise in wedge dominance, fuel exhausted, non-antisymmetric correction).
+    Never caught internally: something is wrong with the computation itself,
+    and the run must fail loudly."""

@@ -39,25 +39,12 @@ def empty_multipartition(l) -> tuple:
     return ((),) * l
 
 
-# -- nodes, contents, residues -----------------------------------------------
-
-def content(node, charge) -> int:
-    a, b, c = node
-    return b - a + charge[c - 1]
-
+# -- nodes and residues ------------------------------------------------------
 
 def residue(node, charge, e: int) -> int:
     """(b - a + s_c) mod e, normalized to [0, e)."""
     a, b, c = node
     return (b - a + charge[c - 1]) % e
-
-
-def above(gamma, gamma2, charge) -> bool:
-    """The strict node order: smaller content is higher, ties go to the
-    larger component index."""
-    c1 = content(gamma, charge)
-    c2 = content(gamma2, charge)
-    return c1 < c2 or (c1 == c2 and gamma2[2] < gamma[2])
 
 
 def i_signatures(mp, charge, e):
@@ -238,10 +225,6 @@ def mp_from_text(text: str) -> tuple:
             comps.append(tuple(int(p) for p in chunk.split(",")))
     check_multipartition(comps)
     return tuple(comps)
-
-
-def charge_to_text(charge) -> str:
-    return ",".join(str(s) for s in charge)
 
 
 def charge_from_text(text: str) -> tuple:

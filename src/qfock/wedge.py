@@ -289,13 +289,13 @@ class WedgeEngine:
             self._bar_cache[key] = out
         return out
 
-    def bar_vector(self, vec, r: int | None = None):
+    def bar_vector(self, vec):
         """Semilinear extension: coefficients through q -> q^{-1}, monomials
         through bar."""
         out = {}
         for u, c in vec.items():
             cbar = c.bar()
-            for v, c2 in self.bar(u, r).items():
+            for v, c2 in self.bar(u).items():
                 _acc(out, v, cbar * c2)
         return out
 

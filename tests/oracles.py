@@ -7,7 +7,7 @@ fault in the optimized code cannot hide in them as well.
 from qfock.abacus import WedgeMonomial
 from qfock.fock import apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.partitions import above, addable_nodes, remove_node, removable_nodes
+from qfock.partitions import addable_nodes, remove_node, removable_nodes
 
 
 def straighten_naive(eng, indices):
@@ -38,6 +38,19 @@ def index_sum(u: WedgeMonomial, depth: int) -> int:
     compared monomials share s."""
     ks = list(u.prefix) + [u.s - i + 1 for i in range(len(u.prefix) + 1, depth + 1)]
     return sum(ks[:depth])
+
+
+def content(node, charge) -> int:
+    a, b, c = node
+    return b - a + charge[c - 1]
+
+
+def above(gamma, gamma2, charge) -> bool:
+    """The strict node order: smaller content is higher, ties go to the
+    larger component index."""
+    c1 = content(gamma, charge)
+    c2 = content(gamma2, charge)
+    return c1 < c2 or (c1 == c2 and gamma2[2] < gamma[2])
 
 
 def n_count(mp, i, charge, e) -> int:

@@ -17,6 +17,7 @@ from qfock.canonical import (
     DecompositionMatrix,
     FockBasis,
     decomposition_matrix,
+    dominance,
     verify_unitriangular,
 )
 from qfock.crystal import uglov_set
@@ -48,6 +49,13 @@ def test_bar_closure_bounded_by_degree_component():
         assert closure[0] == u
         assert len(closure) <= len(partitions(degree(u)))
         assert len(set(closure)) == len(closure)
+        # dominance never falls along the closure, and every bar-support
+        # edge points forward in the list
+        doms = [dominance(v) for v in closure]
+        assert doms == sorted(doms)
+        pos = {v: i for i, v in enumerate(closure)}
+        for v in closure:
+            assert all(pos[w] > pos[v] for w in basis.engine.bar(v) if w != v)
 
 
 def test_level_one_canonical_element():
@@ -128,7 +136,8 @@ def test_verify_unitriangular_negative_control():
         (((2,), ()), ((1, 1), ())): LaurentPoly.one(),
         (((1, 1), ()), ((1, 1), ())): LaurentPoly.one(),
     }
-    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, qentries, {})
+    aval = AValueTable(4, 2, (0, 1), 3)
+    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, qentries, {}, aval)
     report = verify_unitriangular(bad)
     assert not report["ok"]
     assert any("minimal-a rows" in v for v in report["violations"])
@@ -136,7 +145,7 @@ def test_verify_unitriangular_negative_control():
     # identity matrix passes
     ident = DecompositionMatrix(
         4, 2, (0, 1), 2, rows, rows,
-        {(r, r): LaurentPoly.one() for r in rows}, {},
+        {(r, r): LaurentPoly.one() for r in rows}, {}, aval,
     )
     assert verify_unitriangular(ident)["ok"]
 
@@ -221,6 +230,19 @@ def test_bar_cycle_detection_guard():
     basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
     with pytest.raises(InvariantError):
         basis.bar_closure(a)
+
+
+def test_bar_closure_rejects_a_support_that_does_not_rise():
+    # an acyclic bar support from b down to a, lower in wedge dominance: no
+    # cycle, but it breaks the order both canonical-basis builders rely on
+    basis = CanonicalBasis(2, 2)
+    a = wedge_monomial((4,), 0)
+    b = wedge_monomial((3, 0), 0)
+    assert dominance(a) < dominance(b)
+    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
+    basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one()}
+    with pytest.raises(InvariantError, match="does not rise"):
+        basis.bar_closure(b)
 
 
 def test_wedge_route_fuel_regression_guard():

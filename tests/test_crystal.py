@@ -18,12 +18,12 @@ from qfock.crystal import (
 from qfock.partitions import (
     add_node,
     addable_nodes,
-    content,
     multipartitions,
     rank,
     removable_nodes,
 )
 
+from oracles import content
 from paper_data import UGLOV_SETS
 
 

