@@ -15,63 +15,47 @@ algorithms need, since f cancels between equal-rank labels at a common
 height.  Printed tables are calibrated by one additive constant per charge.
 
 The shift vector is m^(j) = s_j - (j-1)e/l + alpha*e with alpha the smallest
-integer >= 0 making every entry nonnegative.  When l does not divide (j-1)e
-the entries are not integers and the inner sum over k = 1..x is ill-defined;
-such regimes are rejected rather than guessed.
+integer >= 0 making every entry nonnegative.  Any larger value a gives the
+shift vector of the charge s + a*e, so alpha is not a free choice.  When l
+does not divide (j-1)e the entries are not integers and the inner sum
+over k = 1..x is ill-defined; such regimes are rejected rather than guessed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
+from math import ceil
 from operator import mul
-from typing import NamedTuple
 
 from .errors import UnsupportedRegimeError
-from .partitions import composition_rank
+from .partitions import rank
 
 
-class MVector(NamedTuple):
-    entries: tuple  # Fractions, all >= 0
-    alpha: int
-
-
-def m_vector(e: int, l: int, charge, alpha: int | None = None) -> MVector:
-    """The shift vector; alpha defaults to the smallest value >= 0 that
-    makes every entry nonnegative."""
-    base = [Fraction(charge[j - 1]) - Fraction((j - 1) * e, l) for j in range(1, l + 1)]
-    if alpha is None:
-        need = max(-(b / e) for b in base)
-        alpha = max(0, -((-need.numerator) // need.denominator) if need > 0 else 0)
+def m_vector(e: int, l: int, charge) -> tuple:
+    """(shifts, alpha): the shift vector as ints and its alpha, the
+    smallest value >= 0 that makes every entry nonnegative."""
+    base = [Fraction(charge[j]) - Fraction(j * e, l) for j in range(l)]
+    alpha = max(0, ceil(max(-b for b in base) / e))
     entries = tuple(b + alpha * e for b in base)
-    if any(entry < 0 for entry in entries):
-        raise ValueError("alpha=%d leaves a negative shift entry" % alpha)
-    return MVector(entries, alpha)
-
-
-def integral_shifts(m: MVector) -> tuple:
-    """The shift entries as plain ints, or an UnsupportedRegimeError."""
-    out = []
-    for entry in m.entries:
-        if entry.denominator != 1:
-            raise UnsupportedRegimeError(
-                "non-integral shift vector %s: a-values are only implemented "
-                "for integral shifts" % (m.entries,)
-            )
-        out.append(int(entry))
-    return tuple(out)
+    if any(entry.denominator != 1 for entry in entries):
+        raise UnsupportedRegimeError(
+            "non-integral shift vector %s: a-values are only implemented "
+            "for integral shifts" % (entries,)
+        )
+    return tuple(map(int, entries)), alpha
 
 
 def height(mc) -> int:
     return max((len(comp) for comp in mc), default=0)
 
 
-def translated_symbol(mc, m: MVector, h: int) -> tuple:
+def translated_symbol(mc, shifts, h: int) -> tuple:
     """Per-component entry lists B^(i)_j = part_j - j + h + m^(i), j = 1..h,
-    missing parts read as 0."""
+    missing parts read as 0, for the shift vector `shifts`."""
     if h < height(mc):
         raise ValueError("height %d is below the height of %r" % (h, mc))
-    return tuple(tuple(_entries(comp, t, h)) for comp, t in zip(mc, integral_shifts(m)))
+    return tuple(tuple(_entries(comp, t, h)) for comp, t in zip(mc, shifts))
 
 
 def _entries(comp, t: int, h: int) -> list:
@@ -88,14 +72,11 @@ def _min_ramp(x: int, m: int) -> int:
     return m * (m + 1) // 2 + (x - m) * m
 
 
-def a_rel(mc, e: int, l: int, charge, h: int | None = None,
-          alpha: int | None = None, table: AValueTable | None = None) -> int:
-    """The two explicit sums of the a-value at height h (defaults to the
-    composition's height plus one).  Differences between equal-rank labels
-    at a common height equal differences of true a-values.
-
-    `table`, an AValueTable built for the same e, l, charge and alpha,
-    lends its shift vector and its memo of S2 terms.
+def a_rel(mc, table: AValueTable) -> int:
+    """The two explicit sums of the a-value of mc at the table's height,
+    read through the table's shift vector and its memo of S2 terms.
+    Differences between equal-rank labels at a common height equal
+    differences of true a-values.
 
     S1 sums min over every unordered pair of symbol positions; for the
     strictly decreasing components of partitions this is the pairs of
@@ -105,11 +86,8 @@ def a_rel(mc, e: int, l: int, charge, h: int | None = None,
     v_1 >= v_2 >= ..., the k-th is the min of each pair it forms with the
     k - 1 before it, ties included, so S1 = sum_k (k - 1) v_k.
     """
-    if table is None:
-        table = AValueTable(e, l, charge, h, alpha)
-    if h is None:
-        h = height(mc) + 1
-    elif h < height(mc):
+    h = table.h
+    if h < height(mc):
         raise ValueError("height %d is below the height of %r" % (h, mc))
     entries = []
     for comp, t in zip(mc, table.shifts):
@@ -127,28 +105,27 @@ class AValueTable(dict):
 
     Differences of a_rel between equal-rank labels at a common height are
     differences of true a-values, so one table at h = n + 1 orders every
-    family of equal-rank labels of rank at most n.  The shift vector `m`
-    (alpha defaults as in m_vector) is built once per table, and `ramp[x]`
-    memoizes the S2 term sum_j sum_{k=1..x} min(k, m^(j)) of an entry x.
+    family of equal-rank labels of rank at most n.  The table holds the
+    shift vector `shifts` and its `alpha` (see m_vector), the height `h`,
+    and `ramp[x]`, the memoized S2 term sum_j sum_{k=1..x} min(k, m^(j)) of
+    an entry x.
     """
 
-    def __init__(self, e: int, l: int, charge, h: int, alpha: int | None = None):
+    def __init__(self, e: int, l: int, charge, h: int):
         super().__init__()
-        self._params = (e, l, tuple(charge), h, alpha)
-        self.m = m_vector(e, l, charge, alpha)
-        self.shifts = integral_shifts(self.m)
+        self.shifts, self.alpha = m_vector(e, l, charge)
+        self.h = h
         self.ramp = {}
 
     def __missing__(self, mc):
-        value = self[mc] = a_rel(mc, *self._params, table=self)
+        value = self[mc] = a_rel(mc, self)
         return value
 
 
-def precedes(mu, nu, e: int, l: int, charge, alpha: int | None = None) -> bool:
+def precedes(mu, nu, e: int, l: int, charge) -> bool:
     """The strict preorder on equal-rank l-compositions: compare the symbol
     sums at a common height."""
-    if composition_rank(mu) != composition_rank(nu):
+    if rank(mu) != rank(nu):
         raise ValueError("precedes compares equal ranks only")
-    h = max(height(mu), height(nu)) + 1
-    table = AValueTable(e, l, charge, h, alpha)
+    table = AValueTable(e, l, charge, max(height(mu), height(nu)) + 1)
     return table[mu] < table[nu]

@@ -40,12 +40,13 @@ from __future__ import annotations
 
 from .abacus import WedgeMonomial, from_pair, to_pair
 from .avalue import AValueTable
-from .crystal import good_node, uglov_set
+from .crystal import _reduce, uglov_set
 from .errors import InvariantError
 from .fock import apply_f
 from .laurent import LaurentPoly, _acc
 from .partitions import (
     empty_multipartition,
+    i_signatures,
     is_split_semisimple,
     mp_to_text,
     multipartitions,
@@ -173,15 +174,15 @@ class FockBasis:
     def peel(self, mp):
         """(i, k, e~_i^k mp) for the lowest colour i with a good node of mp
         and the largest such k; None when mp has no good node, i.e. is a
-        highest-weight vertex of its crystal component."""
-        for i in range(self.e):
-            low, k = mp, 0
-            gamma = good_node(low, i, self.charge, self.e)
-            while gamma is not None:
-                low, k = remove_node(low, gamma), k + 1
-                gamma = good_node(low, i, self.charge, self.e)
-            if k:
-                return i, k, low
+        highest-weight vertex of its crystal component.  e~_i^k removes
+        every normal i-node of mp: removing the good one turns it into an
+        uncancelled addable node and leaves the others normal."""
+        for i, sig in enumerate(i_signatures(mp, self.charge, self.e)):
+            normal = _reduce(sig)[1]
+            if normal:
+                for gamma in normal:
+                    mp = remove_node(mp, gamma)
+                return i, len(normal), mp
         return None
 
     def _highest(self, mp) -> dict:

@@ -117,7 +117,7 @@ def cmd_avalue(args):
         _emit(_jdump({
             "calibration": mp_to_text(calibration),
             "height": h,
-            "alpha": vals.m.alpha,
+            "alpha": vals.alpha,
             "values": [{"label": t, "a": v} for v, t in table],
         }), args)
     else:

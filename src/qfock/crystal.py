@@ -26,7 +26,6 @@ from .partitions import (
     i_signatures,
     mp_to_text,
     multipartitions,
-    residue,
 )
 
 
@@ -44,14 +43,6 @@ def _reduce(sig):
         else:
             last_addable = g
     return last_addable, survivors
-
-
-def is_normal(mp, gamma, i, charge, e) -> bool:
-    """Whether the removable i-node gamma of mp survives the reduction."""
-    sig = i_signatures(mp, charge, e)[i] if residue(gamma, charge, e) == i else []
-    if (gamma, False) not in sig:
-        raise ValueError("%r is not a removable %d-node of %r" % (gamma, i, mp))
-    return gamma in _reduce(sig)[1]
 
 
 def good_node(mp, i, charge, e):

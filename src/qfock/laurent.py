@@ -30,10 +30,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, exp):
-        return cls({exp: 1})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):

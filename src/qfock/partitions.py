@@ -41,12 +41,6 @@ def empty_multipartition(l) -> tuple:
 
 # -- nodes and residues ------------------------------------------------------
 
-def residue(node, charge, e: int) -> int:
-    """(b - a + s_c) mod e, normalized to [0, e)."""
-    a, b, c = node
-    return (b - a + charge[c - 1]) % e
-
-
 def i_signatures(mp, charge, e):
     """For each residue i, the i-signature of mp: its addable and removable
     i-nodes, most 'above' first (by content, ties to the larger component),
@@ -176,34 +170,6 @@ def is_split_semisimple(e: int, charge, n: int) -> bool:
                 if (d + charge[i] - charge[j]) % e == 0:
                     return False
     return True
-
-
-# -- compositions (for the a-value preorder machinery) -------------------------
-
-def composition_rank(mc) -> int:
-    return sum(sum(comp) for comp in mc)
-
-
-def add_nodes_to_part(mc, component: int, row: int, r: int, max_row: int | None = None):
-    """Grow one part of an l-composition by r boxes.
-
-    `component` and `row` are 1-based.  Rows past the end of a component are
-    rows of length 0 and may be addressed up to max_row (the symbol height)
-    when given, or freely otherwise; the zeros in between stay in place,
-    since the symbol machinery reads positions, not just parts.
-    """
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if not 1 <= component <= len(mc):
-        raise IndexError("component %d out of range" % component)
-    if row < 1 or (max_row is not None and row > max_row):
-        raise IndexError("row %d out of range" % row)
-    if r == 0:
-        return mc
-    comp = list(mc[component - 1])
-    comp.extend([0] * (row - len(comp)))
-    comp[row - 1] += r
-    return mc[: component - 1] + (tuple(comp),) + mc[component:]
 
 
 # -- text formats ----------------------------------------------------------------

@@ -28,7 +28,7 @@ where A is the leading run of entries above j, never touches A: every index
 the straightening emits lies in [min(B), j].  So the memo is keyed on
 (appended index, B) alone and A is re-attached to each result, which lets
 prefixes that differ only above j share one entry.  Caching never changes
-results; set use_cache=False to recompute everything from scratch.
+results; a fresh engine recomputes everything from scratch.
 """
 
 from __future__ import annotations
@@ -58,18 +58,17 @@ class WedgeEngine:
     """Straightening and bar for a fixed ambient (e, l).
 
     All caches are confined to the instance; an engine is cheap, so tests
-    that need cache-free recomputation just build a fresh one with
-    use_cache=False.  Operations never mutate their arguments, so a single
-    engine can be shared freely within a thread.
+    that need a cold recomputation just build a fresh one.  Operations
+    never mutate their arguments, so a single engine can be shared freely
+    within a thread.
     """
 
-    def __init__(self, e: int, l: int, use_cache: bool = True, fuel: int = 50_000_000):
+    def __init__(self, e: int, l: int, fuel: int = 50_000_000):
         if e < 2 or l < 1:
             raise ValueError("need e >= 2 and l >= 1")
         self.e = e
         self.l = l
         self.el = e * l
-        self.use_cache = use_cache
         self.fuel = fuel
         self._spent = 0
         self._pair_cache = {}
@@ -149,9 +148,7 @@ class WedgeEngine:
                     while k2 - shift - el * m > k1 + shift + el * m:
                         _acc(out, (k2 - shift - el * m, k1 + shift + el * m), string(m))
                         m += 1
-        result = tuple(sorted(out.items()))
-        if self.use_cache:
-            self._pair_cache[key] = result
+        result = self._pair_cache[key] = tuple(sorted(out.items()))
         return result
 
     # -- insertion into an ordered monomial ---------------------------------
@@ -198,8 +195,7 @@ class WedgeEngine:
                             _acc(part, m3, c2 * c3)
                 for m, p in part.items():
                     _acc(out, m, c * p)
-            if self.use_cache:
-                self._insert_cache[key] = out
+            self._insert_cache[key] = out
         if lo:
             head = mono[:lo]
             return {head + m: c for m, c in out.items()}
@@ -252,8 +248,8 @@ class WedgeEngine:
         tail, and scales by (-q)^{omega'} q^{-omega}, where omega and omega'
         count index pairs i < j <= r sharing the bead letter a, resp. the
         runner b.  Every computed image must have coefficient exactly 1 on u
-        (bar is unitriangular), whether or not use_cache is set; anything
-        else raises InvariantError before the image is cached under (u, r).
+        (bar is unitriangular); anything else raises InvariantError before
+        the image is cached under (u, r).
         """
         n = degree(u)
         r0 = len(u.prefix)
@@ -285,8 +281,7 @@ class WedgeEngine:
         one = out.get(u)
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))
-        if self.use_cache:
-            self._bar_cache[key] = out
+        self._bar_cache[key] = out
         return out
 
     def bar_vector(self, vec):

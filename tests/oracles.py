@@ -5,9 +5,10 @@ fault in the optimized code cannot hide in them as well.
 """
 
 from qfock.abacus import WedgeMonomial
+from qfock.crystal import _reduce
 from qfock.fock import apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.partitions import addable_nodes, remove_node, removable_nodes
+from qfock.partitions import addable_nodes, i_signatures, remove_node, removable_nodes
 
 
 def straighten_naive(eng, indices):
@@ -45,12 +46,47 @@ def content(node, charge) -> int:
     return b - a + charge[c - 1]
 
 
+def residue(node, charge, e: int) -> int:
+    """The content mod e, normalized to [0, e)."""
+    return content(node, charge) % e
+
+
 def above(gamma, gamma2, charge) -> bool:
     """The strict node order: smaller content is higher, ties go to the
     larger component index."""
     c1 = content(gamma, charge)
     c2 = content(gamma2, charge)
     return c1 < c2 or (c1 == c2 and gamma2[2] < gamma[2])
+
+
+def is_normal(mp, gamma, i, charge, e) -> bool:
+    """Whether the removable i-node gamma of mp survives the reduction."""
+    sig = i_signatures(mp, charge, e)[i]
+    if (gamma, False) not in sig:
+        raise ValueError("%r is not a removable %d-node of %r" % (gamma, i, mp))
+    return gamma in _reduce(sig)[1]
+
+
+def add_nodes_to_part(mc, component: int, row: int, r: int, max_row: int | None = None):
+    """Grow one part of an l-composition by r boxes.
+
+    `component` and `row` are 1-based.  Rows past the end of a component are
+    rows of length 0 and may be addressed up to max_row (the symbol height)
+    when given, or freely otherwise; the zeros in between stay in place,
+    since the symbol machinery reads positions, not just parts.
+    """
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if not 1 <= component <= len(mc):
+        raise IndexError("component %d out of range" % component)
+    if row < 1 or (max_row is not None and row > max_row):
+        raise IndexError("row %d out of range" % row)
+    if r == 0:
+        return mc
+    comp = list(mc[component - 1])
+    comp.extend([0] * (row - len(comp)))
+    comp[row - 1] += r
+    return mc[: component - 1] + (tuple(comp),) + mc[component:]
 
 
 def n_count(mp, i, charge, e) -> int:

@@ -1,40 +1,54 @@
 import random
-from fractions import Fraction
+import re
 
 import pytest
 
 from qfock.avalue import (
     AValueTable,
-    MVector,
     _min_ramp,
     a_rel,
     height,
-    integral_shifts,
     m_vector,
     precedes,
     translated_symbol,
 )
 from qfock.errors import UnsupportedRegimeError
-from qfock.partitions import add_nodes_to_part, multipartitions
+from qfock.partitions import multipartitions
 
+from oracles import add_nodes_to_part
 from paper_data import A_VALUES
 
 
+def lifted(charge, t, e=4):
+    """The charge s + t*e: its shift vector is m(s) + max(0, t - alpha(s))*e,
+    so a lift by t*e >= alpha(s)*e reaches the shift vector with alpha = t."""
+    return tuple(c + t * e for c in charge)
+
+
 def test_m_vector_examples():
-    assert m_vector(4, 2, (0, 1)) == MVector((Fraction(4), Fraction(3)), 1)
-    assert m_vector(4, 2, (4, 1)) == MVector((Fraction(8), Fraction(3)), 1)
-    assert m_vector(4, 2, (0, 5)) == MVector((Fraction(0), Fraction(3)), 0)
+    assert m_vector(4, 2, (0, 1)) == ((4, 3), 1)
+    assert m_vector(4, 2, (4, 1)) == ((8, 3), 1)
+    assert m_vector(4, 2, (0, 5)) == ((0, 3), 0)
+    assert all(type(t) is int for t in m_vector(4, 2, (0, 1))[0])
 
 
-def test_m_vector_explicit_alpha():
-    m = m_vector(4, 2, (0, 5), alpha=2)
-    assert m.entries == (Fraction(8), Fraction(11))
-    with pytest.raises(ValueError):
-        m_vector(4, 2, (0, 1), alpha=0)
+def test_m_vector_charge_lift():
+    # the shift vector of (0, 5) with alpha = 2 is that of (8, 13)
+    assert m_vector(4, 2, lifted((0, 5), 2)) == ((8, 11), 0)
+    rng = random.Random(17)
+    for _ in range(300):
+        e, l = rng.choice([(4, 2), (2, 2), (3, 3), (5, 1), (4, 4), (6, 2)])
+        charge = tuple(rng.randint(-9, 9) for _ in range(l))
+        shifts, alpha = m_vector(e, l, charge)
+        assert min(shifts) >= 0 and (alpha == 0 or min(shifts) < e)
+        for t in range(5):
+            up, up_alpha = m_vector(e, l, lifted(charge, t, e))
+            assert up == tuple(m + max(0, t - alpha) * e for m in shifts)
+            assert up_alpha == max(0, alpha - t)
 
 
 def test_translated_symbol_examples():
-    m = m_vector(4, 2, (0, 1))
+    m = m_vector(4, 2, (0, 1))[0]
     assert translated_symbol(((), ()), m, 1) == ((4,), (3,))
     assert translated_symbol(((4,), ()), m, 1) == ((8,), (3,))
     # raising the height by one appends a bottom entry of value m^(i) and
@@ -47,13 +61,18 @@ def test_translated_symbol_examples():
 
 
 def test_non_integral_shift_rejected():
-    with pytest.raises(UnsupportedRegimeError):
-        a_rel(((1,), ()), 3, 2, (0, 1))
+    # the message prints the entries as Fractions
+    message = re.escape("non-integral shift vector (Fraction(3, 1), Fraction(5, 2)): "
+                        "a-values are only implemented for integral shifts")
+    with pytest.raises(UnsupportedRegimeError, match=message):
+        m_vector(3, 2, (0, 1))
+    with pytest.raises(UnsupportedRegimeError, match=message):
+        AValueTable(3, 2, (0, 1), 2)
 
 
-def calibrated(charge, labels, base, h, alpha=None):
+def calibrated(charge, labels, base, h):
     """The a_rel table of the labels at height h, shifted so base maps to 0."""
-    aval = AValueTable(4, 2, charge, h, alpha)
+    aval = AValueTable(4, 2, charge, h)
     return {mc: aval[mc] - aval[base] for mc in labels}
 
 
@@ -68,16 +87,15 @@ def test_paper_a_tables():
 def test_table_calibration_is_alpha_and_height_independent():
     mps = multipartitions(2, 4)
     reference = calibrated((0, 1), mps, ((4,), ()), 5)
-    for alpha in (1, 2, 3):
+    for t in (1, 2, 3):  # alpha = t
         for h in (4, 6, 8):
-            assert calibrated((0, 1), mps, ((4,), ()), h, alpha) == reference
+            assert calibrated(lifted((0, 1), t), mps, ((4,), ()), h) == reference
 
 
-def pairwise_symbol_sums(symbol, m):
+def pairwise_symbol_sums(symbol, shifts):
     """S1 - S2 by the defining double sums: min over every unordered pair of
     symbol positions, minus sum_{k=1..x} min(k, m^(j)) over entries x and
     components j.  The reference for a_rel's sorted-sum form."""
-    shifts = integral_shifts(m)
     l = len(symbol)
     s1 = 0
     for i in range(l):
@@ -111,22 +129,22 @@ def test_a_rel_matches_pairwise_sums_on_compositions():
     for _ in range(3000):
         e, l = rng.choice([(4, 2), (2, 2), (3, 3), (5, 1), (4, 4)])
         charge = tuple(rng.randint(-6, 6) for _ in range(l))
-        alpha = rng.choice([None, None, 3])
+        # a lift by 3e gives the shift vector alpha = 3 gave, where it was
+        # large enough, and a valid one everywhere else
+        charge = lifted(charge, rng.choice([0, 0, 3]), e)
         mc = tuple(
             tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
             for _ in range(l)
         )
         h = height(mc) + rng.randint(0, 2)
-        try:
-            m = m_vector(e, l, charge, alpha)
-        except ValueError:
-            continue  # alpha too small for this charge
-        symbol = translated_symbol(mc, m, h)
+        shifts = m_vector(e, l, charge)[0]
+        symbol = translated_symbol(mc, shifts, h)
         entries = [x for b in symbol for x in b]
         ties += len(set(entries)) < len(entries)
-        want = pairwise_symbol_sums(symbol, m)
-        assert a_rel(mc, e, l, charge, h, alpha) == want, (mc, charge, h, alpha)
-        assert AValueTable(e, l, charge, h, alpha)[mc] == want
+        want = pairwise_symbol_sums(symbol, shifts)
+        table = AValueTable(e, l, charge, h)
+        assert a_rel(mc, table) == want, (mc, charge, h)
+        assert table[mc] == want
     assert ties > 1000
 
 
@@ -134,7 +152,7 @@ def test_table_memo_matches_fresh_a_rel():
     for charge in [(0, 1), (4, 1), (0, 5), (-3, 9)]:
         aval = AValueTable(4, 2, charge, 7)
         for mc in multipartitions(2, 6):
-            assert aval[mc] == a_rel(mc, 4, 2, charge, 7)
+            assert aval[mc] == a_rel(mc, AValueTable(4, 2, charge, 7))
 
 
 def test_height_shift_property():
@@ -147,8 +165,8 @@ def test_height_shift_property():
         charge = (rng.randint(0, 5), rng.randint(0, 5))
         hmin = max(height(mp), height(mu))
         diffs = {
-            a_rel(mp, 4, 2, charge, h) - a_rel(mu, 4, 2, charge, h)
-            for h in range(hmin + 1, hmin + 5)
+            aval[mp] - aval[mu]
+            for aval in (AValueTable(4, 2, charge, h) for h in range(hmin + 1, hmin + 5))
         }
         assert len(diffs) == 1
 
@@ -181,8 +199,7 @@ def test_proposition_combi_property():
             for _ in range(l)
         )
         h = height(lam) + rng.randint(1, 2)
-        m = m_vector(e, l, charge)
-        symbol = translated_symbol(lam, m, h)
+        symbol = translated_symbol(lam, m_vector(e, l, charge)[0], h)
         spots = [(i, j) for i in range(1, l + 1) for j in range(1, h + 1)]
         if len(spots) < 2:
             continue
@@ -201,5 +218,9 @@ def test_proposition_combi_property():
 
 
 def test_a_rel_height_guard():
-    with pytest.raises(ValueError):
-        a_rel(((2, 1), ()), 4, 2, (0, 1), h=1)
+    table = AValueTable(4, 2, (0, 1), 1)
+    with pytest.raises(ValueError, match="height 1 is below"):
+        a_rel(((2, 1), ()), table)
+    with pytest.raises(ValueError, match="height 1 is below"):
+        table[((2, 1), ())]
+    assert table[((2,), ())] == a_rel(((2,), ()), table)

@@ -20,11 +20,11 @@ from qfock.canonical import (
     dominance,
     verify_unitriangular,
 )
-from qfock.crystal import uglov_set
+from qfock.crystal import good_node, uglov_set
 from qfock.errors import InvariantError
 from qfock.fock import apply_f
 from qfock.laurent import LaurentPoly
-from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
+from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank, remove_node
 
 from oracles import divide_exact, quantum_factorial
 from paper_data import MATRICES, UGLOV_SETS
@@ -64,7 +64,7 @@ def test_level_one_canonical_element():
     g = basis.element(wedge_monomial((2,), 0))
     assert g == {
         wedge_monomial((2,), 0): LaurentPoly.one(),
-        wedge_monomial((1, 0), 0): LaurentPoly.q_power(1),
+        wedge_monomial((1, 0), 0): LaurentPoly({1: 1}),
     }
     # and the (1,1) column is trivial
     assert basis.element(wedge_monomial((1, 0), 0)) == {
@@ -226,8 +226,8 @@ def test_bar_cycle_detection_guard():
     basis = CanonicalBasis(2, 2)
     a = wedge_monomial((4,), 0)
     b = wedge_monomial((3, 0), 0)
-    basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one(), b: LaurentPoly.q_power(1)}
-    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
+    basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one(), b: LaurentPoly({1: 1})}
+    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly({1: 1})}
     with pytest.raises(InvariantError):
         basis.bar_closure(a)
 
@@ -239,7 +239,7 @@ def test_bar_closure_rejects_a_support_that_does_not_rise():
     a = wedge_monomial((4,), 0)
     b = wedge_monomial((3, 0), 0)
     assert dominance(a) < dominance(b)
-    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly.q_power(1)}
+    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one(), a: LaurentPoly({1: 1})}
     basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one()}
     with pytest.raises(InvariantError, match="does not rise"):
         basis.bar_closure(b)
@@ -405,6 +405,30 @@ ALL_LABEL_AMBIENTS = [
 def wedge_oracles():
     """One CanonicalBasis per (e, l), shared by the tests over every label."""
     return {}
+
+
+def test_peel_matches_repeated_good_node_removal():
+    # peel removes all normal nodes of the lowest colour that has one in a
+    # single step; removing the good node one at a time must agree
+    multi = 0
+    for e, l, charges in [(4, 2, [(0, 1), (4, 1), (0, 5)]),
+                          (3, 3, [(0, 1, 2), (0, 4, -1)]),
+                          (2, 2, [(0, 1), (2, 2)])]:
+        for charge in charges:
+            basis = FockBasis(e, l, charge)
+            for n in range(7):
+                for mp in multipartitions(l, n):
+                    want = None
+                    for i in range(e):
+                        low, k = mp, 0
+                        while (gamma := good_node(low, i, charge, e)) is not None:
+                            low, k = remove_node(low, gamma), k + 1
+                        if k:
+                            want = (i, k, low)
+                            break
+                    assert basis.peel(mp) == want, (e, l, charge, mp_to_text(mp))
+                    multi += want is not None and want[1] > 1
+    assert multi > 100
 
 
 def test_fock_route_matches_wedge_route_on_every_label(wedge_oracles):

@@ -10,7 +10,6 @@ from qfock.crystal import (
     flotw_predicate,
     good_addable_nodes,
     good_node,
-    is_normal,
     kleshchev_charge,
     uglov_layers,
     uglov_set,
@@ -23,7 +22,7 @@ from qfock.partitions import (
     removable_nodes,
 )
 
-from oracles import content
+from oracles import content, is_normal
 from paper_data import UGLOV_SETS
 
 

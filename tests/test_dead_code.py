@@ -5,7 +5,8 @@ name that nothing calls, imports or reads is dead code.
 
 A definition in src/ must also be named by src/ itself, not only by the
 tests: test-only code belongs in tests/oracles.py.  The names in TEST_ONLY
-are kept in src/ on purpose, each for the reason given."""
+are kept in src/ on purpose, each for the reason given; a reason that names
+the perfbench tracer is checked against its TARGETS."""
 
 import ast
 from pathlib import Path
@@ -14,18 +15,19 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qfock"
 CHECKED = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "oracles.py"]
 
+TRACER = ROOT / "perfbench" / "tracer.py"
+WRAPPED = "perfbench/tracer.py wraps it"
+
 TEST_ONLY = {
-    "addable_nodes": "perfbench/tracer.py wraps it",
-    "removable_nodes": "perfbench/tracer.py wraps it",
-    "bar_vector": "perfbench/tracer.py wraps it",
+    "addable_nodes": WRAPPED,
+    "removable_nodes": WRAPPED,
+    "bar_vector": WRAPPED,
+    "good_node": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
     "render_abacus": "the README documents the ASCII abacus renderer",
     "enumerate_degree_component": "the README documents degree components",
     "translated_symbol": "the README documents translated symbols",
     "precedes": "the README documents the a-value preorder",
-    "add_nodes_to_part": "test-only, open in ROADMAP item 4",
-    "is_normal": "test-only, open in ROADMAP item 4",
-    "q_power": "test-only, open in ROADMAP item 4",
 }
 
 
@@ -86,3 +88,26 @@ def test_no_src_definition_only_tests_name():
     unlisted = [entry for entry in found if entry.split()[-1] not in TEST_ONLY]
     assert not unlisted, "named only by tests/: " + ", ".join(unlisted)
     assert not set(TEST_ONLY) - names, "stale TEST_ONLY entries"
+
+
+def _tracer_targets():
+    """(module, function or method name) of each entry of the tracer's
+    TARGETS, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {(module, attr.rsplit(".", 1)[-1])
+                    for module, attr, *_ in ast.literal_eval(node.value)}
+    raise AssertionError("no TARGETS in %s" % TRACER)
+
+
+def test_tracer_reasons_match_tracer_targets():
+    targets = _tracer_targets()
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, _path, _first, _last in _definitions(path, ast.parse(path.read_text())):
+            defined.setdefault(name, set()).add("qfock." + path.stem)
+    stale = [name for name, reason in TEST_ONLY.items() if reason == WRAPPED
+             and not any((module, name) in targets for module in defined.get(name, ()))]
+    assert not stale, "not wrapped by perfbench/tracer.py: " + ", ".join(stale)

@@ -4,7 +4,6 @@ import pytest
 
 from qfock.partitions import (
     add_node,
-    add_nodes_to_part,
     addable_nodes,
     charge_from_text,
     i_signatures,
@@ -16,10 +15,9 @@ from qfock.partitions import (
     rank,
     remove_node,
     removable_nodes,
-    residue,
 )
 
-from oracles import above, content
+from oracles import above, add_nodes_to_part, content, residue
 
 
 def test_residue_examples():

@@ -126,13 +126,13 @@ def test_append_straightening_matches_prepend_route_on_bar_words():
 def test_append_straightening_matches_prepend_route_on_random_words():
     rng = random.Random(5)
     ambients = [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3)]
-    engines = {(e, l, c): WedgeEngine(e, l, use_cache=c) for e, l in ambients for c in (True, False)}
+    warm = {(e, l): WedgeEngine(e, l) for e, l in ambients}  # caches shared across words
     for _ in range(200):
         e, l = rng.choice(ambients)
         word = tuple(rng.randint(-10, 10) for _ in range(rng.randint(0, 8)))
-        want = prepend_straighten(engines[e, l, False], word)
-        for use_cache in (True, False):
-            assert engines[e, l, use_cache].straighten_indices(word) == want, (e, l, word)
+        want = prepend_straighten(WedgeEngine(e, l), word)
+        for eng in (warm[e, l], WedgeEngine(e, l)):
+            assert eng.straighten_indices(word) == want, (e, l, word)
 
 
 def test_insert_ignores_the_leading_run_above_the_new_factor():
@@ -140,17 +140,17 @@ def test_insert_ignores_the_leading_run_above_the_new_factor():
     # checked against the right-to-left route on the word A + B + (j,)
     rng = random.Random(11)
     ambients = [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3)]
-    engines = {(e, l, c): WedgeEngine(e, l, use_cache=c) for e, l in ambients for c in (True, False)}
+    warm = {(e, l): WedgeEngine(e, l) for e, l in ambients}  # caches shared across inserts
     for _ in range(300):
         e, l = rng.choice(ambients)
         j = rng.randint(-6, 6)
         b = tuple(sorted(rng.sample(range(j - 10, j + 1), rng.randint(1, 5)), reverse=True))
         a = tuple(sorted(rng.sample(range(j + 1, j + 12), rng.randint(0, 4)), reverse=True))
-        want = prepend_straighten(engines[e, l, False], a + b + (j,))
-        for use_cache in (True, False):
-            eng = engines[e, l, use_cache]
+        want = prepend_straighten(WedgeEngine(e, l), a + b + (j,))
+        # a fresh engine per side, so the short insert is not served by the long one's memo
+        for eng, short in ((warm[e, l], warm[e, l]), (WedgeEngine(e, l), WedgeEngine(e, l))):
             got = eng.insert(j, a + b)
-            assert got == {a + m: c for m, c in eng.insert(j, b).items()} == want, (e, l, j, a, b)
+            assert got == {a + m: c for m, c in short.insert(j, b).items()} == want, (e, l, j, a, b)
 
 
 def test_insert_memo_keys_hold_no_entry_above_the_new_factor():
@@ -222,22 +222,24 @@ def test_bar_involution_and_r_independence():
 def test_bar_vector_semilinearity():
     eng = WedgeEngine(2, 2)
     u = wedge_monomial((3,), 0)
-    q = LaurentPoly.q_power(1)
+    q = LaurentPoly({1: 1})
     lhs = eng.bar_vector({u: q})
-    rhs = {v: LaurentPoly.q_power(-1) * c for v, c in eng.bar(u).items()}
+    rhs = {v: LaurentPoly({-1: 1}) * c for v, c in eng.bar(u).items()}
     assert lhs == rhs
 
 
 def test_cache_does_not_change_results():
+    # a warm engine, whose caches serve later calls, against a fresh engine
+    # per call and against naive rewriting
     rng = random.Random(42)
-    cached = WedgeEngine(4, 2, use_cache=True)
-    fresh = WedgeEngine(4, 2, use_cache=False)
+    warm = WedgeEngine(4, 2)
     for _ in range(25):
         word = tuple(rng.randint(-6, 8) for _ in range(rng.randint(2, 5)))
-        assert cached.straighten_indices(word) == fresh.straighten_indices(word)
+        want = straighten_naive(WedgeEngine(4, 2), word)
+        assert warm.straighten_indices(word) == WedgeEngine(4, 2).straighten_indices(word) == want
     for n in range(6):
         for u in enumerate_degree_component(1, n):
-            assert cached.bar(u) == fresh.bar(u)
+            assert warm.bar(u) == WedgeEngine(4, 2).bar(u)
 
 
 def test_bar_against_naive_strategy():
@@ -276,18 +278,21 @@ def test_fuel_exhaustion_fails_loudly():
 
 def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
     # a straightening that doubles every coefficient breaks unitriangularity;
-    # the image is rejected before it is cached, with or without the cache
+    # the image is rejected before it is cached, on a fresh or a warm engine
     from qfock.errors import InvariantError
 
     u = wedge_monomial((2,), 0)
-    for use_cache in (True, False):
-        eng = WedgeEngine(2, 1, use_cache=use_cache)
+    for warm in (False, True):
+        eng = WedgeEngine(2, 1)
+        if warm:
+            eng.bar(wedge_monomial((1,), 0))
+        cached = dict(eng._bar_cache)
         straighten = eng.straighten_indices
         monkeypatch.setattr(eng, "straighten_indices",
                             lambda word: {m: c * 2 for m, c in straighten(word).items()})
         with pytest.raises(InvariantError, match="coefficient 2 on its own monomial"):
             eng.bar(u)
-        assert eng._bar_cache == {}
+        assert eng._bar_cache == cached
 
 
 def test_vector_json_and_index_sum_helper():
