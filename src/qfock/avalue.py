@@ -23,9 +23,7 @@ over k = 1..x is ill-defined; such regimes are rejected rather than guessed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
-from math import ceil
 from operator import mul
 
 from .errors import UnsupportedRegimeError
@@ -35,15 +33,21 @@ from .partitions import rank
 def m_vector(e: int, l: int, charge) -> tuple:
     """(shifts, alpha): the shift vector as ints and its alpha, the
     smallest value >= 0 that makes every entry nonnegative."""
-    base = [Fraction(charge[j]) - Fraction(j * e, l) for j in range(l)]
-    alpha = max(0, ceil(max(-b for b in base) / e))
-    entries = tuple(b + alpha * e for b in base)
-    if any(entry.denominator != 1 for entry in entries):
+    integral = not any(j * e % l for j in range(l))
+    if integral:
+        base = [charge[j] - j * e // l for j in range(l)]
+    else:
+        from fractions import Fraction  # only the error message needs it
+
+        base = [Fraction(charge[j]) - Fraction(j * e, l) for j in range(l)]
+    alpha = max(0, -(min(base) // e))
+    shifts = tuple(b + alpha * e for b in base)
+    if not integral:
         raise UnsupportedRegimeError(
             "non-integral shift vector %s: a-values are only implemented "
-            "for integral shifts" % (entries,)
+            "for integral shifts" % (shifts,)
         )
-    return tuple(map(int, entries)), alpha
+    return shifts, alpha
 
 
 def height(mc) -> int:

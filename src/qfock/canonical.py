@@ -279,9 +279,11 @@ class DecompositionMatrix:
     """Rows: all l-partitions of rank n, sorted by (a_rel, text form).
     Columns: the Uglov l-partitions, sorted the same way.  Entries are the
     canonical-basis coefficients; `entries` holds them at q = 1, `qentries`
-    keeps the polynomials, and `aval` is the a-value table at height n + 1."""
+    keeps the polynomials, `aval` is the a-value table at height n + 1, and
+    `text` maps each row label to its text form, which every renderer
+    reads."""
 
-    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval):
+    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval, text):
         self.e = e
         self.l = l
         self.charge = charge
@@ -292,12 +294,14 @@ class DecompositionMatrix:
         self.entries = {key: c.eval_one() for key, c in qentries.items()}
         self.checks = checks
         self.aval = aval
+        self.text = text
 
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,
         zero entries omitted; the canonical comparison form."""
+        text = self.text
         return sorted(
-            (mp_to_text(row), mp_to_text(col), v)
+            (text[row], text[col], v)
             for (row, col), v in self.entries.items()
             if v
         )
@@ -315,24 +319,25 @@ class DecompositionMatrix:
             for col in self.cols:
                 v = self.entries.get((row, col), 0)
                 cells.append(str(v) if v else ".")
-            lines.append("%s & %s \\\\" % (mp_to_text(row), " & ".join(cells)))
+            lines.append("%s & %s \\\\" % (self.text[row], " & ".join(cells)))
         lines.append(r"\end{array}")
         return "\n".join(lines)
 
     def to_json(self, keep_q=False) -> dict:
+        text = self.text
         body = {
             "e": self.e,
             "l": self.l,
             "charge": list(self.charge),
             "rank": self.n,
-            "rows": [mp_to_text(r) for r in self.rows],
-            "columns": [mp_to_text(c) for c in self.cols],
+            "rows": [text[r] for r in self.rows],
+            "columns": [text[c] for c in self.cols],
             "triples": [list(t) for t in self.triples()],
             "checks": self.checks,
         }
         if keep_q:
             body["q_triples"] = sorted(
-                [mp_to_text(r), mp_to_text(c), p.to_pairs()]
+                [text[r], text[c], p.to_pairs()]
                 for (r, c), p in self.qentries.items() if p
             )
         return body
@@ -350,11 +355,12 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     """
     aval = AValueTable(e, l, charge, n + 1)
     basis = FockBasis(e, l, charge)
+    text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}
 
     def order(mp):
-        return (aval[mp], mp_to_text(mp))
+        return (aval[mp], text[mp])
 
-    rows = sorted(multipartitions(l, n), key=order)
+    rows = sorted(text, key=order)
     cols = sorted(uglov_set(e, l, charge, n), key=order)
     qentries = {}
     foreign = []
@@ -374,7 +380,7 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
         "semisimple": is_split_semisimple(e, charge, n),
         "foreign_support": sorted(foreign),
     }
-    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, aval)
+    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, aval, text)
 
 
 def verify_unitriangular(matrix: DecompositionMatrix) -> dict:

@@ -16,8 +16,10 @@ and `straighten` run on it alone.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import lru_cache
+from json import JSONEncoder
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .abacus import degree, from_pair, monomial_from_text
 from .avalue import AValueTable, height
@@ -36,8 +38,81 @@ from .partitions import (
 from .wedge import WedgeEngine, vector_to_json
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _encoder(sep: str):
+    """The C encoder that joins a container's items with `sep`, sorts keys
+    and escapes to ASCII, as json.dumps does."""
+    return c_make_encoder(
+        None, JSONEncoder().default, encode_basestring_ascii, None, ": ", sep, True, False, True
+    )
+
+
+def _scalars(types) -> bool:
+    return not any(issubclass(t, _CONTAINERS) for t in types)
+
+
 def _jdump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+
+    CPython serves indent= with its pure-Python encoder, so containers go
+    through the C encoder instead: a container of scalars in one call whose
+    item separator carries the newline and indentation, and a list of
+    nonempty dicts of scalars, or of nonempty lists of scalars, in one call
+    at the inner indentation, with the breaks between the inner containers
+    written in afterwards (no escaped string holds a raw newline and no
+    scalar ends in a bracket, so "},\n<pad>{" and "],\n<pad>[" occur only
+    there).  Anything else recurses here; its dict keys must be strings."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list):
+    """Append the indent=2 text of obj to out; nl is a newline plus the
+    indentation of the line obj starts on."""
+    if isinstance(obj, dict):
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        out.append("".join(_encoder(",")(obj, 0)))
+        return
+    if not obj:
+        out.append(brackets)
+        return
+    inner = nl + "  "
+    types = set(map(type, values))
+    if _scalars(types):
+        text = "".join(_encoder("," + inner)(obj, 0))
+        out.append(text[0] + inner + text[1:-1] + nl + text[-1])
+        return
+    if brackets == "[]" and all(values) and (
+        all(issubclass(t, dict) for t in types)
+        and _scalars({type(x) for d in values for x in d.values()})
+        or all(issubclass(t, (list, tuple)) for t in types)
+        and _scalars({type(x) for v in values for x in v})
+    ):
+        deeper = inner + "  "
+        text = "".join(_encoder("," + deeper)(obj, 0))
+        start, end = text[1], text[-2]
+        text = text[2:-2].replace(end + "," + deeper + start, inner + end + "," + inner + start + deeper)
+        out.append("[" + inner + start + deeper + text + inner + end + nl + "]")
+        return
+    if brackets == "{}":
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+    else:
+        items = [("", v) for v in obj]
+    out.append(brackets[0])
+    sep = inner
+    for head, v in items:
+        out.append(sep + head)
+        _write(v, inner, out)
+        sep = "," + inner
+    out.append(nl + brackets[1])
 
 
 def _emit(text: str, args):
@@ -110,20 +185,19 @@ def cmd_avalue(args):
     if h is None:
         h = max((height(mp) for mp in labels), default=0) + 1
     vals = AValueTable(e, l, charge, h)
-    calibration = min(labels, key=lambda mp: (vals[mp], mp_to_text(mp)))
-    base = vals[calibration]
-    table = sorted(((vals[mp] - base, mp_to_text(mp)) for mp in labels))
+    table = sorted((vals[mp], mp_to_text(mp)) for mp in labels)
+    base, calibration = table[0]
     if args.format == "json":
         _emit(_jdump({
-            "calibration": mp_to_text(calibration),
+            "calibration": calibration,
             "height": h,
             "alpha": vals.alpha,
-            "values": [{"label": t, "a": v} for v, t in table],
+            "values": [{"label": t, "a": v - base} for v, t in table],
         }), args)
     else:
         lines = ["label,a_value"]
-        lines += ["%s,%d" % (t.replace(",", " "), v) for v, t in table]
-        lines.append("# calibration: %s -> 0 at height %d" % (mp_to_text(calibration), h))
+        lines += ["%s,%d" % (t.replace(",", " "), v - base) for v, t in table]
+        lines.append("# calibration: %s -> 0 at height %d" % (calibration, h))
         _emit("\n".join(lines) + "\n", args)
 
 

@@ -26,6 +26,7 @@ from .partitions import (
     i_signatures,
     mp_to_text,
     multipartitions,
+    signature_nodes,
 )
 
 
@@ -53,13 +54,21 @@ def good_node(mp, i, charge, e):
 
 def good_addable_nodes(mp, charge, e):
     """The nodes gamma such that mp -> mp+gamma is a crystal edge, one per
-    color at most, as (i, gamma) pairs."""
-    out = []
-    for i, sig in enumerate(i_signatures(mp, charge, e)):
-        gamma = _reduce(sig)[0]
-        if gamma is not None:
-            out.append((i, gamma))
-    return out
+    color at most, as (i, gamma) pairs in color order.  One pass reduces
+    every signature at once, holding per residue that occurs the number of
+    surviving removable nodes and the last uncancelled addable node, so the
+    cost does not grow with e."""
+    survivors = {}
+    good = {}
+    for cont, _c, node, addable in signature_nodes(mp, charge):
+        i = cont % e
+        if not addable:
+            survivors[i] = survivors.get(i, 0) + 1
+        elif survivors.get(i):
+            survivors[i] -= 1  # addable cancels nearest surviving removable above
+        else:
+            good[i] = node
+    return sorted(good.items())
 
 
 def uglov_layers(e: int, l: int, charge, n: int) -> list:
@@ -95,7 +104,8 @@ def flotw_predicate(mp, e: int, charge) -> bool:
     def part(comp, idx):  # 1-based, zero past the end
         return comp[idx - 1] if 1 <= idx <= len(comp) else 0
 
-    bound = max((len(comp) for comp in mp), default=0) + e + 1
+    # past the longest row both sides of every comparison read 0
+    bound = max((len(comp) for comp in mp), default=0) + 1
     for j in range(l - 1):
         for i in range(1, bound):
             if part(mp[j], i) < part(mp[j + 1], i + charge[j + 1] - charge[j]):

@@ -41,11 +41,10 @@ def empty_multipartition(l) -> tuple:
 
 # -- nodes and residues ------------------------------------------------------
 
-def i_signatures(mp, charge, e):
-    """For each residue i, the i-signature of mp: its addable and removable
-    i-nodes, most 'above' first (by content, ties to the larger component),
-    as (node, is_addable) pairs.  One walk over mp serves every residue; no
-    two of its nodes share a content and a component."""
+def signature_nodes(mp, charge) -> list:
+    """The addable and removable nodes of mp, most 'above' first (by
+    content, ties to the larger component), as (content, -component, node,
+    is_addable).  No two of them share a content and a component."""
     keyed = []
     for c, comp in enumerate(mp, start=1):
         s = charge[c - 1]
@@ -58,8 +57,15 @@ def i_signatures(mp, charge, e):
                 keyed.append((p - a + s, -c, (a, p, c), False))
         keyed.append((s - last, -c, (last + 1, 1, c), True))
     keyed.sort()
+    return keyed
+
+
+def i_signatures(mp, charge, e):
+    """For each residue i, the i-signature of mp: its addable and removable
+    i-nodes, most 'above' first, as (node, is_addable) pairs.  One walk over
+    mp serves every residue."""
     sigs = [[] for _ in range(e)]
-    for cont, _c, node, addable in keyed:
+    for cont, _c, node, addable in signature_nodes(mp, charge):
         sigs[cont % e].append((node, addable))
     return sigs
 

@@ -137,7 +137,8 @@ def test_verify_unitriangular_negative_control():
         (((1, 1), ()), ((1, 1), ())): LaurentPoly.one(),
     }
     aval = AValueTable(4, 2, (0, 1), 3)
-    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, qentries, {}, aval)
+    text = {r: mp_to_text(r) for r in rows}
+    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, qentries, {}, aval, text)
     report = verify_unitriangular(bad)
     assert not report["ok"]
     assert any("minimal-a rows" in v for v in report["violations"])
@@ -145,7 +146,7 @@ def test_verify_unitriangular_negative_control():
     # identity matrix passes
     ident = DecompositionMatrix(
         4, 2, (0, 1), 2, rows, rows,
-        {(r, r): LaurentPoly.one() for r in rows}, {}, aval,
+        {(r, r): LaurentPoly.one() for r in rows}, {}, aval, text,
     )
     assert verify_unitriangular(ident)["ok"]
 

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qfock import cli
 from qfock.canonical import decomposition_matrix
 from qfock.cli import main
 
@@ -244,3 +247,63 @@ def test_negative_rank_is_refused(capsys):
     for command in ("semisimple", "decomp"):
         code, out, err = run(capsys, command, "--e", "4", "--charge", "0,1", "--rank=-1")
         assert code == 2 and out == "" and err == "invalid input: rank must be >= 0\n"
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# strings that look like the JSON around them, or need escaping
+_TRICKY = st.text(alphabet='{}[],:" \\\nab\u00e9\u2603\U0001f600', max_size=12) | st.sampled_from(
+    ["},", "],", '"', "\n", "},\n    {", "},\n  {", "\u00e9t\u00e9", ""])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-10**60, max_value=10**60) | st.floats()
+            | st.text(max_size=8) | _TRICKY)
+_KEYS = st.text(max_size=6) | _TRICKY
+_FLAT_DICTS = st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=4)
+_FLAT_LISTS = st.lists(_SCALARS, min_size=1, max_size=4)
+_JSON = st.recursive(
+    _SCALARS | st.lists(_FLAT_DICTS, max_size=4) | st.lists(_FLAT_LISTS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_JSON)
+def test_jdump_matches_json_dumps(obj):
+    assert cli._jdump(obj) == _json_dumps(obj)
+
+
+def test_jdump_matches_json_dumps_on_edge_shapes():
+    for obj in ([], {}, [[]], [{}], [{}, {"a": 1}], [{"a": 1}, 3], [{"a": 1}, {"b": [1]}],
+                [[1], []], [[1], {"a": 1}], [[1, "],\n    ["], ("x", None)], [[[1]], [2]],
+                {"a": {"b": 1}, "c": []}, ([1], (2,)), [{"k": "},\n    {"}, {"k": "],"}],
+                {"x": {"y": [1, [2, {}]]}}, -10**40, "\u00e9", None, True, 1.5e300):
+        assert cli._jdump(obj) == _json_dumps(obj), obj
+
+
+def test_jdump_matches_json_dumps_on_every_command(capsys, monkeypatch):
+    payloads = []
+    real = cli._jdump
+    monkeypatch.setattr(cli, "_jdump", lambda obj: payloads.append(obj) or real(obj))
+    for argv in (
+        ["uglov-set", "--e=4", "--charge=0,1", "--rank=4", "--format=json"],
+        ["uglov-set", "--e=4", "--charge=0,1", "--rank=0", "--format=json"],
+        ["crystal", "--e=4", "--charge=0,5", "--rank=5", "--format=json"],
+        ["crystal", "--e=3", "--charge=0,1,2", "--rank=0", "--format=json"],
+        ["avalue", "--e=4", "--charge=4,1", "--rank=5", "--format=json"],
+        ["straighten", "--e=4", "--l=2", "--s=0", "--indices=1,3", "--format=json"],
+        ["straighten", "--e=4", "--l=2", "--s=0", "--indices=", "--format=json"],
+        ["bar", "--e=4", "--l=2", "--monomial=s=3; k=15,12,8", "--format=json"],
+        ["canonical", "--e=4", "--charge=0,1", "--mp=2,1|1"],
+        ["canonical", "--e=4", "--charge=0,1", "--mp=2,1|1", "--keep-q"],
+        ["decomp", "--e=4", "--charge=0,1", "--rank=4", "--format=json"],
+        ["decomp", "--e=3", "--charge=0,1,2", "--rank=3", "--format=json", "--keep-q"],
+        ["--json", "crystal", "--e=4", "--charge=0,1", "--rank=2", "--format=dot"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(payloads) == 13
+    for obj in payloads:
+        assert real(obj) == _json_dumps(obj)

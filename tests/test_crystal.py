@@ -1,9 +1,11 @@
 import random
+import time
 from itertools import product
 
 import pytest
 
 from qfock.crystal import (
+    _reduce,
     crystal_graph,
     crystal_to_dot,
     crystal_to_json,
@@ -17,6 +19,7 @@ from qfock.crystal import (
 from qfock.partitions import (
     add_node,
     addable_nodes,
+    i_signatures,
     multipartitions,
     rank,
     removable_nodes,
@@ -208,3 +211,38 @@ def test_one_pass_reduction_matches_oracles():
                     (mp, charge, e)
                 for i in range(e):
                     assert good_node(mp, i, charge, e) == oracle_good_node(mp, i, charge, e)
+
+
+def test_good_addable_nodes_matches_signature_route():
+    # the one-pass reduction equals reducing each of the e i-signatures, on
+    # every label of rank <= 7, at charges close together and far apart,
+    # and at an e far above the rank
+    for e in (2, 3, 4, 5, 9, 50):
+        charges = [(0,), (5 * e + 2,), (0, 1), (0, 1 + 7 * e), (-3 * e + 1, 2),
+                   (0, 1, 2), (0, 2 * e + 3, -4 * e - 1)]
+        for charge in charges:
+            l = len(charge)
+            for n in range(8):
+                for mp in multipartitions(l, n):
+                    route = [(i, _reduce(sig)[0])
+                             for i, sig in enumerate(i_signatures(mp, charge, e))
+                             if _reduce(sig)[0] is not None]
+                    assert good_addable_nodes(mp, charge, e) == route, (mp, charge, e)
+
+
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    value = fn(*args)
+    return value, time.perf_counter() - t0
+
+
+def test_uglov_set_and_flotw_do_not_grow_with_e():
+    # neither walks every residue: at e = 10**6 they take what they take at
+    # e = 10**3 (the rank-4 layer at (0, 1) is the same set at both)
+    small = uglov_set(10**3, 2, (0, 1), 4)
+    big, seconds = _timed(uglov_set, 10**6, 2, (0, 1), 4)
+    assert big == small and seconds < 0.05
+    for mp in multipartitions(2, 4):
+        member, seconds = _timed(flotw_predicate, mp, 10**6, (0, 1))
+        assert member == flotw_predicate(mp, 10**3, (0, 1)) == (mp in small)
+        assert seconds < 0.05
