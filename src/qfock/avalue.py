@@ -78,9 +78,9 @@ def _min_ramp(x: int, m: int) -> int:
 
 def a_rel(mc, table: AValueTable) -> int:
     """The two explicit sums of the a-value of mc at the table's height,
-    read through the table's shift vector and its memo of S2 terms.
-    Differences between equal-rank labels at a common height equal
-    differences of true a-values.
+    read through the table's memo of per-component pieces.  Differences
+    between equal-rank labels at a common height equal differences of true
+    a-values.
 
     S1 sums min over every unordered pair of symbol positions; for the
     strictly decreasing components of partitions this is the pairs of
@@ -88,20 +88,22 @@ def a_rel(mc, table: AValueTable) -> int:
     under which the node-addition preorder property survives the tied
     entries of compositions.  With all entries sorted descending,
     v_1 >= v_2 >= ..., the k-th is the min of each pair it forms with the
-    k - 1 before it, ties included, so S1 = sum_k (k - 1) v_k.
+    k - 1 before it, ties included, so S1 = sum_k (k - 1) v_k.  S2 is a sum
+    over entries, so each component brings its own share.
     """
-    h = table.h
-    if h < height(mc):
-        raise ValueError("height %d is below the height of %r" % (h, mc))
     entries = []
-    for comp, t in zip(mc, table.shifts):
-        entries += _entries(comp, t, h)
+    s2 = 0
+    pieces = table.pieces
+    for key in enumerate(mc):
+        piece = pieces.get(key)
+        if piece is None:
+            if table.h < len(key[1]):
+                raise ValueError("height %d is below the height of %r" % (table.h, mc))
+            piece = pieces[key] = table.piece(*key)
+        entries += piece[0]
+        s2 += piece[1]
     entries.sort(reverse=True)
-    ramp = table.ramp
-    for x in entries:
-        if x not in ramp:
-            ramp[x] = sum(_min_ramp(x, t) for t in table.shifts)
-    return sum(map(mul, count(), entries)) - sum(map(ramp.__getitem__, entries))
+    return sum(map(mul, count(), entries)) - s2
 
 
 class AValueTable(dict):
@@ -111,8 +113,9 @@ class AValueTable(dict):
     differences of true a-values, so one table at h = n + 1 orders every
     family of equal-rank labels of rank at most n.  The table holds the
     shift vector `shifts` and its `alpha` (see m_vector), the height `h`,
-    and `ramp[x]`, the memoized S2 term sum_j sum_{k=1..x} min(k, m^(j)) of
-    an entry x.
+    `ramp[x]`, the memoized S2 term sum_j sum_{k=1..x} min(k, m^(j)) of an
+    entry x, and `pieces[(slot, comp)]`, the memoized symbol entries and S2
+    share of the component comp at the 0-based slot.
     """
 
     def __init__(self, e: int, l: int, charge, h: int):
@@ -120,10 +123,21 @@ class AValueTable(dict):
         self.shifts, self.alpha = m_vector(e, l, charge)
         self.h = h
         self.ramp = {}
+        self.pieces = {}
 
     def __missing__(self, mc):
         value = self[mc] = a_rel(mc, self)
         return value
+
+    def piece(self, slot: int, comp) -> tuple:
+        """(entries, share): comp's symbol entries at slot, as a tuple, and
+        the sum of their S2 terms; needs h >= len(comp)."""
+        entries = tuple(_entries(comp, self.shifts[slot], self.h))
+        ramp = self.ramp
+        for x in entries:
+            if x not in ramp:
+                ramp[x] = sum(_min_ramp(x, t) for t in self.shifts)
+        return entries, sum(map(ramp.__getitem__, entries))
 
 
 def precedes(mu, nu, e: int, l: int, charge) -> bool:

@@ -46,12 +46,12 @@ from .fock import apply_f
 from .laurent import LaurentPoly, _acc
 from .partitions import (
     empty_multipartition,
-    i_signatures,
     is_split_semisimple,
     mp_to_text,
     multipartitions,
     rank,
     remove_node,
+    signature_nodes,
 )
 from .wedge import WedgeEngine
 
@@ -176,9 +176,14 @@ class FockBasis:
         and the largest such k; None when mp has no good node, i.e. is a
         highest-weight vertex of its crystal component.  e~_i^k removes
         every normal i-node of mp: removing the good one turns it into an
-        uncancelled addable node and leaves the others normal."""
-        for i, sig in enumerate(i_signatures(mp, self.charge, self.e)):
-            normal = _reduce(sig)[1]
+        uncancelled addable node and leaves the others normal.  Only the
+        residues that occur among mp's nodes are tried, so the cost does
+        not grow with e."""
+        sigs = {}
+        for cont, _c, node, addable in signature_nodes(mp, self.charge):
+            sigs.setdefault(cont % self.e, []).append((node, addable))
+        for i in sorted(sigs):
+            normal = _reduce(sigs[i])[1]
             if normal:
                 for gamma in normal:
                     mp = remove_node(mp, gamma)

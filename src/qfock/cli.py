@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
+from itertools import islice
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import add
 
 from .abacus import degree, from_pair, monomial_from_text
-from .avalue import AValueTable, height
+from .avalue import AValueTable
 from .canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predicate, uglov_set
 from .errors import InvariantError, UnsupportedRegimeError
@@ -55,16 +57,13 @@ def _scalars(types) -> bool:
 
 
 def _jdump(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte; dict
+    keys must be strings.
 
-    CPython serves indent= with its pure-Python encoder, so containers go
-    through the C encoder instead: a container of scalars in one call whose
-    item separator carries the newline and indentation, and a list of
-    nonempty dicts of scalars, or of nonempty lists of scalars, in one call
-    at the inner indentation, with the breaks between the inner containers
-    written in afterwards (no escaped string holds a raw newline and no
-    scalar ends in a bracket, so "},\n<pad>{" and "],\n<pad>[" occur only
-    there).  Anything else recurses here; its dict keys must be strings."""
+    CPython serves indent= with its pure-Python encoder, so the C encoder
+    does the work here, a whole batch of values per call where the shape
+    allows (see _batch and _texts): a list of q-triples
+    [row, col, [[exp, coef], ...]] takes three calls, not one per scalar."""
     out = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -74,45 +73,90 @@ def _jdump(obj) -> str:
 def _write(obj, nl: str, out: list):
     """Append the indent=2 text of obj to out; nl is a newline plus the
     indentation of the line obj starts on."""
-    if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, brackets = obj, "[]"
-    else:
-        out.append("".join(_encoder(",")(obj, 0)))
-        return
-    if not obj:
-        out.append(brackets)
-        return
     inner = nl + "  "
-    types = set(map(type, values))
-    if _scalars(types):
-        text = "".join(_encoder("," + inner)(obj, 0))
-        out.append(text[0] + inner + text[1:-1] + nl + text[-1])
-        return
-    if brackets == "[]" and all(values) and (
-        all(issubclass(t, dict) for t in types)
-        and _scalars({type(x) for d in values for x in d.values()})
-        or all(issubclass(t, (list, tuple)) for t in types)
-        and _scalars({type(x) for v in values for x in v})
-    ):
-        deeper = inner + "  "
-        text = "".join(_encoder("," + deeper)(obj, 0))
-        start, end = text[1], text[-2]
-        text = text[2:-2].replace(end + "," + deeper + start, inner + end + "," + inner + start + deeper)
-        out.append("[" + inner + start + deeper + text + inner + end + nl + "]")
-        return
-    if brackets == "{}":
-        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+    if not obj and isinstance(obj, _CONTAINERS):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, (list, tuple)):
+        text = _batch(obj, inner, "," + inner)
+        if text is None:
+            text = ("," + inner).join(_texts(obj, inner))
+        out += ("[", inner, text, nl, "]")
     else:
-        items = [("", v) for v in obj]
-    out.append(brackets[0])
-    sep = inner
-    for head, v in items:
-        out.append(sep + head)
-        _write(v, inner, out)
-        sep = "," + inner
-    out.append(nl + brackets[1])
+        text = _batch([obj], nl, "")
+        if text is not None:
+            out.append(text)
+            return
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+
+
+def _batch(objs, nl: str, mark: str):
+    """The indent=2 texts of objs joined by mark, from one call of the C
+    encoder, or None when their shape needs more than one.  Each text is
+    laid out as if it started on a line whose break and indentation are nl.
+
+    One call serves scalars, joined by mark itself, and nonempty lists, or
+    nonempty dicts, of scalars: joined by a separator that carries the inner
+    newline and indentation, with the breaks between them written in by one
+    str.replace (no scalar ends in a bracket, so "}," + sep + "{" and
+    "]," + sep + "[" occur only there)."""
+    types = set(map(type, objs))
+    if _scalars(types):
+        return "".join(_encoder(mark)(objs, 0))[1:-1]
+    lists = all(issubclass(t, (list, tuple)) for t in types)
+    if not (lists or all(issubclass(t, dict) for t in types)) or not all(objs):
+        return None
+    items = iter if lists else dict.values
+    if not _scalars(set(map(type, items(objs[0])))) or len(objs) > 1 and not _scalars(
+        {type(x) for o in objs for x in items(o)}
+    ):
+        return None
+    inner = nl + "  "
+    sep = "," + inner
+    text = "".join(_encoder(sep)(objs, 0))[1:-1]
+    start, end = text[0], text[-1]
+    text = text[1:-1].replace(end + sep + start, nl + end + mark + start + inner)
+    return start + inner + text + nl + end
+
+
+def _texts(objs, nl: str) -> list:
+    """The indent=2 texts of objs, laid out as in _batch.  A batch that
+    _batch takes is split apart at a NUL, which no encoded text holds.
+    Other lists go a column at a time when they have one length, and as
+    the run of all their items otherwise; dicts of one key set go a key at
+    a time; anything else one object at a time."""
+    if not objs:
+        return []
+    text = _batch(objs, nl, "\0")
+    if text is not None:
+        return text.split("\0")
+    types = set(map(type, objs))
+    inner = nl + "  "
+    sep = "," + inner
+    if all(issubclass(t, (list, tuple)) for t in types):
+        if len(objs) > 1 and len(set(map(len, objs))) == 1 and objs[0]:
+            rows = zip(*[_texts(col, inner) for col in zip(*objs)])
+        else:
+            run = iter(_texts([x for o in objs for x in o], inner))
+            rows = (islice(run, len(o)) for o in objs)
+        return ["[" + inner + sep.join(r) + nl + "]" if o else "[]" for o, r in zip(objs, rows)]
+    if all(issubclass(t, dict) for t in types):
+        keys = objs[0].keys()
+        if keys and all(d.keys() == keys for d in objs):
+            keys = sorted(keys)
+            heads = [encode_basestring_ascii(k) + ": " for k in keys]
+            cols = [_texts([d[k] for d in objs], inner) for k in keys]
+            return ["{" + inner + sep.join(map(add, heads, r)) + nl + "}" for r in zip(*cols)]
+    texts = []
+    for o in objs:
+        out = []
+        _write(o, nl, out)
+        texts.append("".join(out))
+    return texts
 
 
 def _emit(text: str, args):
@@ -183,7 +227,7 @@ def cmd_avalue(args):
     labels = multipartitions(l, args.rank)
     h = args.height
     if h is None:
-        h = max((height(mp) for mp in labels), default=0) + 1
+        h = args.rank + 1  # (1^n) in one component is the tallest label
     vals = AValueTable(e, l, charge, h)
     table = sorted((vals[mp], mp_to_text(mp)) for mp in labels)
     base, calibration = table[0]

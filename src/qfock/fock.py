@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .laurent import LaurentPoly, _acc
-from .partitions import add_node, i_signatures, mp_to_text
+from .partitions import add_node, mp_to_text, signature_nodes
 
 
 def apply_f(i, vec, e, k=1) -> dict:
@@ -23,14 +23,16 @@ def apply_f(i, vec, e, k=1) -> dict:
     Adding an i-node changes no other i-node's addability or removability
     (its neighbours have residues i +- 1), so N^b_i, the addable minus the
     removable i-nodes of mp below gamma, is counted off the i-signature of
-    mp, read once per term from the top down.  Added one at a time, a node
+    mp, read once per term from the top down and kept to the i-nodes alone,
+    so the cost does not grow with e.  Added one at a time, a node
     of S sees N^b_i two lower for each node of S below it already added;
     summed over the k! orders of S that gives q^(-k(k-1)/2) [k]!, so no
     division is needed."""
     out = {}
     shift = k * (k - 1) // 2
     for (mp, charge), c in vec.items():
-        sig = i_signatures(mp, charge, e)[i]
+        sig = [(node, addable) for cont, _c, node, addable in signature_nodes(mp, charge)
+               if cont % e == i]
         below = sum(1 if addable else -1 for _g, addable in sig)  # N_i of mp
         nodes = []
         for gamma, addable in sig:

@@ -44,20 +44,31 @@ def empty_multipartition(l) -> tuple:
 def signature_nodes(mp, charge) -> list:
     """The addable and removable nodes of mp, most 'above' first (by
     content, ties to the larger component), as (content, -component, node,
-    is_addable).  No two of them share a content and a component."""
+    is_addable).  No two of them share a content and a component.  Each
+    component's run comes presorted from a memo, so the sort merges l
+    runs."""
     keyed = []
     for c, comp in enumerate(mp, start=1):
-        s = charge[c - 1]
-        last = len(comp)
-        for a, p in enumerate(comp, start=1):
-            # row a can grow iff it stays weakly below row a-1
-            if a == 1 or p < comp[a - 2]:
-                keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
-            if a == last or comp[a] < p:
-                keyed.append((p - a + s, -c, (a, p, c), False))
-        keyed.append((s - last, -c, (last + 1, 1, c), True))
+        keyed += _component_nodes(c, charge[c - 1], comp)
     keyed.sort()
     return keyed
+
+
+@lru_cache(maxsize=None)
+def _component_nodes(c: int, s: int, comp) -> tuple:
+    """signature_nodes of the partition comp alone, at component c with
+    charge entry s, sorted."""
+    keyed = []
+    last = len(comp)
+    for a, p in enumerate(comp, start=1):
+        # row a can grow iff it stays weakly below row a-1
+        if a == 1 or p < comp[a - 2]:
+            keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
+        if a == last or comp[a] < p:
+            keyed.append((p - a + s, -c, (a, p, c), False))
+    keyed.append((s - last, -c, (last + 1, 1, c), True))
+    keyed.sort()
+    return tuple(keyed)
 
 
 def i_signatures(mp, charge, e):
@@ -182,7 +193,12 @@ def is_split_semisimple(e: int, charge, n: int) -> bool:
 
 def mp_to_text(mp) -> str:
     """`6,1|2,2|4,1` with `-` for an empty component."""
-    return "|".join(",".join(str(p) for p in comp) if comp else "-" for comp in mp)
+    return "|".join(map(_part_text, mp))
+
+
+@lru_cache(maxsize=None)
+def _part_text(comp) -> str:
+    return ",".join(map(str, comp)) if comp else "-"
 
 
 def mp_from_text(text: str) -> tuple:

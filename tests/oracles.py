@@ -4,7 +4,11 @@ Nothing in `src/` calls these; they are kept deliberately simple so that a
 fault in the optimized code cannot hide in them as well.
 """
 
+from itertools import count
+from operator import mul
+
 from qfock.abacus import WedgeMonomial
+from qfock.avalue import _entries, _min_ramp, height
 from qfock.crystal import _reduce
 from qfock.fock import apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
@@ -173,3 +177,39 @@ def divided_power_by_division(i, vec, e, k) -> dict:
         assert quot is not None, "%s on %s is not divisible by [%d]!" % (c, key, k)
         out[key] = quot
     return out
+
+
+def signature_nodes_per_label(mp, charge) -> list:
+    """partitions.signature_nodes walking every row of mp on each call."""
+    keyed = []
+    for c, comp in enumerate(mp, start=1):
+        s = charge[c - 1]
+        last = len(comp)
+        for a, p in enumerate(comp, start=1):
+            # row a can grow iff it stays weakly below row a-1
+            if a == 1 or p < comp[a - 2]:
+                keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
+            if a == last or comp[a] < p:
+                keyed.append((p - a + s, -c, (a, p, c), False))
+        keyed.append((s - last, -c, (last + 1, 1, c), True))
+    keyed.sort()
+    return keyed
+
+
+def mp_to_text_per_label(mp) -> str:
+    """partitions.mp_to_text formatting every part on each call."""
+    return "|".join(",".join(str(p) for p in comp) if comp else "-" for comp in mp)
+
+
+def a_rel_per_label(mc, table) -> int:
+    """avalue.a_rel building every symbol entry of mc and its S2 term on
+    each call; reads only the table's h and shifts."""
+    h = table.h
+    if h < height(mc):
+        raise ValueError("height %d is below the height of %r" % (h, mc))
+    entries = []
+    for comp, t in zip(mc, table.shifts):
+        entries += _entries(comp, t, h)
+    entries.sort(reverse=True)
+    s2 = sum(_min_ramp(x, t) for x in entries for t in table.shifts)
+    return sum(map(mul, count(), entries)) - s2

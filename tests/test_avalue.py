@@ -15,7 +15,7 @@ from qfock.avalue import (
 from qfock.errors import UnsupportedRegimeError
 from qfock.partitions import multipartitions
 
-from oracles import add_nodes_to_part
+from oracles import a_rel_per_label, add_nodes_to_part
 from paper_data import A_VALUES
 
 
@@ -155,6 +155,27 @@ def test_table_memo_matches_fresh_a_rel():
             assert aval[mc] == a_rel(mc, AValueTable(4, 2, charge, 7))
 
 
+def test_memoized_a_rel_matches_per_label_oracle():
+    # every label of rank <= 7 and compositions with zero parts, through one
+    # shared table (warm memo) and a fresh table per label (cold memo); the
+    # (e, l) pairs are those with e <= 5 and integral shift vectors
+    rng = random.Random(41)
+    for e, l in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (4, 2), (3, 3)):
+        charges = {(0,) * l, (e + 1,) * l, tuple(range(l)),
+                   tuple((-1) ** j * (7 * j * e + j) for j in range(l))}
+        labels = [mp for n in range(8) for mp in multipartitions(l, n)]
+        labels += [tuple(tuple(rng.randint(0, 3) for _ in range(rng.randint(0, 4)))
+                         for _ in range(l)) for _ in range(200)]
+        for charge in charges:
+            h = 8
+            shared = AValueTable(e, l, charge, h)
+            for mc in labels:
+                want = a_rel_per_label(mc, shared)
+                assert a_rel(mc, shared) == want, (mc, charge)
+                assert shared[mc] == want
+                assert a_rel(mc, AValueTable(e, l, charge, h)) == want
+
+
 def test_height_shift_property():
     # h -> a_rel(mp, h) - a_rel(mu, h) is constant in h at fixed rank/charge
     rng = random.Random(23)
@@ -224,3 +245,6 @@ def test_a_rel_height_guard():
     with pytest.raises(ValueError, match="height 1 is below"):
         table[((2, 1), ())]
     assert table[((2,), ())] == a_rel(((2,), ()), table)
+    # a component already in the memo does not let a taller one through
+    with pytest.raises(ValueError, match=re.escape("height 1 is below the height of ((2,), (1, 1))")):
+        a_rel(((2,), (1, 1)), table)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from qfock import cli
 from qfock.canonical import decomposition_matrix
 from qfock.cli import main
+from qfock.partitions import multipartitions
 
 
 def run(capsys, *argv):
@@ -275,11 +277,26 @@ def test_jdump_matches_json_dumps(obj):
     assert cli._jdump(obj) == _json_dumps(obj)
 
 
+# decomp --keep-q's q-triples [row, col, [[exp, coef], ...]], with empty and
+# ragged pair lists, alone and inside a payload
+_PAIRS = st.lists(st.lists(_SCALARS, max_size=3), max_size=3)
+_Q_TRIPLES = st.lists(st.tuples(_SCALARS, _SCALARS, _PAIRS).map(list), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_Q_TRIPLES | st.dictionaries(_KEYS, _Q_TRIPLES, max_size=3))
+def test_jdump_matches_json_dumps_on_q_triples(obj):
+    assert cli._jdump(obj) == _json_dumps(obj)
+
+
 def test_jdump_matches_json_dumps_on_edge_shapes():
     for obj in ([], {}, [[]], [{}], [{}, {"a": 1}], [{"a": 1}, 3], [{"a": 1}, {"b": [1]}],
                 [[1], []], [[1], {"a": 1}], [[1, "],\n    ["], ("x", None)], [[[1]], [2]],
                 {"a": {"b": 1}, "c": []}, ([1], (2,)), [{"k": "},\n    {"}, {"k": "],"}],
-                {"x": {"y": [1, [2, {}]]}}, -10**40, "\u00e9", None, True, 1.5e300):
+                {"x": {"y": [1, [2, {}]]}}, -10**40, "\u00e9", None, True, 1.5e300,
+                [[[], []]], [[[], 1], [[], 2]], [["a", []], ["b", [[1, 2]]]], [[1, [2]], [3, 4]],
+                [{"a": [1], "b": 2}, {"a": [], "b": 3}], [{"a": [1]}, {"b": [1]}],
+                [{"a": {}}, {"a": {"b": [1]}}], [[], [1], [[2]]], ["\u0000", ["\u0000"]]):
         assert cli._jdump(obj) == _json_dumps(obj), obj
 
 
@@ -307,3 +324,30 @@ def test_jdump_matches_json_dumps_on_every_command(capsys, monkeypatch):
     assert len(payloads) == 13
     for obj in payloads:
         assert real(obj) == _json_dumps(obj)
+
+
+def test_avalue_default_height_is_rank_plus_one(capsys):
+    # the tallest rank-n label is (1^n) in one component
+    for e, charge in ((4, "0,1"), (3, "0,1,2")):
+        l = len(charge.split(","))
+        for n in range(7):
+            tallest = max((len(comp) for mp in multipartitions(l, n) for comp in mp), default=0)
+            assert tallest == n
+            for fmt in ("csv", "json"):
+                argv = ["avalue", "--e=%d" % e, "--charge=" + charge, "--rank=%d" % n,
+                        "--format=" + fmt]
+                default = run(capsys, *argv)
+                assert default[0] == 0
+                assert run(capsys, *argv, "--height=%d" % (n + 1)) == default
+
+
+def test_peel_and_apply_f_do_not_grow_with_e(capsys):
+    # decomp at rank 4 peels and applies f_i on every label; canonical peels
+    # its label down to the vacuum
+    for argv in (["decomp", "--charge=0,1", "--rank=4"],
+                 ["canonical", "--charge=0,1", "--mp=2,1|1", "--max-degree=100000000"]):
+        small = run(capsys, *argv, "--e=1000")
+        assert small[0] == 0
+        start = time.perf_counter()
+        assert run(capsys, *argv, "--e=1000000") == small, argv
+        assert time.perf_counter() - start < 0.5, argv
