@@ -37,7 +37,7 @@ from .partitions import (
     multipartitions,
     rank,
 )
-from .wedge import WedgeEngine, vector_to_json
+from .wedge import WedgeEngine, vector_to_json, word_length
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -250,6 +250,13 @@ def cmd_straighten(args):
     l = args.l
     engine = WedgeEngine(e, l)
     indices = [int(k) for k in args.indices.split(",")] if args.indices else []
+    # the work grows with the extended word, tail beads included
+    n = word_length(indices, args.s)
+    if n > args.max_degree:
+        raise ValueError(
+            "the word to straighten has %d factors (tail beads included), exceeding "
+            "--max-degree %d; raise the cap to proceed" % (n, args.max_degree)
+        )
     vec = engine.straighten(indices, args.s)
     if args.format == "json":
         _emit(_jdump(vector_to_json(vec)), args)
@@ -374,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--s", type=int, required=True, help="total charge of the ambient space")
     p.add_argument("--indices", required=True, help="comma-separated integers")
+    p.add_argument("--max-degree", type=int, default=64,
+                   help="cap on the length of the word, tail beads included")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_straighten)
 

@@ -23,12 +23,18 @@ be straightened against a frozen arithmetic tail: nothing can collide with a
 tail bead that the prefix did not already touch.
 
 The engine reads the word left to right, appending one factor at a time to
-an already ordered combination.  Appending u_j to an ordered prefix A + B,
-where A is the leading run of entries above j, never touches A: every index
-the straightening emits lies in [min(B), j].  So the memo is keyed on
-(appended index, B) alone and A is re-attached to each result, which lets
-prefixes that differ only above j share one entry.  Caching never changes
-results; a fresh engine recomputes everything from scratch.
+an already ordered combination, held as an int bit mask: bit i stands for
+index origin + i, with origin a multiple of e.  Appending u_j to an ordered
+prefix A + B, where A is the run of entries above j, never touches A: every
+index the straightening emits lies in [min(B), j].  Shifting every index by
+e keeps each bead letter a and shifts each runner b by one amount mod l, so
+the rules, and the whole straightening of B ^ u_j, translate with it.  So
+the memo is keyed on the appended index and B, both moved down by the
+multiple of e that brings min(B) below e, and A is re-attached and the shift
+undone on each result: prefixes that differ only above j, or only by a
+translate by e, share one entry.  Masks become index tuples once, on the
+way out.  Caching never changes results; a fresh engine recomputes
+everything from scratch.
 """
 
 from __future__ import annotations
@@ -52,6 +58,17 @@ def _even_string(m):
     """(q - q^{-1}) * (q^{2m} - q^{-2m}) / (q + q^{-1}) as a polynomial."""
     body = LaurentPoly({2 * m - 1 - 2 * j: (-1) ** j for j in range(2 * m)})
     return _Q_MINUS_QINV * body
+
+
+def _mask(mono, origin):
+    """Bit mask of distinct indices: bit i stands for index origin + i."""
+    return sum(1 << (k - origin) for k in mono)
+
+
+def _indices(mask, origin):
+    """The strictly decreasing index tuple of a bit mask read from origin."""
+    top = origin + mask.bit_length() - 1
+    return tuple(top - i for i, bit in enumerate(bin(mask)[2:]) if bit == "1")
 
 
 class WedgeEngine:
@@ -156,49 +173,63 @@ class WedgeEngine:
     def insert(self, j: int, mono: tuple):
         """(ordered monomial) ^ u_j as {ordered tuple: coefficient}.
 
-        Split mono into A, its leading run of entries above j, and B.  Every
-        index a pair straightening emits lies in [mono[-1], j], below every
-        entry of A, so each placement stops before reaching A:
-        insert(j, A + B) == {A + m: c for m, c in insert(j, B).items()}.
-        The memo is keyed on (j, B) only, A is re-attached on the way out,
+        A tuple front end to the mask recursion `_insert`, read from the
+        largest multiple of e at or below every index involved.
+        """
+        low = min((j, *mono))
+        origin = low - low % self.e
+        out = self._insert(j - origin, _mask(mono, origin))
+        return {_indices(m, origin): c for m, c in out.items()}
+
+    def _insert(self, j: int, mono: int):
+        """mono ^ u_j for an ordered monomial held as a bit mask (bit i is
+        index origin + i, origin a multiple of e; j >= 0 in the same frame),
+        as {mask: coefficient}.
+
+        Split mono into A, its entries above j, and B.  Every index a pair
+        straightening emits lies in [min(B), j], below every entry of A, so
+        A is re-attached to every result of B ^ u_j.  Shifting the indices
+        of a pair by e keeps alpha, beta and the string coefficients, so
+        B ^ u_j translates by any multiple of e: the memo is keyed on
+        (j - d, B >> d), with d = min(B) rounded down to a multiple of e,
         and each miss burns one unit of fuel.  Within a miss the products
         for one straightened pair are summed before the pair coefficient
         multiplies them, once per result monomial.
         """
-        if not mono or j < mono[-1]:
-            return {mono + (j,): ONE}
-        if j == mono[-1]:
+        tail = mono & ((2 << j) - 1)
+        if not tail:
+            return {mono | 1 << j: ONE}
+        low = (tail & -tail).bit_length() - 1
+        if low == j:
             return {}
-        # split off the leading run above j; mono[-1] < j ends the scan
-        lo = 0
-        while mono[lo] > j:
-            lo += 1
-        tail = mono[lo:]
-        key = (j, tail)
+        d = low - low % self.e
+        key = (j - d, tail >> d)
         out = self._insert_cache.get(key)
         if out is None:
             self._burn()
             out = {}
-            init = tail[:-1]
-            for (x, y), c in self.straighten_pair(tail[-1], j):
+            k = low - d
+            init = key[1] ^ 1 << k
+            for (x, y), c in self.straighten_pair(k, key[0]):
                 # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
                 # placements are emitted here instead of through a call
-                if not init or x < init[-1]:
-                    _acc(out, init + (x, y), c)
+                if not init & ((2 << x) - 1):
+                    _acc(out, init | 1 << x | 1 << y, c)
                     continue
+                below_y = (2 << y) - 1
                 part = {}
-                for m2, c2 in self.insert(x, init).items():
-                    if y < m2[-1]:
-                        _acc(part, m2 + (y,), c2)
+                for m2, c2 in self._insert(x, init).items():
+                    if not m2 & below_y:
+                        _acc(part, m2 | 1 << y, c2)
                     else:
-                        for m3, c3 in self.insert(y, m2).items():
-                            _acc(part, m3, c2 * c3)
+                        for m3, c3 in self._insert(y, m2).items():
+                            _acc(part, m3, c2 if c3 is ONE else c3 if c2 is ONE else c2 * c3)
                 for m, p in part.items():
-                    _acc(out, m, c * p)
+                    _acc(out, m, p if c is ONE else c if p is ONE else c * p)
             self._insert_cache[key] = out
-        if lo:
-            head = mono[:lo]
-            return {head + m: c for m, c in out.items()}
+        head = mono ^ tail
+        if d or head:
+            return {m << d | head: c for m, c in out.items()}
         return out
 
     def straighten_indices(self, indices):
@@ -207,14 +238,18 @@ class WedgeEngine:
         Returns {strictly decreasing tuple: coefficient}; monomials that
         develop a repeated index vanish along the way.
         """
-        vec = {(): ONE}
-        for j in indices:
+        word = tuple(indices)
+        low = min(word, default=0)
+        origin = low - low % self.e
+        vec = {0: ONE}
+        for j in word:
+            j -= origin
             nxt = {}
             for mono, c in vec.items():
-                for m2, c2 in self.insert(j, mono).items():
-                    _acc(nxt, m2, c * c2)
+                for m2, c2 in self._insert(j, mono).items():
+                    _acc(nxt, m2, c2 if c is ONE else c if c2 is ONE else c * c2)
             vec = nxt
-        return vec
+        return {_indices(m, origin): c for m, c in vec.items()}
 
     # -- semi-infinite wrappers ----------------------------------------------
 
@@ -229,12 +264,8 @@ class WedgeEngine:
         full.  Returns {WedgeMonomial: coefficient}.
         """
         indices = tuple(indices)
-        r = len(indices)
-        if indices and min(indices) <= s - r:
-            r_ext = s + 2 - min(indices)  # tail included down to min - 1
-            word = indices + tuple(s - i + 1 for i in range(r + 1, r_ext + 1))
-        else:
-            word = indices
+        tail = range(len(indices) + 1, word_length(indices, s) + 1)
+        word = indices + tuple(s - i + 1 for i in tail)
         out = {}
         for mono, c in self.straighten_indices(word).items():
             _acc(out, wedge_monomial(mono, s), c)
@@ -296,6 +327,16 @@ class WedgeEngine:
 
 
 # -- small helpers shared by tests and the CLI ---------------------------------
+
+def word_length(indices, s: int) -> int:
+    """Length of the word `WedgeEngine.straighten` straightens: the indices,
+    followed, when their minimum reaches the charge-s tail, by the tail
+    beads down to one below that minimum."""
+    r = len(indices)
+    if indices and min(indices) <= s - r:
+        return s + 2 - min(indices)  # tail included down to min - 1
+    return r
+
 
 def vector_to_json(vec):
     """WedgeVector as a list of {monomial, coefficient} records, sorted."""

@@ -102,6 +102,32 @@ def test_bar_reversal_length_guard(capsys):
     assert code == 0 and "[s=0; k=1]" in out
 
 
+def test_straighten_word_length_guard(capsys):
+    # (1, -3) at s=0 reaches the tail, so the word takes the tail beads down
+    # to -4: five factors
+    argv = ("straighten", "--e", "2", "--l", "1", "--s", "0", "--indices", "1,-3")
+    outs = []
+    for cap in ("5", "6"):
+        code, out, err = run(capsys, *argv, "--max-degree", cap)
+        assert code == 0 and out and err == "", cap
+        outs.append(out)
+    assert outs[0] == outs[1]
+    code, out, err = run(capsys, *argv, "--max-degree", "4")
+    assert code == 2 and out == "" and "has 5 factors" in err and "--max-degree 4" in err
+    # the default cap of 64 refuses (80, -80), an 82-factor word, before any work
+    code, out, err = run(capsys, "straighten", "--e", "4", "--l", "2", "--s", "0",
+                         "--indices", "80,-80")
+    assert code == 2 and out == "" and "has 82 factors" in err and "--max-degree 64" in err
+    # the length is counted, not built: a huge charge costs nothing to refuse
+    code, out, err = run(capsys, "straighten", "--e", "4", "--l", "2", "--s", "10000000000000",
+                         "--indices", "0")
+    assert code == 2 and out == "" and "has 10000000000002 factors" in err
+    # a word that stays above the tail counts its own factors alone
+    code, _, err = run(capsys, "straighten", "--e", "2", "--l", "1", "--s", "0",
+                       "--indices", "9,7,5,3,1", "--max-degree", "4")
+    assert code == 2 and "has 5 factors" in err
+
+
 def test_malformed_monomials_are_invalid_input(capsys):
     for text in ("s 1; k=9,4", "s=1; k 9,4", "s=1", "s=1; k=9; k=4", "s=1=2; k=9"):
         code, out, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", text)

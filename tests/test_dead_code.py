@@ -22,6 +22,7 @@ TEST_ONLY = {
     "addable_nodes": WRAPPED,
     "removable_nodes": WRAPPED,
     "bar_vector": WRAPPED,
+    "insert": WRAPPED,
     "good_node": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
     "render_abacus": "the README documents the ASCII abacus renderer",

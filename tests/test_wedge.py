@@ -10,7 +10,7 @@ from qfock.abacus import (
     wedge_monomial,
 )
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.wedge import WedgeEngine, vector_to_json
+from qfock.wedge import WedgeEngine, _indices, _mask, vector_to_json
 
 from oracles import index_sum, straighten_naive
 
@@ -154,20 +154,77 @@ def test_insert_ignores_the_leading_run_above_the_new_factor():
 
 
 def test_insert_memo_keys_hold_no_entry_above_the_new_factor():
+    # a key (j, B) is a bit mask B translated by a multiple of e: no bit of B
+    # lies above j, and its lowest bit is below e
     for (e, l, text) in [(4, 2, "s=-16; k=8"), (3, 3, "s=2; k=12,7,2"), (2, 2, "s=1; k=7,6,5")]:
         eng = WedgeEngine(e, l)
         eng.bar(monomial_from_text(text))
         assert eng._insert_cache
-        assert all(mono[0] <= j for j, mono in eng._insert_cache), (e, l, text)
+        for j, tail in eng._insert_cache:
+            assert tail >> (j + 1) == 0, (e, l, text, j, tail)
+            assert 0 < tail & -tail < 1 << e, (e, l, text, j, tail)
+
+
+def test_straighten_pair_translates_by_e():
+    # shifting both indices by e keeps every bead letter a and shifts every
+    # runner b by one amount mod l, so the expansion just translates; the
+    # insert memo keeps one entry per translate by e on the strength of it
+    for (e, l) in [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3), (2, 3), (5, 2)]:
+        eng = WedgeEngine(e, l)
+        el = e * l
+        for k1 in range(-el, el):
+            for k2 in range(k1, k1 + 3 * el):
+                base = eng.straighten_pair(k1, k2)
+                for t in range(-5, 6):
+                    want = tuple(((x + t * e, y + t * e), c) for (x, y), c in base)
+                    assert eng.straighten_pair(k1 + t * e, k2 + t * e) == want, (e, l, k1, k2, t)
+
+
+def test_translates_by_e_cost_no_fuel():
+    # a warm engine serves the bar of u shifted by a multiple of e (indices
+    # and charge together) from its insert memo, and gets the shifted image;
+    # a factor far below the word, appended last, moves the whole
+    # straightening to a frame a multiple of e lower, which the memo keys
+    # undo, so it costs nothing either
+    def shift(u, t):
+        return WedgeMonomial(tuple(k + t for k in u.prefix), u.s + t)
+
+    for (e, l, text) in [(4, 2, "s=-16; k=8"), (3, 3, "s=2; k=12,7,2"), (2, 2, "s=1; k=7,6,5")]:
+        u = monomial_from_text(text)
+        eng = WedgeEngine(e, l)
+        image = eng.bar(u)
+        for t in (e, e * l, -2 * e * l):
+            spent = eng._spent
+            got = eng.bar(shift(u, t))
+            assert eng._spent == spent, (e, l, text, t)
+            assert got == {shift(w, t): c for w, c in image.items()}, (e, l, text, t)
+        word = bar_word(u)
+        low = min(word) - 3 * e - 1
+        want = {m + (low,): c for m, c in eng.straighten_indices(word).items()}
+        spent = eng._spent
+        assert eng.straighten_indices(word + (low,)) == want, (e, l, text)
+        assert eng._spent == spent, (e, l, text)
+
+
+def test_mask_round_trip():
+    for mono, origin in [((), 0), ((), -8), ((5,), 4), ((-3,), -4),
+                         ((7, 2, 0, -1, -9), -12), ((-2, -5, -6), -6)]:
+        mask = _mask(mono, origin)
+        assert mask.bit_count() == len(mono)
+        assert _indices(mask, origin) == mono, (mono, origin)
+    assert _mask((-1, -4), -4) == 0b1001
+    # the tuple front end of the mask recursion, on the empty monomial too
+    assert WedgeEngine(2, 2).insert(-3, ()) == {(-3,): ONE}
 
 
 def test_bar_fuel_regression_guard():
-    # the insert memo ignores the part of the prefix above the new factor;
-    # keyed on the whole ordered prefix it spent 39 607 steps on this
-    # monomial, and the right-to-left reading 83 600
+    # the insert memo ignores the part of the prefix above the new factor and
+    # keeps one entry per translate by e (2 764 steps on this monomial); keyed
+    # on the untranslated part it spent 3 811, keyed on the whole ordered
+    # prefix 39 607, and the right-to-left reading 83 600
     eng = WedgeEngine(4, 2)
     eng.bar(monomial_from_text("s=-16; k=8"))
-    assert eng._spent <= 5_000
+    assert eng._spent <= 3_000
 
 
 def test_semiinfinite_straighten():
