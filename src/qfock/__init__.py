@@ -3,13 +3,12 @@ spaces, Ariki-Koike decomposition matrices at roots of unity, Lusztig
 a-values, and the crystal combinatorics that labels them."""
 
 from .abacus import WedgeMonomial, degree, factorize, from_pair, to_pair, wedge_monomial
-from .canonical import CanonicalBasis, FockBasis, decomposition_matrix, verify_unitriangular
+from .canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, flotw_predicate, kleshchev_charge, uglov_set
 from .laurent import LaurentPoly
 from .wedge import WedgeEngine
 
 __all__ = [
-    "CanonicalBasis",
     "FockBasis",
     "LaurentPoly",
     "WedgeEngine",

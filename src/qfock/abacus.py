@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import check_multipartition, partitions
+from .partitions import check_multipartition
 
 
 class BeadTriple(NamedTuple):
@@ -158,38 +158,3 @@ def from_pair(mp, charge, e: int, l: int) -> WedgeMonomial:
             v -= 1
     beads.sort(reverse=True)
     return WedgeMonomial(tuple(beads), hole - 1 + len(beads))
-
-
-def enumerate_degree_component(s: int, n: int) -> list:
-    """All monomials of total charge s and degree n: offsets k_i - (s-i+1)
-    run over the partitions of n, so the component has p(n) elements."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    out = []
-    for gamma in partitions(n):
-        prefix = tuple(s - i + 1 + gamma[i - 1] for i in range(1, len(gamma) + 1))
-        out.append(WedgeMonomial(prefix, s))
-    return out
-
-
-def render_abacus(u: WedgeMonomial, e: int, l: int, margin: int = 2) -> str:
-    """ASCII l-runner diagram: one row per runner, positions increasing to
-    the right, '*' for a bead, '-' for a hole.  Debug/demo aid only."""
-    r = len(u.prefix)
-    cutoff = u.s - r
-    occupied = {}
-    for k in u.prefix:
-        b, v = runner_value(k, e, l)
-        occupied.setdefault(b, set()).add(v)
-    tops = {b: _runner_tail_top(cutoff, b, e, l) for b in range(1, l + 1)}
-    vmax = max([tops[b] for b in tops] + [v for vs in occupied.values() for v in vs]) + margin
-    vmin = min(tops.values()) - margin
-    lines = []
-    for b in range(1, l + 1):
-        cells = []
-        for v in range(vmin, vmax + 1):
-            filled = v <= tops[b] or v in occupied.get(b, ())
-            cells.append("*" if filled else "-")
-        lines.append("runner %d: %s" % (b, " ".join(cells)))
-    lines.append("position: %s" % " ".join(str(v % 10) for v in range(vmin, vmax + 1)))
-    return "\n".join(lines)

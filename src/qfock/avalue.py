@@ -1,4 +1,4 @@
-"""Lusztig a-values through translated symbols, and the induced preorder.
+"""Lusztig a-values through translated symbols.
 
 The absolute a-value of an l-partition is  f(n, h, m) + S1 - S2  where f is
 a constant depending only on the parameters, the rank and the symbol height,
@@ -27,7 +27,6 @@ from itertools import count
 from operator import mul
 
 from .errors import UnsupportedRegimeError
-from .partitions import rank
 
 
 def m_vector(e: int, l: int, charge) -> tuple:
@@ -48,18 +47,6 @@ def m_vector(e: int, l: int, charge) -> tuple:
             "for integral shifts" % (shifts,)
         )
     return shifts, alpha
-
-
-def height(mc) -> int:
-    return max((len(comp) for comp in mc), default=0)
-
-
-def translated_symbol(mc, shifts, h: int) -> tuple:
-    """Per-component entry lists B^(i)_j = part_j - j + h + m^(i), j = 1..h,
-    missing parts read as 0, for the shift vector `shifts`."""
-    if h < height(mc):
-        raise ValueError("height %d is below the height of %r" % (h, mc))
-    return tuple(tuple(_entries(comp, t, h)) for comp, t in zip(mc, shifts))
 
 
 def _entries(comp, t: int, h: int) -> list:
@@ -138,12 +125,3 @@ class AValueTable(dict):
             if x not in ramp:
                 ramp[x] = sum(_min_ramp(x, t) for t in self.shifts)
         return entries, sum(map(ramp.__getitem__, entries))
-
-
-def precedes(mu, nu, e: int, l: int, charge) -> bool:
-    """The strict preorder on equal-rank l-compositions: compare the symbol
-    sums at a common height."""
-    if rank(mu) != rank(nu):
-        raise ValueError("precedes compares equal ranks only")
-    table = AValueTable(e, l, charge, max(height(mu), height(nu)) + 1)
-    return table[mu] < table[nu]

@@ -1,5 +1,5 @@
 """Canonical basis elements, and the resulting decomposition matrices at
-q = 1, by two independent routes.
+q = 1.
 
 FockBasis builds G(lambda) for every label of one charge through the Fock
 action, after Lascoux-Leclerc-Thibon and Uglov.  Peel a maximal good
@@ -10,17 +10,21 @@ a sum over the k-sets of addable i-nodes, with no division by [k]!.
 Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
 off lambda is not in qZ[q] leaves G(lambda).
 A label with no good node at any colour is a highest-weight vertex of its
-crystal component; its G alone comes from the wedge recursion below.  The
-corrections are taken in wedge dominance order (see dominance), which
-needs no a-value, and may need G(nu) of labels below lambda or in other
-components, so the build is demand-driven on an explicit stack.  The
-`canonical` command and decomposition_matrix use this route; the latter
-refuses a column that would need the wedge recursion.
+crystal component.  Its start vector is v = u + bar(u), u the label's
+wedge monomial, which is bar-invariant with 2 on lambda; the same
+corrections leave 2 G(lambda), the unique bar-invariant element congruent
+to 2u modulo q, and the build halves it.  The corrections are taken in
+wedge dominance order (see dominance), which needs no a-value, and may
+need G(nu) of labels below lambda or in other components, so the build is
+demand-driven on an explicit stack.  The `canonical` command and
+decomposition_matrix use this route; the latter refuses a column whose
+build meets a highest-weight label other than the vacuum.
 
 CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
-by the bar recursion.  For such v let bar(v) = v + sum of other monomials
-(WedgeEngine.bar asserts the unit coefficient on v and owns the only cache
-of bar images).  Writing
+by the bar recursion over the whole bar closure of v, independently of the
+Fock action; the tests compare FockBasis against it.  For such v let
+bar(v) = v + sum of other monomials (WedgeEngine.bar asserts the unit
+coefficient on v and owns the only cache of bar images).  Writing
 d = bar(v) - v and expanding d over the already-known canonical elements of
 the monomials reachable from v gives antisymmetric coefficients; truncating
 each to its positive-exponent half yields the corrections, and
@@ -31,12 +35,12 @@ is the unique bar-invariant element congruent to v modulo q.  The recursion
 takes the monomials reachable from v in wedge dominance order, the order
 FockBasis corrects in: every bar support rises in dominance, and a bar
 support that does not rise aborts the run.  So it never compares a-values,
-which are not even defined across charges.  It serves FockBasis's
-highest-weight labels and is the oracle the tests compare the Fock route
-against.
+which are not even defined across charges.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .abacus import WedgeMonomial, from_pair, to_pair
 from .avalue import AValueTable
@@ -141,12 +145,11 @@ class CanonicalBasis:
 
 class FockBasis:
     """Canonical elements G(lambda) of the labels of one charge, built
-    through the Fock action.  Only highest-weight labels go to the wedge
-    engine, through one CanonicalBasis made when the first needs it;
-    `wedge_labels` lists them in the order they were sent.
+    through the Fock action.  A highest-weight label starts from its own
+    bar, taken on one WedgeEngine made when the first needs it;
+    `wedge_labels` lists those labels in the order they were sent.
 
-    Elements are Fock-space vectors {(mp, charge): polynomial}, the form
-    CanonicalBasis.element_for_label returns."""
+    Elements are Fock-space vectors {(mp, charge): polynomial}."""
 
     def __init__(self, e: int, l: int, charge):
         self.e = e
@@ -156,8 +159,11 @@ class FockBasis:
         self._g = {vacuum: {(vacuum, self.charge): LaurentPoly.one()}}
         self._open = set()  # labels whose build has started and not finished
         self._key = {}
-        self._wedge = None
         self.wedge_labels = []
+
+    @cached_property
+    def engine(self) -> WedgeEngine:
+        return WedgeEngine(self.e, self.l)
 
     def key(self, mp):
         """Correction order: the dominance of mp's wedge monomial, then
@@ -191,18 +197,28 @@ class FockBasis:
         return None
 
     def _highest(self, mp) -> dict:
-        """G(mp) of a highest-weight label, from the wedge recursion."""
-        if self._wedge is None:
-            self._wedge = CanonicalBasis(self.e, self.l)
+        """u + bar(u) for the wedge monomial u of a highest-weight label, as
+        a Fock vector: bar-invariant, with 2 on mp.  Every other label of
+        its support must be at this charge and rise in wedge dominance, the
+        order the corrections are taken in."""
         self.wedge_labels.append(mp)
-        g = self._wedge.element_for_label(mp, self.charge)
-        foreign = [key for key in g if key[1] != self.charge]
-        if foreign:
-            raise InvariantError(
-                "wedge-built G(%s) at charge %s has support at charges %s"
-                % (mp_to_text(mp), self.charge, sorted({ch for _mp, ch in foreign}))
-            )
-        return g
+        u = from_pair(mp, self.charge, self.e, self.l)
+        low = dominance(u)
+        v = {(mp, self.charge): LaurentPoly.one()}
+        for w, c in self.engine.bar(u).items():
+            label = to_pair(w, self.e, self.l)
+            if label[1] != self.charge:
+                raise InvariantError(
+                    "bar of %s at charge %s has support %s at charge %s"
+                    % (mp_to_text(mp), self.charge, mp_to_text(label[0]), label[1])
+                )
+            if w != u and dominance(w) <= low:
+                raise InvariantError(
+                    "bar(%s) has support %s, which does not rise in wedge dominance"
+                    % (u, w)
+                )
+            _acc(v, label, c)
+        return v
 
     def element(self, mp) -> dict:
         """G(mp), building whatever it needs first."""
@@ -210,11 +226,12 @@ class FockBasis:
         self._push(mp, stack)
         while stack:
             frame = stack[-1]
-            lam, v, corrected = frame
+            lam, v, corrected, lead = frame
             if v is None:
                 peeled = self.peel(lam)
                 if peeled is None:
                     v = frame[1] = self._highest(lam)
+                    lead = frame[3] = 2
                 else:
                     i, k, low = peeled
                     if self._push(low, stack):
@@ -235,11 +252,20 @@ class FockBasis:
             if nu is not None:
                 continue  # resume once G(nu) is built
             one = v.get((lam, self.charge))
-            if one is None or one.terms != {0: 1}:
+            if one is None or one.terms != {0: lead}:
                 raise InvariantError(
-                    "G(%s) at charge %s ends with coefficient %s on its label"
-                    % (mp_to_text(lam), self.charge, one)
+                    "G(%s) at charge %s ends with coefficient %s on its label, not %d"
+                    % (mp_to_text(lam), self.charge, one, lead)
                 )
+            if lead == 2:  # v is 2 G(lam)
+                odd = [key for key, c in v.items() if any(x % 2 for x in c.terms.values())]
+                if odd:
+                    raise InvariantError(
+                        "2 G(%s) at charge %s has an odd coefficient %s on %s"
+                        % (mp_to_text(lam), self.charge, v[odd[0]], mp_to_text(odd[0][0]))
+                    )
+                v = {key: LaurentPoly({x: cx // 2 for x, cx in c.terms.items()})
+                     for key, c in v.items()}
             self._g[lam] = v
             self._open.discard(lam)
             stack.pop()
@@ -256,7 +282,8 @@ class FockBasis:
                 % (mp_to_text(mp), self.charge)
             )
         self._open.add(mp)
-        stack.append([mp, None, set()])  # label, vector so far, labels corrected
+        # label, vector so far, labels corrected, coefficient its label ends with
+        stack.append([mp, None, set(), 1])
         return True
 
     def _lowest_uncorrected(self, lam, v):

@@ -3,14 +3,16 @@
 Exit codes: 0 success, 2 invalid input (a ValueError from parsing or
 validation only), 3 unsupported regime (non-integral shift vector), 4
 internal invariant violation (a bar support that does not rise in wedge
-dominance, a bar image without coefficient 1 on its own monomial, fuel
-exhaustion, a decomposition matrix with foreign support or failed
-unitriangularity).  Any other exception is a bug and propagates.
-Identical invocations produce byte-identical output.  `decomp` and
-`canonical` build canonical elements through the Fock action
-(canonical.FockBasis); `canonical` hands the highest-weight labels of
-crystal components other than the vacuum's to the wedge engine, and `bar`
-and `straighten` run on it alone.
+dominance or sits at another charge vector, a bar image without
+coefficient 1 on its own monomial, fuel exhaustion, a canonical element
+with the wrong coefficient on its label or an odd one to halve, a
+decomposition matrix with foreign support or failed unitriangularity).
+Any other exception is a bug and propagates.  Identical invocations
+produce byte-identical output.  `decomp` and `canonical` build canonical
+elements through the Fock action (canonical.FockBasis); for the
+highest-weight labels of crystal components other than the vacuum's,
+`canonical` straightens each label's own bar on the wedge engine, and
+`bar` and `straighten` run on it alone.
 """
 
 from __future__ import annotations

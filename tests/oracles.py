@@ -8,11 +8,18 @@ from itertools import count
 from operator import mul
 
 from qfock.abacus import WedgeMonomial
-from qfock.avalue import _entries, _min_ramp, height
+from qfock.avalue import AValueTable, _entries, _min_ramp
 from qfock.crystal import _reduce
 from qfock.fock import apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.partitions import addable_nodes, i_signatures, remove_node, removable_nodes
+from qfock.partitions import (
+    addable_nodes,
+    i_signatures,
+    partitions,
+    rank,
+    remove_node,
+    removable_nodes,
+)
 
 
 def straighten_naive(eng, indices):
@@ -213,3 +220,36 @@ def a_rel_per_label(mc, table) -> int:
     entries.sort(reverse=True)
     s2 = sum(_min_ramp(x, t) for x in entries for t in table.shifts)
     return sum(map(mul, count(), entries)) - s2
+
+
+def enumerate_degree_component(s: int, n: int) -> list:
+    """All monomials of total charge s and degree n: offsets k_i - (s-i+1)
+    run over the partitions of n, so the component has p(n) elements."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    out = []
+    for gamma in partitions(n):
+        prefix = tuple(s - i + 1 + gamma[i - 1] for i in range(1, len(gamma) + 1))
+        out.append(WedgeMonomial(prefix, s))
+    return out
+
+
+def height(mc) -> int:
+    return max((len(comp) for comp in mc), default=0)
+
+
+def translated_symbol(mc, shifts, h: int) -> tuple:
+    """Per-component entry lists B^(i)_j = part_j - j + h + m^(i), j = 1..h,
+    missing parts read as 0, for the shift vector `shifts`."""
+    if h < height(mc):
+        raise ValueError("height %d is below the height of %r" % (h, mc))
+    return tuple(tuple(_entries(comp, t, h)) for comp, t in zip(mc, shifts))
+
+
+def precedes(mu, nu, e: int, l: int, charge) -> bool:
+    """The strict a-value preorder on equal-rank l-compositions: compare the
+    symbol sums at a common height."""
+    if rank(mu) != rank(nu):
+        raise ValueError("precedes compares equal ranks only")
+    table = AValueTable(e, l, charge, max(height(mu), height(nu)) + 1)
+    return table[mu] < table[nu]

@@ -6,16 +6,15 @@ from qfock.abacus import (
     BeadTriple,
     WedgeMonomial,
     degree,
-    enumerate_degree_component,
     factorize,
     from_pair,
     monomial_from_text,
-    render_abacus,
     to_pair,
     wedge_monomial,
 )
 from qfock.partitions import partitions
 
+from oracles import enumerate_degree_component
 from paper_data import WORKED_LABEL, WORKED_MONOMIAL
 
 
@@ -115,10 +114,3 @@ def test_degree_unaffected_by_charge_split():
             mp, ch = to_pair(u, 3, 2)
             assert from_pair(mp, ch, 3, 2) == u
             assert degree(u) == n
-
-
-def test_render_abacus_smoke():
-    u = wedge_monomial((15, 12, 8, 7, 3, 1, -2), 3)
-    art = render_abacus(u, 4, 3)
-    assert "runner 1" in art and "runner 3" in art
-    assert "*" in art and "-" in art

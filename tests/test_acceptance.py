@@ -12,8 +12,8 @@ from itertools import product
 
 import pytest
 
-from qfock.abacus import enumerate_degree_component, from_pair, to_pair, wedge_monomial
-from qfock.avalue import AValueTable, height, m_vector, translated_symbol, precedes
+from qfock.abacus import from_pair, to_pair, wedge_monomial
+from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
 from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_layers, uglov_set
@@ -30,7 +30,16 @@ from qfock.partitions import (
 )
 from qfock.wedge import WedgeEngine
 
-from oracles import add_nodes_to_part, apply_e, n_count, straighten_naive
+from oracles import (
+    add_nodes_to_part,
+    apply_e,
+    enumerate_degree_component,
+    height,
+    n_count,
+    precedes,
+    straighten_naive,
+    translated_symbol,
+)
 from paper_data import A_VALUES, MATRICES, UGLOV_SETS, WORKED_LABEL, WORKED_MONOMIAL
 
 CHARGES = [(0, 1), (4, 1), (0, 5)]

@@ -7,15 +7,12 @@ from qfock.avalue import (
     AValueTable,
     _min_ramp,
     a_rel,
-    height,
     m_vector,
-    precedes,
-    translated_symbol,
 )
 from qfock.errors import UnsupportedRegimeError
 from qfock.partitions import multipartitions
 
-from oracles import a_rel_per_label, add_nodes_to_part
+from oracles import a_rel_per_label, add_nodes_to_part, height, precedes, translated_symbol
 from paper_data import A_VALUES
 
 

@@ -6,7 +6,6 @@ from qfock import canonical
 from qfock.abacus import (
     WedgeMonomial,
     degree,
-    enumerate_degree_component,
     from_pair,
     to_pair,
     wedge_monomial,
@@ -26,7 +25,7 @@ from qfock.fock import apply_f
 from qfock.laurent import LaurentPoly
 from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank, remove_node
 
-from oracles import divide_exact, quantum_factorial
+from oracles import divide_exact, enumerate_degree_component, quantum_factorial
 from paper_data import MATRICES, UGLOV_SETS
 
 
@@ -391,6 +390,62 @@ def test_fock_build_of_non_uglov_labels(monkeypatch):
     monkeypatch.setattr(canonical, "uglov_set", lambda *args: uglov_set(*args) | {lam})
     with pytest.raises(InvariantError, match="needed the wedge engine"):
         decomposition_matrix(4, 2, charge, 4)
+
+
+def _plant_bar(basis, mp, *support):
+    """Plant bar(u) = u + sum of c w, for u the wedge monomial of mp, in the
+    engine of a FockBasis; support holds (w, c) pairs."""
+    u = from_pair(mp, basis.charge, basis.e, basis.l)
+    basis.engine._bar_cache[(u, max(degree(u), len(u.prefix)))] = \
+        {u: LaurentPoly.one(), **dict(support)}
+
+
+# at (4,2), charge (0,1), 1,1,1|1 is a highest-weight label whose bar has
+# support on 1,1,1,1|- and -|1,1,1,1, both above it in key order
+HIGHEST = mp_from_text("1,1,1|1")
+
+
+def test_highest_weight_start_rejects_a_support_that_does_not_rise():
+    basis = FockBasis(4, 2, (0, 1))
+    assert basis.peel(HIGHEST) is None
+    low = mp_from_text("2|1,1")
+    assert basis.key(low)[0] <= basis.key(HIGHEST)[0]
+    _plant_bar(basis, HIGHEST, (from_pair(low, (0, 1), 4, 2), LaurentPoly({1: 2})))
+    with pytest.raises(InvariantError, match="does not rise"):
+        basis.element(HIGHEST)
+
+
+def test_highest_weight_start_rejects_support_at_another_charge():
+    basis = FockBasis(4, 2, (0, 1))
+    w = from_pair(mp_from_text("-|1,1,1,1"), (1, 0), 4, 2)
+    assert dominance(w) > basis.key(HIGHEST)[0]
+    _plant_bar(basis, HIGHEST, (w, LaurentPoly({1: 2})))
+    with pytest.raises(InvariantError, match=r"at charge \(1, 0\)"):
+        basis.element(HIGHEST)
+
+
+def test_highest_weight_start_rejects_an_odd_coefficient():
+    # u + bar(u) = 2u + q w needs no correction, since G(w) = w and q is in
+    # qZ[q], but it is not twice a vector over Z[q, q^-1]
+    basis = FockBasis(4, 2, (0, 1))
+    w = mp_from_text("1,1,1,1|-")
+    assert basis.key(w)[0] > basis.key(HIGHEST)[0]
+    assert basis.element(w) == {(w, (0, 1)): LaurentPoly.one()}
+    _plant_bar(basis, HIGHEST, (from_pair(w, (0, 1), 4, 2), LaurentPoly({1: 1})))
+    with pytest.raises(InvariantError, match="odd coefficient"):
+        basis.element(HIGHEST)
+
+
+def test_fock_route_wedge_fuel_regression_guard():
+    # every label of ranks <= 8 at (2,2), charge (0,1): straightening each
+    # highest-weight label's own bar alone spends 5 517 steps; building the
+    # G of each whole bar closure on the wedge spent 6 526
+    basis = FockBasis(2, 2, (0, 1))
+    for n in range(9):
+        for mp in multipartitions(2, n):
+            basis.element(mp)
+    assert basis.wedge_labels
+    assert basis.engine._spent <= 6_000
 
 
 # Every label of ranks <= n at (e, l, charge, n), Uglov or not: three

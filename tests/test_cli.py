@@ -228,14 +228,15 @@ def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
 
 
 def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):
-    # canonical of an Uglov label, and decomp, build no CanonicalBasis;
-    # -|3,1 at (3,2) peels down to -|1,1, which has no good node and does
+    # canonical of an Uglov label, and decomp, build no WedgeEngine in
+    # qfock.canonical; -|3,1 at (3,2) peels down to -|1,1, which has no good
+    # node and does
     import qfock.canonical
 
     built = []
-    wedge_basis = qfock.canonical.CanonicalBasis
-    monkeypatch.setattr(qfock.canonical, "CanonicalBasis",
-                        lambda *args: built.append(args) or wedge_basis(*args))
+    engine = qfock.canonical.WedgeEngine
+    monkeypatch.setattr(qfock.canonical, "WedgeEngine",
+                        lambda *args: built.append(args) or engine(*args))
     code, _, _ = run(capsys, "canonical", "--e", "4", "--charge", "0,1", "--mp", "3,1|-")
     assert code == 0 and built == []
     code, _, _ = run(capsys, "decomp", "--e", "4", "--charge", "0,1", "--rank", "5")

@@ -17,6 +17,8 @@ CHECKED = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "oracles.py"]
 
 TRACER = ROOT / "perfbench" / "tracer.py"
 WRAPPED = "perfbench/tracer.py wraps it"
+RECORD = ("perfbench/record.py builds the label pool with it; "
+          "moves to tests/oracles.py with ROADMAP item 5")
 
 TEST_ONLY = {
     "addable_nodes": WRAPPED,
@@ -25,10 +27,8 @@ TEST_ONLY = {
     "insert": WRAPPED,
     "good_node": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
-    "render_abacus": "the README documents the ASCII abacus renderer",
-    "enumerate_degree_component": "the README documents degree components",
-    "translated_symbol": "the README documents translated symbols",
-    "precedes": "the README documents the a-value preorder",
+    "CanonicalBasis": RECORD,
+    "element_for_label": RECORD,
 }
 
 

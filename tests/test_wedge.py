@@ -5,14 +5,13 @@ import pytest
 from qfock.abacus import (
     WedgeMonomial,
     degree,
-    enumerate_degree_component,
     monomial_from_text,
     wedge_monomial,
 )
 from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.wedge import WedgeEngine, _indices, _mask, vector_to_json
 
-from oracles import index_sum, straighten_naive
+from oracles import enumerate_degree_component, index_sum, straighten_naive
 
 
 def poly(d):
