@@ -331,46 +331,54 @@ class DecompositionMatrix:
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,
         zero entries omitted; the canonical comparison form."""
+        return self._sorted(self.entries)
+
+    def _sorted(self, entries) -> list:
+        """(row text, column text, value) for the nonzero values of
+        entries, sorted; no two share their texts, so values are never
+        compared."""
         text = self.text
-        return sorted(
-            (text[row], text[col], v)
-            for (row, col), v in self.entries.items()
-            if v
-        )
+        return sorted((text[row], text[col], v) for (row, col), v in entries.items() if v)
 
-    def to_csv(self) -> str:
-        lines = ["row,column,entry"]
+    def to_csv(self):
+        """The CSV text, line by line."""
+        yield "row,column,entry\n"
         for row, col, v in self.triples():
-            lines.append("%s,%s,%d" % (row.replace(",", " "), col.replace(",", " "), v))
-        return "\n".join(lines) + "\n"
+            yield "%s,%s,%d\n" % (row.replace(",", " "), col.replace(",", " "), v)
 
-    def to_latex(self) -> str:
-        lines = [r"\begin{array}{l|%s}" % ("c" * len(self.cols))]
+    def to_latex(self):
+        """The LaTeX array, line by line.  Each row starts from "." in every
+        column and is filled from that row's nonzero entries, grouped once."""
+        pos = {col: j for j, col in enumerate(self.cols)}
+        nonzero = {}
+        for (row, col), v in self.entries.items():
+            if v:
+                nonzero.setdefault(row, []).append((pos[col], v))
+        yield r"\begin{array}{l|%s}" % ("c" * len(self.cols)) + "\n"
         for row in self.rows:
-            cells = []
-            for col in self.cols:
-                v = self.entries.get((row, col), 0)
-                cells.append(str(v) if v else ".")
-            lines.append("%s & %s \\\\" % (self.text[row], " & ".join(cells)))
-        lines.append(r"\end{array}")
-        return "\n".join(lines)
+            cells = ["."] * len(self.cols)
+            for j, v in nonzero.get(row, ()):
+                cells[j] = str(v)
+            yield "%s & %s \\\\\n" % (self.text[row], " & ".join(cells))
+        yield r"\end{array}" + "\n"
 
     def to_json(self, keep_q=False) -> dict:
+        """The JSON payload; its lists are iterators, read from sorted data
+        as they are written."""
         text = self.text
         body = {
             "e": self.e,
             "l": self.l,
             "charge": list(self.charge),
             "rank": self.n,
-            "rows": [text[r] for r in self.rows],
-            "columns": [text[c] for c in self.cols],
-            "triples": [list(t) for t in self.triples()],
+            "rows": map(text.__getitem__, self.rows),
+            "columns": map(text.__getitem__, self.cols),
+            "triples": iter(self.triples()),
             "checks": self.checks,
         }
         if keep_q:
-            body["q_triples"] = sorted(
-                [text[r], text[c], p.to_pairs()]
-                for (r, c), p in self.qentries.items() if p
+            body["q_triples"] = (
+                [row, col, p.to_pairs()] for row, col, p in self._sorted(self.qentries)
             )
         return body
 

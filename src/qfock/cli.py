@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from json import JSONEncoder
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add
@@ -42,7 +43,13 @@ from .partitions import (
 from .wedge import WedgeEngine, vector_to_json, word_length
 
 
-_CONTAINERS = (dict, list, tuple)
+# Items of a list or iterator encoded and written per step of _jdump, and
+# lines joined per write by _lines: the text held at once stays bounded, and
+# writes stay few (each one is a system call when stdout is unbuffered).
+CHUNK = 256
+
+_SEQUENCES = (list, tuple, Iterator)
+_CONTAINERS = (dict,) + _SEQUENCES
 
 
 @lru_cache(maxsize=None)
@@ -58,31 +65,57 @@ def _scalars(types) -> bool:
     return not any(issubclass(t, _CONTAINERS) for t in types)
 
 
-def _jdump(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte; dict
-    keys must be strings.
+def _jdump(obj, write) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte,
+    through write; dict keys must be strings, and an iterator stands for the
+    list of its items.
 
     CPython serves indent= with its pure-Python encoder, so the C encoder
     does the work here, a whole batch of values per call where the shape
     allows (see _batch and _texts): a list of q-triples
-    [row, col, [[exp, coef], ...]] takes three calls, not one per scalar."""
+    [row, col, [[exp, coef], ...]] takes three calls, not one per scalar.
+    A list or iterator goes CHUNK items at a time, and the text so far is
+    written after each chunk, so neither the whole payload nor the whole
+    text is held at once.  An iterator among those items is taken the same
+    way (the crystal's layers); lists among them are encoded with their
+    chunk."""
     out = []
-    _write(obj, "\n", out)
+    _write(obj, "\n", out, write)
     out.append("\n")
-    return "".join(out)
+    _flush(out, write)
 
 
-def _write(obj, nl: str, out: list):
+def _write(obj, nl: str, out: list, write=None):
     """Append the indent=2 text of obj to out; nl is a newline plus the
-    indentation of the line obj starts on."""
+    indentation of the line obj starts on.  With write given, out is written
+    and emptied after each chunk of a list or iterator."""
     inner = nl + "  "
-    if not obj and isinstance(obj, _CONTAINERS):
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (list, tuple)):
-        text = _batch(obj, inner, "," + inner)
-        if text is None:
-            text = ("," + inner).join(_texts(obj, inner))
-        out += ("[", inner, text, nl, "]")
+    if isinstance(obj, _SEQUENCES):
+        items = iter(obj)
+        chunk = list(islice(items, CHUNK))
+        if not chunk:
+            out.append("[]")
+            return
+        sep = "," + inner
+        out += ("[", inner)
+        while chunk:
+            if any(issubclass(t, Iterator) for t in set(map(type, chunk))):
+                # an item that is an iterator streams too: items one by one
+                for x in chunk[:-1]:
+                    _write(x, inner, out, write)
+                    out.append(sep)
+                _write(chunk[-1], inner, out, write)
+            else:
+                text = _batch(chunk, inner, sep)
+                out.append(sep.join(_texts(chunk, inner)) if text is None else text)
+            chunk = list(islice(items, CHUNK))
+            if chunk:
+                out.append(sep)
+            if write is not None:
+                _flush(out, write)
+        out += (nl, "]")
+    elif not obj and isinstance(obj, dict):
+        out.append("{}")
     else:
         text = _batch([obj], nl, "")
         if text is not None:
@@ -91,7 +124,7 @@ def _write(obj, nl: str, out: list):
         sep = "{" + inner
         for k, v in sorted(obj.items()):
             out.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, out)
+            _write(v, inner, out, write)
             sep = "," + inner
         out.append(nl + "}")
 
@@ -161,12 +194,33 @@ def _texts(objs, nl: str) -> list:
     return texts
 
 
-def _emit(text: str, args):
-    if getattr(args, "json_envelope", False):
-        payload = {"command": args.command, "data": text}
-        sys.stdout.write(_jdump(payload))
-    else:
-        sys.stdout.write(text)
+def _flush(out: list, write) -> None:
+    """Write the strings of out as one text and empty out, before the write:
+    stdout encodes the text to bytes, and the pieces need not outlive it."""
+    text = "".join(out)
+    out.clear()
+    write(text)
+
+
+def _lines(texts, write) -> None:
+    """Write the strings of texts, CHUNK of them joined per write."""
+    texts = iter(texts)
+    for chunk in iter(lambda: list(islice(texts, CHUNK)), []):
+        _flush(chunk, write)
+
+
+def _emit(args, render, obj) -> None:
+    """render(obj, write) to stdout: render is _jdump or _lines.  Under --json
+    the text becomes the "data" string of {"command": ..., "data": ...}, its
+    head written first, then each chunk escaped as json.dumps escapes it,
+    then its tail; the bytes are those of _jdump on that dict."""
+    write = sys.stdout.write
+    if not args.json_envelope:
+        render(obj, write)
+        return
+    write('{\n  "command": %s,\n  "data": "' % encode_basestring_ascii(args.command))
+    render(obj, lambda text: write(encode_basestring_ascii(text)[1:-1]))
+    write('"\n}\n')
 
 
 def _ambient(args):
@@ -183,11 +237,13 @@ def _ambient(args):
     return args.e, l, charge
 
 
-def _wedge_vector_text(vec) -> str:
-    lines = []
+def _wedge_vector_text(vec):
+    """The text lines of a wedge vector, one "(c) * [u]" per monomial, or
+    "0" alone."""
+    if not vec:
+        yield "0\n"
     for u, c in sorted(vec.items(), key=lambda kv: (kv[0].s, kv[0].prefix)):
-        lines.append("(%s) * [%s]" % (c, u.to_text()))
-    return "\n".join(lines) + "\n" if lines else "0\n"
+        yield "(%s) * [%s]\n" % (c, u.to_text())
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -195,16 +251,16 @@ def _wedge_vector_text(vec) -> str:
 
 def cmd_semisimple(args):
     e, l, charge = _ambient(args)
-    _emit("true\n" if is_split_semisimple(e, charge, args.rank) else "false\n", args)
+    _emit(args, _lines, ["true\n" if is_split_semisimple(e, charge, args.rank) else "false\n"])
 
 
 def cmd_uglov_set(args):
     e, l, charge = _ambient(args)
     labels = sorted(uglov_set(e, l, charge, args.rank))
     if args.format == "json":
-        _emit(_jdump([mp_to_text(mp) for mp in labels]), args)
+        _emit(args, _jdump, map(mp_to_text, labels))
     else:
-        _emit("".join(mp_to_text(mp) + "\n" for mp in labels), args)
+        _emit(args, _lines, (mp_to_text(mp) + "\n" for mp in labels))
 
 
 def cmd_flotw_check(args):
@@ -212,16 +268,16 @@ def cmd_flotw_check(args):
     mp = mp_from_text(args.mp)
     if len(mp) != l:
         raise ValueError("multipartition %r has %d components, expected %d" % (args.mp, len(mp), l))
-    _emit("true\n" if flotw_predicate(mp, e, charge) else "false\n", args)
+    _emit(args, _lines, ["true\n" if flotw_predicate(mp, e, charge) else "false\n"])
 
 
 def cmd_crystal(args):
     e, l, charge = _ambient(args)
     graph = crystal_graph(e, l, charge, args.rank)
     if args.format == "dot":
-        _emit(crystal_to_dot(graph, charge) + "\n", args)
+        _emit(args, _lines, crystal_to_dot(graph, charge))
     else:
-        _emit(_jdump(crystal_to_json(graph)), args)
+        _emit(args, _jdump, crystal_to_json(graph))
 
 
 def cmd_avalue(args):
@@ -234,17 +290,18 @@ def cmd_avalue(args):
     table = sorted((vals[mp], mp_to_text(mp)) for mp in labels)
     base, calibration = table[0]
     if args.format == "json":
-        _emit(_jdump({
+        _emit(args, _jdump, {
             "calibration": calibration,
             "height": h,
             "alpha": vals.alpha,
-            "values": [{"label": t, "a": v - base} for v, t in table],
-        }), args)
+            "values": ({"label": t, "a": v - base} for v, t in table),
+        })
     else:
-        lines = ["label,a_value"]
-        lines += ["%s,%d" % (t.replace(",", " "), v - base) for v, t in table]
-        lines.append("# calibration: %s -> 0 at height %d" % (calibration, h))
-        _emit("\n".join(lines) + "\n", args)
+        _emit(args, _lines, chain(
+            ["label,a_value\n"],
+            ("%s,%d\n" % (t.replace(",", " "), v - base) for v, t in table),
+            ["# calibration: %s -> 0 at height %d\n" % (calibration, h)],
+        ))
 
 
 def cmd_straighten(args):
@@ -261,9 +318,9 @@ def cmd_straighten(args):
         )
     vec = engine.straighten(indices, args.s)
     if args.format == "json":
-        _emit(_jdump(vector_to_json(vec)), args)
+        _emit(args, _jdump, vector_to_json(vec))
     else:
-        _emit(_wedge_vector_text(vec), args)
+        _emit(args, _lines, _wedge_vector_text(vec))
 
 
 def cmd_bar(args):
@@ -283,9 +340,9 @@ def cmd_bar(args):
         )
     vec = engine.bar(u, r=args.r)
     if args.format == "json":
-        _emit(_jdump(vector_to_json(vec)), args)
+        _emit(args, _jdump, vector_to_json(vec))
     else:
-        _emit(_wedge_vector_text(vec), args)
+        _emit(args, _lines, _wedge_vector_text(vec))
 
 
 def cmd_canonical(args):
@@ -300,9 +357,12 @@ def cmd_canonical(args):
     vec = FockBasis(e, l, charge).element(mp)
     records = fock_to_json(vec)
     if not args.keep_q:
-        for record in records:
-            record["coefficient_at_1"] = sum(c for _exp, c in record.pop("coefficient"))
-    _emit(_jdump(records), args)
+        records = (
+            {"multipartition": r["multipartition"], "charge": r["charge"],
+             "coefficient_at_1": sum(c for _exp, c in r["coefficient"])}
+            for r in records
+        )
+    _emit(args, _jdump, records)
 
 
 def cmd_decomp(args):
@@ -321,14 +381,15 @@ def cmd_decomp(args):
         raise InvariantError(
             "decomposition matrix is not unitriangular: %s" % report["violations"]
         )
+    # every check above has passed before the first byte is written
     if args.format == "csv":
-        _emit(mat.to_csv(), args)
+        _emit(args, _lines, mat.to_csv())
     elif args.format == "latex":
-        _emit(mat.to_latex() + "\n", args)
+        _emit(args, _lines, mat.to_latex())
     else:
         payload = mat.to_json(keep_q=args.keep_q)
         payload["unitriangular"] = report
-        _emit(_jdump(payload), args)
+        _emit(args, _jdump, payload)
 
 
 # -- parser ------------------------------------------------------------------------

@@ -71,25 +71,17 @@ def good_addable_nodes(mp, charge, e):
     return sorted(good.items())
 
 
-def uglov_layers(e: int, l: int, charge, n: int) -> list:
-    """Layers 0..n of the crystal component of the empty multipartition."""
+def uglov_set(e: int, l: int, charge, n: int) -> set:
+    """The rank-n Uglov multipartitions for this charge: layer n of the
+    crystal component of the empty multipartition, grown one layer at a
+    time from the one before, which is all that is kept."""
     if n < 0:
         raise ValueError("rank must be >= 0")
     layer = {empty_multipartition(l)}
-    layers = [set(layer)]
     for _ in range(n):
-        nxt = set()
-        for mp in layer:
-            for _i, gamma in good_addable_nodes(mp, charge, e):
-                nxt.add(add_node(mp, gamma))
-        layers.append(nxt)
-        layer = nxt
-    return layers
-
-
-def uglov_set(e: int, l: int, charge, n: int) -> set:
-    """The rank-n Uglov multipartitions for this charge."""
-    return uglov_layers(e, l, charge, n)[n]
+        layer = {add_node(mp, gamma) for mp in layer
+                 for _i, gamma in good_addable_nodes(mp, charge, e)}
+    return layer
 
 
 def flotw_predicate(mp, e: int, charge) -> bool:
@@ -158,32 +150,33 @@ def crystal_graph(e: int, l: int, charge, n: int) -> dict:
     return {"layers": layers, "edges": edges, "uglov": marked}
 
 
-def crystal_to_dot(graph, charge) -> str:
-    """Graphviz rendering; vertices labeled by the multipartition text form,
-    component vertices drawn solid."""
-    lines = ["digraph crystal {", '  rankdir=TB;']
+def crystal_to_dot(graph, charge):
+    """Graphviz rendering, line by line; vertices labeled by the
+    multipartition text form, component vertices drawn solid."""
+    yield "digraph crystal {\n  rankdir=TB;\n"
     ids = {}
     for layer in graph["layers"]:
         for mp in layer:
             ids[mp] = "v%d" % len(ids)
             shape = ' style=filled fillcolor="lightgrey"' if mp in graph["uglov"] else ""
-            lines.append('  %s [label="%s"%s];' % (ids[mp], mp_to_text(mp), shape))
+            yield '  %s [label="%s"%s];\n' % (ids[mp], mp_to_text(mp), shape)
     for mp, i, mu in graph["edges"]:
-        lines.append('  %s -> %s [label="%d"];' % (ids[mp], ids[mu], i))
-    lines.append("}")
-    return "\n".join(lines)
+        yield '  %s -> %s [label="%d"];\n' % (ids[mp], ids[mu], i)
+    yield "}\n"
 
 
 def crystal_to_json(graph) -> dict:
+    """The JSON payload of the graph; its lists are iterators, read from the
+    graph's own ordered lists as they are written."""
     text = {mp: mp_to_text(mp) for layer in graph["layers"] for mp in layer}
     return {
-        "layers": [[text[mp] for mp in layer] for layer in graph["layers"]],
-        "edges": [
+        "layers": (map(text.__getitem__, layer) for layer in graph["layers"]),
+        "edges": (
             {"from": text[mp], "color": i, "to": text[mu]}
             for mp, i, mu in graph["edges"]
-        ],
-        "vertices": [
+        ),
+        "vertices": (
             {"label": text[mp], "uglov": mp in graph["uglov"]}
             for layer in graph["layers"] for mp in layer
-        ],
+        ),
     }

@@ -50,13 +50,15 @@ def apply_f(i, vec, e, k=1) -> dict:
     return out
 
 
-def fock_to_json(vec) -> list:
+def fock_to_json(vec):
+    """The vector's JSON records, sorted by (charge, multipartition), made
+    one at a time as they are read."""
     items = sorted(vec.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    return [
+    return (
         {
             "multipartition": mp_to_text(mp),
             "charge": list(charge),
             "coefficient": c.to_pairs(),
         }
         for (mp, charge), c in items
-    ]
+    )

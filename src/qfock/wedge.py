@@ -339,10 +339,11 @@ def word_length(indices, s: int) -> int:
 
 
 def vector_to_json(vec):
-    """WedgeVector as a list of {monomial, coefficient} records, sorted."""
+    """WedgeVector as {monomial, coefficient} records, sorted, made one at a
+    time as they are read."""
     items = sorted(vec.items(), key=lambda kv: (kv[0].s, kv[0].prefix))
-    return [
+    return (
         {"monomial": u.to_json(), "coefficient": c.to_pairs()}
         for u, c in items
-    ]
+    )
 

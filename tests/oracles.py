@@ -9,11 +9,13 @@ from operator import mul
 
 from qfock.abacus import WedgeMonomial
 from qfock.avalue import AValueTable, _entries, _min_ramp
-from qfock.crystal import _reduce
+from qfock.crystal import _reduce, good_addable_nodes
 from qfock.fock import apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.partitions import (
+    add_node,
     addable_nodes,
+    empty_multipartition,
     i_signatures,
     partitions,
     rank,
@@ -220,6 +222,21 @@ def a_rel_per_label(mc, table) -> int:
     entries.sort(reverse=True)
     s2 = sum(_min_ramp(x, t) for x in entries for t in table.shifts)
     return sum(map(mul, count(), entries)) - s2
+
+
+def uglov_layers(e: int, l: int, charge, n: int) -> list:
+    """Layers 0..n of the crystal component of the empty multipartition,
+    every one kept."""
+    layer = {empty_multipartition(l)}
+    layers = [set(layer)]
+    for _ in range(n):
+        nxt = set()
+        for mp in layer:
+            for _i, gamma in good_addable_nodes(mp, charge, e):
+                nxt.add(add_node(mp, gamma))
+        layers.append(nxt)
+        layer = nxt
+    return layers
 
 
 def enumerate_degree_component(s: int, n: int) -> list:

@@ -16,7 +16,7 @@ from qfock.abacus import from_pair, to_pair, wedge_monomial
 from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
-from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_layers, uglov_set
+from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_set
 from qfock.fock import apply_f
 from qfock.laurent import LaurentPoly
 from qfock.partitions import (
@@ -39,6 +39,7 @@ from oracles import (
     precedes,
     straighten_naive,
     translated_symbol,
+    uglov_layers,
 )
 from paper_data import A_VALUES, MATRICES, UGLOV_SETS, WORKED_LABEL, WORKED_MONOMIAL
 

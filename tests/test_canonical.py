@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from qfock.canonical import (
     dominance,
     verify_unitriangular,
 )
+from qfock.cli import _jdump
 from qfock.crystal import good_node, uglov_set
 from qfock.errors import InvariantError
 from qfock.fock import apply_f
@@ -118,12 +120,14 @@ def test_paper_matrices():
 
 def test_matrix_renderings_are_consistent():
     mat = decomposition_matrix(4, 2, (0, 1), 2)
-    csv = mat.to_csv()
+    csv = "".join(mat.to_csv())
     assert csv.splitlines()[0] == "row,column,entry"
     assert len(csv.splitlines()) == 1 + len(mat.triples())
-    latex = mat.to_latex()
+    latex = "".join(mat.to_latex())
     assert latex.count("\\\\") == len(mat.rows)
-    js = mat.to_json(keep_q=True)
+    out = []
+    _jdump(mat.to_json(keep_q=True), out.append)
+    js = json.loads("".join(out))
     assert js["rows"][0] == "2|-" and len(js["columns"]) == len(mat.cols)
     assert js["triples"] == [list(t) for t in mat.triples()]
 

@@ -1,5 +1,7 @@
 import json
 import time
+import tracemalloc
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from qfock import cli
 from qfock.canonical import decomposition_matrix
 from qfock.cli import main
+from qfock.crystal import crystal_graph, crystal_to_dot, crystal_to_json
 from qfock.partitions import multipartitions
 
 
@@ -194,7 +197,7 @@ def test_decomp_has_no_wedge_degree_guard(capsys):
     # at wedge degree 172 is no reason to refuse
     code, out, err = run(capsys, "decomp", "--e", "4", "--charge", "0,20", "--rank", "4")
     assert code == 0 and err == ""
-    assert out == decomposition_matrix(4, 2, (0, 20), 4).to_csv()
+    assert out == "".join(decomposition_matrix(4, 2, (0, 20), 4).to_csv())
     with pytest.raises(SystemExit):
         main(["decomp", "--e", "4", "--charge", "0,1", "--rank", "4", "--max-degree", "64"])
 
@@ -215,16 +218,33 @@ def test_decomp_ignores_cache_dir(tmp_path, capsys, monkeypatch):
     assert forged.read_text() == '{"checks": {"foreign_support": []}, "triples": []}'
 
 
-def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
-    import qfock.cli
-
-    monkeypatch.setattr(qfock.cli, "verify_unitriangular",
-                        lambda mat: {"ok": False, "violations": ["planted violation"]})
+def _decomp_fails_before_any_output(capsys):
+    # both decomp checks run before the first byte, so stdout stays empty
+    # even under the --json envelope, whose head would otherwise come first
     for fmt in ("csv", "latex", "json"):
-        code, out, err = run(capsys, "decomp", "--e", "4", "--l", "2", "--charge", "0,1",
-                             "--rank", "2", "--format", fmt)
-        assert code == 4 and out == ""
-        assert "internal invariant violation" in err and "planted violation" in err
+        for envelope in ((), ("--json",)):
+            code, out, err = run(capsys, *envelope, "decomp", "--e=4", "--l=2", "--charge=0,1",
+                                 "--rank=2", "--format=" + fmt, "--keep-q")
+            assert code == 4 and out == "", (fmt, envelope)
+            assert "internal invariant violation" in err and "planted" in err
+
+
+def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_unitriangular",
+                        lambda mat: {"ok": False, "violations": ["planted violation"]})
+    _decomp_fails_before_any_output(capsys)
+
+
+def test_decomp_foreign_support_exits_4(capsys, monkeypatch):
+    real = cli.decomposition_matrix
+
+    def planted(*args):
+        mat = real(*args)
+        mat.checks["foreign_support"] = [["planted", [0, 5], "-|1"]]
+        return mat
+
+    monkeypatch.setattr(cli, "decomposition_matrix", planted)
+    _decomp_fails_before_any_output(capsys)
 
 
 def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):
@@ -282,6 +302,31 @@ def _json_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _dumped(obj):
+    """The text cli._jdump writes for obj."""
+    out = []
+    cli._jdump(obj, out.append)
+    return "".join(out)
+
+
+def _lazy(obj):
+    """obj with every list, at every depth, replaced by an iterator."""
+    if isinstance(obj, dict):
+        return {k: _lazy(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return iter([_lazy(x) for x in obj])
+    return obj
+
+
+def _materialized(obj):
+    """obj with every iterator and tuple, at every depth, read into a list."""
+    if isinstance(obj, dict):
+        return {k: _materialized(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, Iterator)):
+        return [_materialized(x) for x in obj]
+    return obj
+
+
 # strings that look like the JSON around them, or need escaping
 _TRICKY = st.text(alphabet='{}[],:" \\\nab\u00e9\u2603\U0001f600', max_size=12) | st.sampled_from(
     ["},", "],", '"', "\n", "},\n    {", "},\n  {", "\u00e9t\u00e9", ""])
@@ -301,7 +346,8 @@ _JSON = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_JSON)
 def test_jdump_matches_json_dumps(obj):
-    assert cli._jdump(obj) == _json_dumps(obj)
+    assert _dumped(obj) == _json_dumps(obj)
+    assert _dumped(_lazy(obj)) == _json_dumps(obj)
 
 
 # decomp --keep-q's q-triples [row, col, [[exp, coef], ...]], with empty and
@@ -313,7 +359,8 @@ _Q_TRIPLES = st.lists(st.tuples(_SCALARS, _SCALARS, _PAIRS).map(list), max_size=
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_Q_TRIPLES | st.dictionaries(_KEYS, _Q_TRIPLES, max_size=3))
 def test_jdump_matches_json_dumps_on_q_triples(obj):
-    assert cli._jdump(obj) == _json_dumps(obj)
+    assert _dumped(obj) == _json_dumps(obj)
+    assert _dumped(_lazy(obj)) == _json_dumps(obj)
 
 
 def test_jdump_matches_json_dumps_on_edge_shapes():
@@ -324,13 +371,74 @@ def test_jdump_matches_json_dumps_on_edge_shapes():
                 [[[], []]], [[[], 1], [[], 2]], [["a", []], ["b", [[1, 2]]]], [[1, [2]], [3, 4]],
                 [{"a": [1], "b": 2}, {"a": [], "b": 3}], [{"a": [1]}, {"b": [1]}],
                 [{"a": {}}, {"a": {"b": [1]}}], [[], [1], [[2]]], ["\u0000", ["\u0000"]]):
-        assert cli._jdump(obj) == _json_dumps(obj), obj
+        assert _dumped(obj) == _json_dumps(obj), obj
+
+
+# one item of each shape the commands write, numbered
+_ITEM_SHAPES = (
+    lambda i: i,
+    lambda i: "\u00e9\"%d" % i,
+    lambda i: {"from": "%d|-" % i, "color": i % 3, "to": "-|%d" % i},
+    lambda i: ["%d|-" % i, "-|1", i],
+    lambda i: ["%d|-" % i, "-|1", [[0, i], [2, 1]] if i % 2 else []],
+)
+
+
+def test_jdump_streams_at_chunk_boundaries(monkeypatch):
+    chunk = 4
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for shape in _ITEM_SHAPES:
+            items = [shape(i) for i in range(n)]
+            writes = []
+            cli._jdump(iter(items), writes.append)
+            assert "".join(writes) == _json_dumps(items), (n, items)
+            # one write per chunk, then the closing bracket
+            assert len(writes) == ((n + chunk - 1) // chunk + 1 if n else 1)
+            obj = {"k": iter(items), "a": [iter(items), 1], "z": None}
+            want = {"k": items, "a": [items, 1], "z": None}
+            assert _dumped(obj) == _json_dumps(want), (n, items)
+
+
+def test_json_envelope_streams_at_chunk_boundaries(capsys, monkeypatch):
+    # the envelope around dot, CSV, LaTeX and JSON text cut at every chunk
+    # boundary
+    chunk = 4
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    mat = decomposition_matrix(4, 2, (0, 1), 4)
+    texts = (
+        ("crystal", list(crystal_to_dot(crystal_graph(4, 2, (0, 1), 3), (0, 1)))),
+        ("decomp", list(mat.to_csv())),
+        ("decomp", list(mat.to_latex())),
+    )
+    args = cli.build_parser().parse_args(["--json", "semisimple", "--e=4", "--charge=0,1",
+                                          "--rank=1"])
+    for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        for command, lines in texts:
+            assert len(lines) > n
+            args.command = command
+            cli._emit(args, cli._lines, iter(lines[:n]))
+            want = {"command": command, "data": "".join(lines[:n])}
+            assert capsys.readouterr().out == _json_dumps(want), (command, n)
+        items = [shape(i) for shape in _ITEM_SHAPES for i in range(n)]
+        cli._emit(args, cli._jdump, {"values": iter(items)})
+        want = {"command": args.command, "data": _json_dumps({"values": items})}
+        assert capsys.readouterr().out == _json_dumps(want), n
 
 
 def test_jdump_matches_json_dumps_on_every_command(capsys, monkeypatch):
+    # each payload is read into lists before it is written, and stdout must
+    # be json.dumps of what was read; under --json, of the envelope around
+    # the plain output
     payloads = []
     real = cli._jdump
-    monkeypatch.setattr(cli, "_jdump", lambda obj: payloads.append(obj) or real(obj))
+
+    def hooked(obj, write):
+        obj = _materialized(obj)
+        payloads.append(obj)
+        real(obj, write)
+
+    monkeypatch.setattr(cli, "_jdump", hooked)
     for argv in (
         ["uglov-set", "--e=4", "--charge=0,1", "--rank=4", "--format=json"],
         ["uglov-set", "--e=4", "--charge=0,1", "--rank=0", "--format=json"],
@@ -346,11 +454,32 @@ def test_jdump_matches_json_dumps_on_every_command(capsys, monkeypatch):
         ["decomp", "--e=3", "--charge=0,1,2", "--rank=3", "--format=json", "--keep-q"],
         ["--json", "crystal", "--e=4", "--charge=0,1", "--rank=2", "--format=dot"],
     ):
-        assert main(argv) == 0, argv
-    capsys.readouterr()
-    assert len(payloads) == 13
-    for obj in payloads:
-        assert real(obj) == _json_dumps(obj)
+        seen = len(payloads)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] == "--json":
+            plain = run(capsys, *argv[1:])[1]
+            assert out == _json_dumps({"command": argv[1], "data": plain})
+        else:
+            assert len(payloads) == seen + 1
+            assert out == _json_dumps(payloads[-1]), argv
+    assert len(payloads) == 12
+
+
+def test_crystal_json_render_holds_less_than_its_output():
+    # the writer holds one chunk of records and their text at a time,
+    # besides the label texts; building the whole payload and then the
+    # whole text holds about six times the output's length
+    graph = crystal_graph(4, 2, (0, 5), 13)
+    written = []
+    tracemalloc.start()
+    try:
+        cli._jdump(crystal_to_json(graph), lambda text: written.append(len(text)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) > 10 ** 6
+    assert peak < sum(written)
 
 
 def test_avalue_default_height_is_rank_plus_one(capsys):

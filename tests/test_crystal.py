@@ -13,7 +13,6 @@ from qfock.crystal import (
     good_addable_nodes,
     good_node,
     kleshchev_charge,
-    uglov_layers,
     uglov_set,
 )
 from qfock.partitions import (
@@ -25,7 +24,7 @@ from qfock.partitions import (
     removable_nodes,
 )
 
-from oracles import content, is_normal
+from oracles import content, is_normal, uglov_layers
 from paper_data import UGLOV_SETS
 
 
@@ -147,7 +146,7 @@ def test_layer1_edges():
 
 def test_exports():
     g = crystal_graph(4, 2, (0, 1), 2)
-    dot = crystal_to_dot(g, (0, 1))
+    dot = "".join(crystal_to_dot(g, (0, 1)))
     assert dot.startswith("digraph crystal {") and '->' in dot and 'label="1|-"' in dot
     js = crystal_to_json(g)
     assert {v["label"] for v in js["vertices"] if v["uglov"]} >= {"-|-", "1|-", "-|1"}

@@ -141,7 +141,7 @@ def test_fock_json():
         (((1,), ()), (0, 1)): LaurentPoly({1: 2}),
         (((), ()), (0, 1)): LaurentPoly.one(),
     }
-    assert fock_to_json(v) == [
+    assert list(fock_to_json(v)) == [
         {"multipartition": "-|-", "charge": [0, 1], "coefficient": [[0, 1]]},
         {"multipartition": "1|-", "charge": [0, 1], "coefficient": [[1, 2]]},
     ]

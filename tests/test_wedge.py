@@ -354,7 +354,7 @@ def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
 def test_vector_json_and_index_sum_helper():
     eng = WedgeEngine(2, 1)
     u = wedge_monomial((2,), 0)
-    records = vector_to_json(eng.bar(u))
+    records = list(vector_to_json(eng.bar(u)))
     assert records == [
         {"monomial": {"s": 0, "prefix": [1, 0]}, "coefficient": [[-1, -1], [1, 1]]},
         {"monomial": {"s": 0, "prefix": [2]}, "coefficient": [[0, 1]]},
