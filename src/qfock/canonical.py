@@ -8,7 +8,9 @@ node; then v = f_i^(k) G(lambda') is bar-invariant (Uglov's bar involution
 commutes with f_i).  fock.apply_f builds the divided power in one pass, as
 a sum over the k-sets of addable i-nodes, with no division by [k]!.
 Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
-off lambda is not in qZ[q] leaves G(lambda).
+off lambda is not in qZ[q] leaves G(lambda).  Labels are bead masks and
+coefficients plain ints throughout the build (see fock.py); tuples and
+polynomials appear only where element() hands a vector out.
 A label with no good node at any colour is a highest-weight vertex of its
 crystal component.  Its start vector is v = u + bar(u), u the label's
 wedge monomial, which is bar-invariant with 2 on lambda; the same
@@ -41,12 +43,14 @@ which are not even defined across charges.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .abacus import WedgeMonomial, from_pair, to_pair
 from .avalue import AValueTable
-from .crystal import _reduce, uglov_set
+from .crystal import uglov_set
 from .errors import InvariantError
-from .fock import apply_f
+from .fock import ChargedAbacus, apply_f, each_term, freeze
 from .laurent import LaurentPoly, _acc
 from .partitions import (
     empty_multipartition,
@@ -54,8 +58,6 @@ from .partitions import (
     mp_to_text,
     multipartitions,
     rank,
-    remove_node,
-    signature_nodes,
 )
 from .wedge import WedgeEngine
 
@@ -145,19 +147,24 @@ class CanonicalBasis:
 
 class FockBasis:
     """Canonical elements G(lambda) of the labels of one charge, built
-    through the Fock action.  A highest-weight label starts from its own
-    bar, taken on one WedgeEngine made when the first needs it;
-    `wedge_labels` lists those labels in the order they were sent.
+    through the Fock action on bead masks (see fock.py).  The abacus is
+    widened to the rank of the largest label asked for, and what is stored
+    is re-encoded then.  A highest-weight label starts from its own bar,
+    taken on one WedgeEngine made when the first needs it; `wedge_labels`
+    lists those labels in the order they were sent.
 
-    Elements are Fock-space vectors {(mp, charge): polynomial}."""
+    element() takes a multipartition and returns a Fock-space vector
+    {(mp, charge): polynomial}; build() takes a bead mask and returns the
+    frozen flat vector (see fock.py), the form every G is stored in."""
 
     def __init__(self, e: int, l: int, charge):
         self.e = e
         self.l = l
         self.charge = tuple(charge)
-        vacuum = empty_multipartition(l)
-        self._g = {vacuum: {(vacuum, self.charge): LaurentPoly.one()}}
-        self._open = set()  # labels whose build has started and not finished
+        self.abacus = ChargedAbacus(e, l, self.charge, 0)
+        vacuum = self.abacus.mask(empty_multipartition(l))
+        self._g = {vacuum: (vacuum, 0, 1)}  # frozen vectors
+        self._open = set()  # masks whose build has started and not finished
         self._key = {}
         self.wedge_labels = []
 
@@ -165,65 +172,125 @@ class FockBasis:
     def engine(self) -> WedgeEngine:
         return WedgeEngine(self.e, self.l)
 
+    def mask(self, mp) -> int:
+        """The bead mask of mp, after widening the abacus to mp's rank."""
+        if len(mp) != self.l:
+            raise ValueError("multipartition %r has %d components, expected %d"
+                             % (mp, len(mp), self.l))
+        n = rank(mp)
+        if n > self.abacus.n:
+            # lo falls by n - abacus.n positions, every one of them beads
+            shift = (n - self.abacus.n) * self.l
+            fill = (1 << shift) - 1
+            self.abacus = ChargedAbacus(self.e, self.l, self.charge, n)
+
+            def move(b):
+                return b << shift | fill
+
+            self._g = {move(b): freeze({(move(m), x): c for m, x, c in each_term(g)})
+                       for b, g in self._g.items()}
+            self._open = set(map(move, self._open))
+            self._key = {move(b): key for b, key in self._key.items()}
+        return self.abacus.mask(mp)
+
+    def element(self, mp) -> dict:
+        """G(mp) as {(mp, charge): polynomial}, building whatever it needs
+        first."""
+        terms = {}
+        for b, x, c in each_term(self.build(self.mask(mp))):
+            terms.setdefault(b, {})[x] = c
+        label = self.abacus.label
+        return {(label(b), self.charge): LaurentPoly(t) for b, t in terms.items()}
+
     def key(self, mp):
         """Correction order: the dominance of mp's wedge monomial, then
         text.  The first entry strictly grows from a label to every other
         label in the support of its G."""
-        hit = self._key.get(mp)
+        return dominance(from_pair(mp, self.charge, self.e, self.l)), mp_to_text(mp)
+
+    def _order(self, b):
+        """key of the label with bead mask b, kept once worked out."""
+        hit = self._key.get(b)
         if hit is None:
-            hit = self._key[mp] = (
-                dominance(from_pair(mp, self.charge, self.e, self.l)),
-                mp_to_text(mp),
-            )
+            hit = self._key[b] = self.key(self.abacus.label(b))
         return hit
 
-    def peel(self, mp):
-        """(i, k, e~_i^k mp) for the lowest colour i with a good node of mp
-        and the largest such k; None when mp has no good node, i.e. is a
-        highest-weight vertex of its crystal component.  e~_i^k removes
-        every normal i-node of mp: removing the good one turns it into an
-        uncancelled addable node and leaves the others normal.  Only the
-        residues that occur among mp's nodes are tried, so the cost does
-        not grow with e."""
-        sigs = {}
-        for cont, _c, node, addable in signature_nodes(mp, self.charge):
-            sigs.setdefault(cont % self.e, []).append((node, addable))
-        for i in sorted(sigs):
-            normal = _reduce(sigs[i])[1]
+    def _text(self, b) -> str:
+        return mp_to_text(self.abacus.label(b))
+
+    def peel(self, b):
+        """(i, k, e~_i^k b) for the lowest colour i with a good node of the
+        label with bead mask b and the largest such k; None when it has no
+        good node, i.e. is a highest-weight vertex of its crystal component.
+        e~_i^k removes every normal i-node: removing the good one turns it
+        into an uncancelled addable node and leaves the others normal.  A
+        normal node is removable, so only the residues of the removable
+        nodes are tried, and the cost does not grow with e."""
+        abacus = self.abacus
+        add, rem = abacus.nodes(b)
+        colours = set()
+        nodes = rem
+        while nodes:
+            bit = nodes & -nodes
+            nodes ^= bit
+            colours.add(abacus.residue_of(bit))
+        for i in sorted(colours):
+            res = abacus.residue(i)
+            removable = rem & res
+            nodes = add & res | removable
+            normal = []
+            while nodes:  # the i-signature, most 'above' first
+                bit = nodes & -nodes
+                nodes ^= bit
+                if bit & removable:
+                    normal.append(bit)
+                elif normal:
+                    normal.pop()  # an addable node cancels the nearest survivor above
             if normal:
-                for gamma in normal:
-                    mp = remove_node(mp, gamma)
-                return i, len(normal), mp
+                flip = 0
+                for bit in normal:
+                    flip |= bit | bit >> abacus.l
+                return i, len(normal), b ^ flip
         return None
 
-    def _highest(self, mp) -> dict:
+    def _highest(self, lam) -> dict:
         """u + bar(u) for the wedge monomial u of a highest-weight label, as
-        a Fock vector: bar-invariant, with 2 on mp.  Every other label of
-        its support must be at this charge and rise in wedge dominance, the
-        order the corrections are taken in."""
+        a flat vector: bar-invariant, with 2 on lam.  Every other label of
+        its support must be at this charge and rank, and rise in wedge
+        dominance, the order the corrections are taken in."""
+        mp = self.abacus.label(lam)
         self.wedge_labels.append(mp)
         u = from_pair(mp, self.charge, self.e, self.l)
         low = dominance(u)
-        v = {(mp, self.charge): LaurentPoly.one()}
+        n = rank(mp)
+        v = {(lam, 0): 1}
         for w, c in self.engine.bar(u).items():
-            label = to_pair(w, self.e, self.l)
-            if label[1] != self.charge:
+            nu, charge = to_pair(w, self.e, self.l)
+            if charge != self.charge:
                 raise InvariantError(
                     "bar of %s at charge %s has support %s at charge %s"
-                    % (mp_to_text(mp), self.charge, mp_to_text(label[0]), label[1])
+                    % (mp_to_text(mp), self.charge, mp_to_text(nu), charge)
                 )
             if w != u and dominance(w) <= low:
                 raise InvariantError(
                     "bar(%s) has support %s, which does not rise in wedge dominance"
                     % (u, w)
                 )
-            _acc(v, label, c)
+            if rank(nu) != n:
+                raise InvariantError(
+                    "bar of %s at charge %s has support %s of another rank"
+                    % (mp_to_text(mp), self.charge, mp_to_text(nu))
+                )
+            b = self.abacus.mask(nu)  # bar(u) is 1 on u, so no term cancels
+            for x, cx in c.terms.items():
+                v[b, x] = v.get((b, x), 0) + cx
         return v
 
-    def element(self, mp) -> dict:
-        """G(mp), building whatever it needs first."""
+    def build(self, b) -> tuple:
+        """G of the label with bead mask b, as a frozen vector, building
+        whatever it needs first."""
         stack = []
-        self._push(mp, stack)
+        self._push(b, stack)
         while stack:
             frame = stack[-1]
             lam, v, corrected, lead = frame
@@ -237,108 +304,149 @@ class FockBasis:
                     if self._push(low, stack):
                         continue
                     # bar-invariant and on lam, with lam's coefficient not yet 1
-                    v = frame[1] = apply_f(i, self._g[low], self.e, k)
-            nu = self._lowest_uncorrected(lam, v)
+                    v = frame[1] = apply_f(i, each_term(self._g[low]), self.abacus, k)
+            nu, terms = self._lowest_uncorrected(lam, v)
             while nu is not None and not self._push(nu, stack):
                 if nu in corrected:
                     # each subtraction only moves labels above nu in key order
                     raise InvariantError(
                         "building G(%s) at charge %s needs a second correction on %s"
-                        % (mp_to_text(lam), self.charge, mp_to_text(nu))
+                        % (self._text(lam), self.charge, self._text(nu))
                     )
                 corrected.add(nu)
-                self._subtract(v, nu)
-                nu = self._lowest_uncorrected(lam, v)
+                self._subtract(v, nu, terms)
+                nu, terms = self._lowest_uncorrected(lam, v)
             if nu is not None:
                 continue  # resume once G(nu) is built
-            one = v.get((lam, self.charge))
-            if one is None or one.terms != {0: lead}:
+            own = {x: c for (mu, x), c in v.items() if mu == lam}
+            if own != {0: lead}:
                 raise InvariantError(
                     "G(%s) at charge %s ends with coefficient %s on its label, not %d"
-                    % (mp_to_text(lam), self.charge, one, lead)
+                    % (self._text(lam), self.charge, LaurentPoly(own) if own else None, lead)
                 )
             if lead == 2:  # v is 2 G(lam)
-                odd = [key for key, c in v.items() if any(x % 2 for x in c.terms.values())]
-                if odd:
+                odd = next((mu for (mu, _x), c in v.items() if c % 2), None)
+                if odd is not None:
                     raise InvariantError(
                         "2 G(%s) at charge %s has an odd coefficient %s on %s"
-                        % (mp_to_text(lam), self.charge, v[odd[0]], mp_to_text(odd[0][0]))
+                        % (self._text(lam), self.charge,
+                           LaurentPoly({x: c for (mu, x), c in v.items() if mu == odd}),
+                           self._text(odd))
                     )
-                v = {key: LaurentPoly({x: cx // 2 for x, cx in c.terms.items()})
-                     for key, c in v.items()}
-            self._g[lam] = v
+                v = {key: c // 2 for key, c in v.items()}
+            self._g[lam] = freeze(v)
             self._open.discard(lam)
             stack.pop()
-        return self._g[mp]
+        return self._g[b]
 
-    def _push(self, mp, stack) -> bool:
-        """Open a build of mp unless G(mp) is stored; True when opened.  A
-        label already open would make the build wait on itself."""
-        if mp in self._g:
+    def _push(self, b, stack) -> bool:
+        """Open a build of the label with bead mask b unless its G is
+        stored; True when opened.  A label already open would make the build
+        wait on itself."""
+        if b in self._g:
             return False
-        if mp in self._open:
+        if b in self._open:
             raise InvariantError(
-                "build of G(%s) at charge %s waits on itself"
-                % (mp_to_text(mp), self.charge)
+                "build of G(%s) at charge %s waits on itself" % (self._text(b), self.charge)
             )
-        self._open.add(mp)
+        self._open.add(b)
         # label, vector so far, labels corrected, coefficient its label ends with
-        stack.append([mp, None, set(), 1])
+        stack.append([b, None, set(), 1])
         return True
 
     def _lowest_uncorrected(self, lam, v):
-        """The lowest label off lam, in key order, whose coefficient in v is
-        not in qZ[q]; None when there is none."""
-        bad = [mp for (mp, _charge), c in v.items() if mp != lam and min(c.terms) <= 0]
-        return min(bad, key=self.key, default=None)
+        """The lowest label off lam, in key order, with a coefficient in v
+        not in qZ[q], and its terms at exponents <= 0; (None, None) when
+        there is none."""
+        bad = {}
+        for (mu, x), c in v.items():
+            if x <= 0 and mu != lam:
+                bad.setdefault(mu, []).append((x, c))
+        if not bad:
+            return None, None
+        nu = min(bad, key=self._order)
+        return nu, bad[nu]
 
-    def _subtract(self, v, nu):
+    def _subtract(self, v, nu, terms):
         """v -= alpha G(nu), alpha the bar-invariant polynomial with
-        v[nu] - alpha in qZ[q]."""
-        c = v[(nu, self.charge)]
-        minus_alpha = {}
-        for x, cx in c.terms.items():
-            if x <= 0:
-                minus_alpha[x] = minus_alpha.get(x, 0) - cx
-                if x:
-                    minus_alpha[-x] = minus_alpha.get(-x, 0) - cx
-        minus_alpha = LaurentPoly(minus_alpha)
-        for key, d in self._g[nu].items():
-            _acc(v, key, minus_alpha * d)
+        v[nu] - alpha in qZ[q]; terms are v[nu]'s terms at exponents <= 0."""
+        minus_alpha = {x: -c for x, c in terms}
+        minus_alpha.update((-x, -c) for x, c in terms if x)
+        get = v.get
+        for mu, y, d in each_term(self._g[nu]):
+            for x, a in minus_alpha.items():
+                s = get((mu, x + y), 0) + a * d
+                if s:
+                    v[mu, x + y] = s
+                else:
+                    del v[mu, x + y]
+
+
+def _on_read(make):
+    """The items of make(), which is called when the first is read."""
+    yield from make()
 
 
 class DecompositionMatrix:
     """Rows: all l-partitions of rank n, sorted by (a_rel, text form).
-    Columns: the Uglov l-partitions, sorted the same way.  Entries are the
-    canonical-basis coefficients; `entries` holds them at q = 1, `qentries`
-    keeps the polynomials, `aval` is the a-value table at height n + 1, and
-    `text` maps each row label to its text form, which every renderer
-    reads."""
+    Columns: the Uglov l-partitions, sorted the same way.  `columns` maps
+    each column to its canonical element as a frozen vector, one tuple of
+    (key, exponent, coefficient) runs with no zero coefficient, and
+    `row_of` maps each key to its row label (decomposition_matrix keys by
+    bead mask and shares the vectors with the build); every entry is read
+    through that one map.  `entries` holds the entries at q = 1, `aval` is
+    the a-value table at height n + 1, and `text` maps each row label to its
+    text form, which every renderer reads."""
 
-    def __init__(self, e, l, charge, n, rows, cols, qentries, checks, aval, text):
+    def __init__(self, e, l, charge, n, rows, cols, columns, row_of, checks, aval, text):
         self.e = e
         self.l = l
         self.charge = charge
         self.n = n
         self.rows = rows
         self.cols = cols
-        self.qentries = qentries
-        self.entries = {key: c.eval_one() for key, c in qentries.items()}
+        self.columns = columns
+        self.row_of = row_of
+        entries = {}
+        for col, g in columns.items():
+            for key, _x, c in each_term(g):
+                entry = row_of[key], col
+                entries[entry] = entries.get(entry, 0) + c
+        self.entries = entries
         self.checks = checks
         self.aval = aval
         self.text = text
 
+    def _terms(self):
+        """(row, column, exponent, coefficient) for every term of every
+        entry, column by column."""
+        row_of = self.row_of
+        for col, g in self.columns.items():
+            for key, x, c in each_term(g):
+                yield row_of[key], col, x, c
+
+    @property
+    def qentries(self) -> dict:
+        """The entries as polynomials, {(row, column): LaurentPoly}."""
+        terms = {}
+        for row, col, x, c in self._terms():
+            terms.setdefault((row, col), {})[x] = c
+        return {key: LaurentPoly(t) for key, t in terms.items()}
+
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,
-        zero entries omitted; the canonical comparison form."""
-        return self._sorted(self.entries)
-
-    def _sorted(self, entries) -> list:
-        """(row text, column text, value) for the nonzero values of
-        entries, sorted; no two share their texts, so values are never
-        compared."""
+        zero entries omitted; the canonical comparison form.  No two share
+        their texts, so entries are never compared."""
         text = self.text
-        return sorted((text[row], text[col], v) for (row, col), v in entries.items() if v)
+        return sorted((text[row], text[col], v) for (row, col), v in self.entries.items() if v)
+
+    def q_triples(self):
+        """[row label, column label, [[exponent, coefficient], ...]] in the
+        order of triples, exponents rising; sorted when the first is read."""
+        text = self.text
+        flat = sorted((text[row], text[col], x, c) for row, col, x, c in self._terms())
+        for (row, col), terms in groupby(flat, itemgetter(0, 1)):
+            yield [row, col, [[x, c] for _row, _col, x, c in terms]]
 
     def to_csv(self):
         """The CSV text, line by line."""
@@ -363,8 +471,8 @@ class DecompositionMatrix:
         yield r"\end{array}" + "\n"
 
     def to_json(self, keep_q=False) -> dict:
-        """The JSON payload; its lists are iterators, read from sorted data
-        as they are written."""
+        """The JSON payload; its lists are iterators, each sorted when it is
+        first read, so no two sorted lists are held at once."""
         text = self.text
         body = {
             "e": self.e,
@@ -373,25 +481,24 @@ class DecompositionMatrix:
             "rank": self.n,
             "rows": map(text.__getitem__, self.rows),
             "columns": map(text.__getitem__, self.cols),
-            "triples": iter(self.triples()),
+            "triples": _on_read(self.triples),
             "checks": self.checks,
         }
         if keep_q:
-            body["q_triples"] = (
-                [row, col, p.to_pairs()] for row, col, p in self._sorted(self.qentries)
-            )
+            body["q_triples"] = self.q_triples()
         return body
 
 
 def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     """Columns are the canonical elements of the rank-n Uglov labels, built
-    by FockBasis and evaluated at q = 1 on the charge-matching keys.  Every
-    label such a build meets lies in the crystal component of the vacuum, so
-    a build that sends one to the wedge engine raises.
+    by FockBasis on bead masks and kept as built; one map takes each mask to
+    its row, so every row and column key is a label of `rows`.  Every label
+    such a build meets lies in the crystal component of the vacuum, so a
+    build that sends one to the wedge engine raises.
 
-    Cross-charge and cross-rank supports of each column are required to be
-    empty and recorded under checks["foreign_support"]; nonempty means the
-    run hit something the theory says cannot happen.
+    Supports of other ranks are required to be empty and recorded under
+    checks["foreign_support"] (every label of a build is at its charge);
+    nonempty means the run hit something the theory says cannot happen.
     """
     aval = AValueTable(e, l, charge, n + 1)
     basis = FockBasis(e, l, charge)
@@ -401,26 +508,30 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
         return (aval[mp], text[mp])
 
     rows = sorted(text, key=order)
-    cols = sorted(uglov_set(e, l, charge, n), key=order)
-    qentries = {}
-    foreign = []
+    row_of = {basis.mask(mp): mp for mp in rows}
+    masks = {row_of[m]: m for m in map(basis.mask, uglov_set(e, l, charge, n))}
+    cols = sorted(masks, key=order)
+    columns = {}
+    foreign = set()
     for col in cols:
-        g = basis.element(col)
+        g = basis.build(masks[col])
         if basis.wedge_labels:
             raise InvariantError(
                 "building the Uglov column %s at charge %s needed the wedge engine for %s"
                 % (mp_to_text(col), tuple(charge), mp_to_text(basis.wedge_labels[0]))
             )
-        for (mp, ch), c in g.items():
-            if ch != tuple(charge) or rank(mp) != n:
-                foreign.append([mp_to_text(mp), list(ch), mp_to_text(col)])
-                continue
-            qentries[(mp, col)] = c
+        stray = [b for b in g[::3] if b not in row_of]
+        if stray:
+            foreign.update((b, col) for b in stray)
+            g = freeze({(b, x): c for b, x, c in each_term(g) if b in row_of})
+        columns[col] = g
     checks = {
         "semisimple": is_split_semisimple(e, charge, n),
-        "foreign_support": sorted(foreign),
+        "foreign_support": sorted(
+            [basis._text(b), list(charge), mp_to_text(col)] for b, col in foreign
+        ),
     }
-    return DecompositionMatrix(e, l, charge, n, rows, cols, qentries, checks, aval, text)
+    return DecompositionMatrix(e, l, charge, n, rows, cols, columns, row_of, checks, aval, text)
 
 
 def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
@@ -428,7 +539,10 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     strictly larger a_rel on every off-label row of each column, uniqueness
     of each column's minimal row, nonnegative integer entries, and, since
     the d_{lambda mu}(q) are parabolic Kazhdan-Lusztig polynomials,
-    nonnegative q-coefficients."""
+    nonnegative q-coefficients.  Where checks["semisimple"] is recorded,
+    Ariki's criterion is a second route to the matrix's shape: the algebra
+    is split semisimple iff the matrix is square with no nonzero
+    off-diagonal entry."""
     aval = matrix.aval
     violations = []
     minimal_rows = {}
@@ -470,10 +584,20 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
             violations.append(
                 "entry (%s, %s) = %d is negative" % (mp_to_text(row), mp_to_text(col), v)
             )
-    for (row, col), p in matrix.qentries.items():
-        if any(c < 0 for c in p.terms.values()):
+    if any(min(g[2::3], default=0) < 0 for g in matrix.columns.values()):
+        for (row, col), p in matrix.qentries.items():
+            if min(p.terms.values()) < 0:
+                violations.append(
+                    "entry (%s, %s) = %s has a negative coefficient"
+                    % (mp_to_text(row), mp_to_text(col), p)
+                )
+    semisimple = matrix.checks.get("semisimple")
+    if semisimple is not None:
+        identity = len(matrix.rows) == len(matrix.cols) and not any(
+            v for (row, col), v in matrix.entries.items() if row != col)
+        if identity != semisimple:
             violations.append(
-                "entry (%s, %s) = %s has a negative coefficient"
-                % (mp_to_text(row), mp_to_text(col), p)
+                "Ariki's criterion gives split semisimple = %s, but the matrix %s square "
+                "with no nonzero off-diagonal entry" % (semisimple, "is" if identity else "is not")
             )
     return {"ok": not violations, "violations": violations}

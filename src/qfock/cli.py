@@ -227,9 +227,7 @@ def _ambient(args):
     """(e, l, charge) with l defaulted from the charge length when --l is
     absent."""
     charge = charge_from_text(args.charge)
-    l = getattr(args, "l", None)
-    if l is None:
-        l = len(charge)
+    l = len(charge) if args.l is None else args.l
     if args.e < 2 or l < 1:
         raise ValueError("need e >= 2 and l >= 1")
     if len(charge) != l:
@@ -405,12 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wrap any output in a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, charge=True, rank=True, l=False):
+    def common(p, rank=True):
         p.add_argument("--e", type=int, required=True, help="quantum characteristic, >= 2")
-        if l:
-            p.add_argument("--l", type=int, default=None, help="level (default: charge length)")
-        if charge:
-            p.add_argument("--charge", required=True, help="comma-separated integers s_1,...,s_l")
+        p.add_argument("--l", type=int, default=None, help="level (default: charge length)")
+        p.add_argument("--charge", required=True, help="comma-separated integers s_1,...,s_l")
         if rank:
             p.add_argument("--rank", type=int, required=True, help="number of boxes n >= 0")
 
@@ -419,22 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_semisimple)
 
     p = sub.add_parser("uglov-set", help="rank-n layer of the crystal component")
-    common(p, l=True)
+    common(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_uglov_set)
 
     p = sub.add_parser("flotw-check", help="membership test for ascending charges in [0, e)")
-    common(p, rank=False, l=True)
+    common(p, rank=False)
     p.add_argument("--mp", required=True, help="multipartition, e.g. '2,1|-'")
     p.set_defaults(func=cmd_flotw_check)
 
     p = sub.add_parser("crystal", help="crystal graph on ranks <= n with component marking")
-    common(p, l=True)
+    common(p)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
     p.set_defaults(func=cmd_crystal)
 
     p = sub.add_parser("avalue", help="calibrated a-value table for all rank-n labels")
-    common(p, l=True)
+    common(p)
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_avalue)
@@ -459,14 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bar)
 
     p = sub.add_parser("canonical", help="canonical basis element of a label")
-    common(p, rank=False, l=True)
+    common(p, rank=False)
     p.add_argument("--mp", required=True)
     p.add_argument("--keep-q", action="store_true", help="keep q-polynomials")
     p.add_argument("--max-degree", type=int, default=64)
     p.set_defaults(func=cmd_canonical)
 
     p = sub.add_parser("decomp", help="decomposition matrix at q = 1")
-    common(p, l=True)
+    common(p)
     p.add_argument("--format", choices=["csv", "latex", "json"], default="csv")
     p.add_argument("--keep-q", action="store_true")
     p.set_defaults(func=cmd_decomp)

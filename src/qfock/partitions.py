@@ -106,18 +106,6 @@ def add_node(mp, node):
     return mp[: c - 1] + (tuple(comp),) + mp[c:]
 
 
-def remove_node(mp, node):
-    """The multipartition with the box at `node` removed (must be removable)."""
-    a, b, c = node
-    comp = list(mp[c - 1])
-    if a > len(comp) or comp[a - 1] != b or (a < len(comp) and comp[a] >= b):
-        raise ValueError("node %r is not removable from %r" % (node, mp))
-    comp[a - 1] -= 1
-    if comp[a - 1] == 0:
-        comp.pop()
-    return mp[: c - 1] + (tuple(comp),) + mp[c:]
-
-
 # -- enumeration ---------------------------------------------------------------
 
 @lru_cache(maxsize=None)

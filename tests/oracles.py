@@ -4,13 +4,13 @@ Nothing in `src/` calls these; they are kept deliberately simple so that a
 fault in the optimized code cannot hide in them as well.
 """
 
-from itertools import count
+from itertools import combinations, count
 from operator import mul
 
 from qfock.abacus import WedgeMonomial
 from qfock.avalue import AValueTable, _entries, _min_ramp
 from qfock.crystal import _reduce, good_addable_nodes
-from qfock.fock import apply_f
+from qfock.fock import ChargedAbacus, apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.partitions import (
     add_node,
@@ -19,8 +19,8 @@ from qfock.partitions import (
     i_signatures,
     partitions,
     rank,
-    remove_node,
     removable_nodes,
+    signature_nodes,
 )
 
 
@@ -174,11 +174,82 @@ def divide_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(quot)
 
 
+def remove_node(mp, node):
+    """The multipartition with the box at `node` removed (must be removable)."""
+    a, b, c = node
+    comp = list(mp[c - 1])
+    if a > len(comp) or comp[a - 1] != b or (a < len(comp) and comp[a] >= b):
+        raise ValueError("node %r is not removable from %r" % (node, mp))
+    comp[a - 1] -= 1
+    if comp[a - 1] == 0:
+        comp.pop()
+    return mp[: c - 1] + (tuple(comp),) + mp[c:]
+
+
+def apply_f_on_tuples(i, vec, e, k=1) -> dict:
+    """fock.apply_f on {(mp, charge): polynomial} vectors, read off the
+    i-signature of each multipartition tuple: N^b_i of an addable i-node
+    is counted off the signature nodes after it."""
+    out = {}
+    shift = k * (k - 1) // 2
+    for (mp, charge), c in vec.items():
+        sig = [(node, addable) for cont, _c, node, addable in signature_nodes(mp, charge)
+               if cont % e == i]
+        below = sum(1 if addable else -1 for _g, addable in sig)  # N_i of mp
+        nodes = []
+        for gamma, addable in sig:
+            if addable:
+                below -= 1  # now the nodes below gamma only
+                nodes.append((gamma, below))
+            else:
+                below += 1
+        for subset in combinations(nodes, k):
+            mu = mp
+            for gamma, _b in subset:
+                mu = add_node(mu, gamma)
+            weight = sum(b for _g, b in subset) - shift
+            _acc(out, (mu, charge), c * LaurentPoly({weight: 1}))
+    return out
+
+
+def peel_on_tuples(mp, charge, e):
+    """FockBasis.peel on a multipartition tuple: (i, k, e~_i^k mp) for the
+    lowest colour i whose reduced i-signature keeps a removable node, every
+    such node removed; None when there is none."""
+    sigs = {}
+    for cont, _c, node, addable in signature_nodes(mp, charge):
+        sigs.setdefault(cont % e, []).append((node, addable))
+    for i in sorted(sigs):
+        normal = _reduce(sigs[i])[1]
+        if normal:
+            for gamma in normal:
+                mp = remove_node(mp, gamma)
+            return i, len(normal), mp
+    return None
+
+
+def fock_apply_f(i, vec, e, k=1) -> dict:
+    """fock.apply_f itself on a {(mp, charge): polynomial} vector: the
+    labels of each charge go to bead masks on an abacus wide enough for
+    their images, and back."""
+    out = {}
+    for charge in {ch for _mp, ch in vec}:
+        part = {key: c for key, c in vec.items() if key[1] == charge}
+        abacus = ChargedAbacus(e, len(charge), charge, max(map(rank, (mp for mp, _ch in part))) + k)
+        flat = [(abacus.mask(mp), x, cx) for (mp, _ch), c in part.items()
+                for x, cx in c.terms.items()]
+        terms = {}
+        for (b, x), cx in apply_f(i, flat, abacus, k).items():
+            terms.setdefault(abacus.label(b), {})[x] = cx
+        out.update({(mp, charge): LaurentPoly(t) for mp, t in terms.items()})
+    return out
+
+
 def divided_power_by_division(i, vec, e, k) -> dict:
     """f_i^(k) the long way: k single applications of f_i, then every
     coefficient divided exactly by [k]!."""
     for _ in range(k):
-        vec = apply_f(i, vec, e)
+        vec = apply_f_on_tuples(i, vec, e)
     fact = quantum_factorial(k)
     out = {}
     for key, c in vec.items():

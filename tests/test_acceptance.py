@@ -17,7 +17,6 @@ from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
 from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_set
-from qfock.fock import apply_f
 from qfock.laurent import LaurentPoly
 from qfock.partitions import (
     add_node,
@@ -26,7 +25,6 @@ from qfock.partitions import (
     mp_to_text,
     multipartitions,
     rank,
-    remove_node,
 )
 from qfock.wedge import WedgeEngine
 
@@ -34,9 +32,11 @@ from oracles import (
     add_nodes_to_part,
     apply_e,
     enumerate_degree_component,
+    fock_apply_f,
     height,
     n_count,
     precedes,
+    remove_node,
     straighten_naive,
     translated_symbol,
     uglov_layers,
@@ -234,9 +234,9 @@ def test_criterion_6c_sl2_commutator():
         i = rng.randint(0, e - 1)
         v = {(mp, charge): LaurentPoly.one()}
         lhs = {}
-        for key, c in apply_e(i, apply_f(i, v, e), e).items():
+        for key, c in apply_e(i, fock_apply_f(i, v, e), e).items():
             lhs[key] = lhs.get(key, LaurentPoly()) + c
-        for key, c in apply_f(i, apply_e(i, v, e), e).items():
+        for key, c in fock_apply_f(i, apply_e(i, v, e), e).items():
             s = lhs.get(key, LaurentPoly()) - c
             if s:
                 lhs[key] = s

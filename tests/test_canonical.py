@@ -23,11 +23,11 @@ from qfock.canonical import (
 from qfock.cli import _jdump
 from qfock.crystal import good_node, uglov_set
 from qfock.errors import InvariantError
-from qfock.fock import apply_f
+from qfock.fock import apply_f, each_term
 from qfock.laurent import LaurentPoly
-from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank, remove_node
+from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
 
-from oracles import divide_exact, enumerate_degree_component, quantum_factorial
+from oracles import divide_exact, enumerate_degree_component, quantum_factorial, remove_node
 from paper_data import MATRICES, UGLOV_SETS
 
 
@@ -135,13 +135,11 @@ def test_matrix_renderings_are_consistent():
 def test_verify_unitriangular_negative_control():
     rows = [((2,), ()), ((1, 1), ())]
     cols = [((1, 1), ())]
-    qentries = {
-        (((2,), ()), ((1, 1), ())): LaurentPoly.one(),
-        (((1, 1), ()), ((1, 1), ())): LaurentPoly.one(),
-    }
+    columns = {((1, 1), ()): (((2,), ()), 0, 1, ((1, 1), ()), 0, 1)}
     aval = AValueTable(4, 2, (0, 1), 3)
     text = {r: mp_to_text(r) for r in rows}
-    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, qentries, {}, aval, text)
+    same = {r: r for r in rows}
+    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, columns, same, {}, aval, text)
     report = verify_unitriangular(bad)
     assert not report["ok"]
     assert any("minimal-a rows" in v for v in report["violations"])
@@ -149,7 +147,7 @@ def test_verify_unitriangular_negative_control():
     # identity matrix passes
     ident = DecompositionMatrix(
         4, 2, (0, 1), 2, rows, rows,
-        {(r, r): LaurentPoly.one() for r in rows}, {}, aval, text,
+        {r: (r, 0, 1) for r in rows}, same, {}, aval, text,
     )
     assert verify_unitriangular(ident)["ok"]
 
@@ -210,7 +208,9 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     # a q-entry with a negative coefficient but a positive value at q = 1
     mat.entries = dict(clean)
     off = next(key for key, p in mat.qentries.items() if key[0] != key[1] and p)
-    mat.qentries[off] = LaurentPoly({1: 2, 3: -1})
+    row = next(key for key, r in mat.row_of.items() if r == off[0])
+    column = [t for t in each_term(mat.columns[off[1]]) if t[0] != row]
+    mat.columns[off[1]] = sum(column, ()) + (row, 1, 2, row, 3, -1)
     report = verify_unitriangular(mat)
     assert report == _verify_by_lookup(mat)
     assert report["violations"] == ["entry (%s, %s) = %s has a negative coefficient"
@@ -357,16 +357,17 @@ def test_fock_build_traps():
     charge = (0, 1)
     lam, low = mp_from_text("1|3,1"), mp_from_text("1|3")
     basis = FockBasis(4, 2, charge)
-    assert basis.peel(lam) == (0, 1, low)
+    assert basis.peel(basis.mask(lam)) == (0, 1, basis.mask(low))
     basis.element(low)
-    assert apply_f(0, basis._g[low], 4)[(lam, charge)] == LaurentPoly({0: 1, 2: 1})
+    image = apply_f(0, each_term(basis._g[basis.mask(low)]), basis.abacus)
+    assert {x: c for (b, x), c in image.items() if b == basis.mask(lam)} == {0: 1, 2: 1}
     # ... and the correction that restores the 1 needs G(1|4), lower in
     # the correction order and in a-value
     fresh = FockBasis(4, 2, charge)
     g = fresh.element(lam)
     assert g[(lam, charge)] == LaurentPoly.one()
     side = mp_from_text("1|4")
-    assert {mp for mp in fresh._g if rank(mp) == 5} == {lam, side}
+    assert {mp for mp in map(fresh.abacus.label, fresh._g) if rank(mp) == 5} == {lam, side}
     assert fresh.key(side) < fresh.key(lam)
     aval = AValueTable(4, 2, charge, 6)
     assert aval[side] < aval[lam]
@@ -375,7 +376,8 @@ def test_fock_build_traps():
 def test_fock_build_cycle_guard():
     # a planted open build of G(1|4) makes the build of G(1|3,1) wait on it
     basis = FockBasis(4, 2, (0, 1))
-    basis._open.add(mp_from_text("1|4"))
+    planted = basis.mask(mp_from_text("1|4"))  # widens the abacus to rank 5
+    basis._open.add(planted)
     with pytest.raises(InvariantError, match="waits on itself"):
         basis.element(mp_from_text("1|3,1"))
 
@@ -389,7 +391,7 @@ def test_fock_build_of_non_uglov_labels(monkeypatch):
     basis = FockBasis(4, 2, charge)
     assert basis.element(lam) == CanonicalBasis(4, 2).element_for_label(lam, charge)
     highest = mp_from_text("-|1,1")
-    assert basis.wedge_labels == [highest] and basis.peel(highest) is None
+    assert basis.wedge_labels == [highest] and basis.peel(basis.mask(highest)) is None
     # decomposition_matrix refuses a column that would need the wedge engine
     monkeypatch.setattr(canonical, "uglov_set", lambda *args: uglov_set(*args) | {lam})
     with pytest.raises(InvariantError, match="needed the wedge engine"):
@@ -411,7 +413,7 @@ HIGHEST = mp_from_text("1,1,1|1")
 
 def test_highest_weight_start_rejects_a_support_that_does_not_rise():
     basis = FockBasis(4, 2, (0, 1))
-    assert basis.peel(HIGHEST) is None
+    assert basis.peel(basis.mask(HIGHEST)) is None
     low = mp_from_text("2|1,1")
     assert basis.key(low)[0] <= basis.key(HIGHEST)[0]
     _plant_bar(basis, HIGHEST, (from_pair(low, (0, 1), 4, 2), LaurentPoly({1: 2})))
@@ -479,15 +481,16 @@ def test_peel_matches_repeated_good_node_removal():
             basis = FockBasis(e, l, charge)
             for n in range(7):
                 for mp in multipartitions(l, n):
+                    b = basis.mask(mp)  # widens the abacus to rank n first
                     want = None
                     for i in range(e):
                         low, k = mp, 0
                         while (gamma := good_node(low, i, charge, e)) is not None:
                             low, k = remove_node(low, gamma), k + 1
                         if k:
-                            want = (i, k, low)
+                            want = (i, k, basis.mask(low))
                             break
-                    assert basis.peel(mp) == want, (e, l, charge, mp_to_text(mp))
+                    assert basis.peel(b) == want, (e, l, charge, mp_to_text(mp))
                     multi += want is not None and want[1] > 1
     assert multi > 100
 

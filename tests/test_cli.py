@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import cli
-from qfock.canonical import decomposition_matrix
+from qfock import canonical, cli
+from qfock.canonical import decomposition_matrix, verify_unitriangular
 from qfock.cli import main
 from qfock.crystal import crystal_graph, crystal_to_dot, crystal_to_json
 from qfock.partitions import multipartitions
@@ -25,6 +25,15 @@ def test_semisimple_command(capsys):
     assert code == 0 and out == "false\n"
     code, out, _ = run(capsys, "semisimple", "--e", "5", "--charge", "0", "--rank", "4")
     assert code == 0 and out == "true\n"
+
+
+def test_semisimple_takes_l_like_the_other_ambient_commands(capsys):
+    bare = run(capsys, "semisimple", "--e=4", "--charge=0,1", "--rank=4")
+    assert bare == (0, "false\n", "")
+    assert run(capsys, "semisimple", "--e=4", "--l=2", "--charge=0,1", "--rank=4") == bare
+    code, out, err = run(capsys, "semisimple", "--e=4", "--l=3", "--charge=0,1", "--rank=4")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("invalid input: charge 0,1 has 2 entries")
 
 
 def test_uglov_set_rank0(capsys):
@@ -245,6 +254,47 @@ def test_decomp_foreign_support_exits_4(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "decomposition_matrix", planted)
     _decomp_fails_before_any_output(capsys)
+
+
+def test_decomp_ariki_mismatch_exits_4(capsys, monkeypatch):
+    # Ariki's criterion is a second route to the matrix's shape: a
+    # criterion that calls these parameters split semisimple beside a
+    # matrix with off-diagonal entries is a violation, before any output
+    monkeypatch.setattr(canonical, "is_split_semisimple", lambda *args: True)
+    for envelope in ((), ("--json",)):
+        code, out, err = run(capsys, *envelope, "decomp", "--e=4", "--charge=0,1", "--rank=3")
+        assert code == 4 and out == "", envelope
+        assert err.count("\n") == 1 and "Ariki's criterion gives split semisimple = True" in err
+
+
+def test_ariki_criterion_matches_the_matrix_both_ways(monkeypatch):
+    # identity matrices exactly where the criterion says semisimple; the
+    # check is off when a matrix records no criterion
+    for e, charge, n, semisimple in [(5, (0,), 4, True), (8, (0, 3), 3, True),
+                                     (4, (0, 1), 3, False), (3, (0,), 3, False)]:
+        mat = decomposition_matrix(e, len(charge), charge, n)
+        assert mat.checks["semisimple"] is semisimple
+        assert verify_unitriangular(mat) == {"ok": True, "violations": []}
+        mat.checks["semisimple"] = not semisimple
+        assert verify_unitriangular(mat)["violations"] == [
+            "Ariki's criterion gives split semisimple = %s, but the matrix %s square with no "
+            "nonzero off-diagonal entry" % (not semisimple, "is" if semisimple else "is not")]
+        del mat.checks["semisimple"]
+        assert verify_unitriangular(mat)["ok"]
+
+
+def test_decomp_build_and_render_memory_guard():
+    # tracemalloc peak of the rank-12 build plus its JSON --keep-q render,
+    # caches cold or warm: 2.92 MiB cold on CPython 3.11, with 25% slack;
+    # LaurentPoly values on tuple labels peaked at 9.4 MiB
+    tracemalloc.start()
+    try:
+        mat = decomposition_matrix(4, 2, (0, 1), 12)
+        cli._jdump(mat.to_json(keep_q=True), lambda text: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2.92 * 2 ** 20, peak / 2 ** 20
 
 
 def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):

@@ -26,6 +26,7 @@ TEST_ONLY = {
     "bar_vector": WRAPPED,
     "insert": WRAPPED,
     "good_node": WRAPPED,
+    "eval_one": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
     "CanonicalBasis": RECORD,
     "element_for_label": RECORD,

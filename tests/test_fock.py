@@ -1,10 +1,24 @@
 import random
 
-from qfock.fock import apply_f, fock_to_json
-from qfock.laurent import LaurentPoly
-from qfock.partitions import add_node, addable_nodes, multipartitions
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import apply_e, apply_k, divided_power_by_division, n_above, n_below, n_count
+from qfock.canonical import FockBasis
+from qfock.fock import ChargedAbacus, fock_to_json
+from qfock.laurent import LaurentPoly
+from qfock.partitions import add_node, addable_nodes, multipartitions, signature_nodes
+
+from oracles import (
+    apply_e,
+    apply_f_on_tuples,
+    apply_k,
+    divided_power_by_division,
+    fock_apply_f,
+    n_above,
+    n_below,
+    n_count,
+    peel_on_tuples,
+)
 
 
 def unit(mp, charge):
@@ -31,7 +45,7 @@ def test_n_counts_wrapper():
 def test_action_examples():
     v = unit(((), ()), (0, 1))
     assert apply_e(0, v, 4) == {}
-    assert apply_f(0, v, 4) == unit(((1,), ()), (0, 1))
+    assert fock_apply_f(0, v, 4) == unit(((1,), ()), (0, 1))
     assert apply_k(0, v, 4) == {(((), ()), (0, 1)): LaurentPoly({1: 1})}
 
 
@@ -44,7 +58,7 @@ def test_f_term_count_matches_addable_nodes():
         mp = rng.choice(multipartitions(l, rng.randint(0, 7)))
         charge = tuple(rng.randint(-3, 6) for _ in range(l))
         i = rng.randint(0, e - 1)
-        image = apply_f(i, unit(mp, charge), e)
+        image = fock_apply_f(i, unit(mp, charge), e)
         assert len(image) == len(addable_nodes(mp, i, charge, e))
         for gamma in addable_nodes(mp, i, charge, e):
             mu = add_node(mp, gamma)
@@ -70,7 +84,7 @@ def test_divided_power_matches_division_by_quantum_factorial():
                                        for _ in range(rng.randint(1, 3))})
             for mp in labels
         }
-        got = apply_f(i, vec, e, k)
+        got = fock_apply_f(i, vec, e, k)
         assert got == divided_power_by_division(i, vec, e, k), (l, e, charge, i, k, vec)
         if all(len(addable_nodes(mp, i, charge, e)) < k for mp in labels):
             beyond += 1
@@ -83,10 +97,10 @@ def test_divided_power_examples():
     # kills it; 1|- has two addable 1-nodes, and f_1^(2) adds both with q^0
     charge = (0, 1)
     vac = ((), ())
-    assert apply_f(0, unit(vac, charge), 4, 2) == {}
+    assert fock_apply_f(0, unit(vac, charge), 4, 2) == {}
     one = unit(((1,), ()), charge)
     assert set(addable_nodes(((1,), ()), 1, charge, 4)) == {(1, 2, 1), (1, 1, 2)}
-    assert apply_f(1, one, 4, 2) == unit(((2,), (1,)), charge)
+    assert fock_apply_f(1, one, 4, 2) == unit(((2,), (1,)), charge)
 
 
 def test_adding_an_i_node_drops_n_count_by_two():
@@ -120,9 +134,9 @@ def test_sl2_commutator():
         i = rng.randint(0, e - 1)
         v = unit(mp, charge)
         lhs = {}
-        for key, c in apply_e(i, apply_f(i, v, e), e).items():
+        for key, c in apply_e(i, fock_apply_f(i, v, e), e).items():
             lhs[key] = lhs.get(key, LaurentPoly()) + c
-        for key, c in apply_f(i, apply_e(i, v, e), e).items():
+        for key, c in fock_apply_f(i, apply_e(i, v, e), e).items():
             s = lhs.get(key, LaurentPoly()) - c
             if s:
                 lhs[key] = s
@@ -145,3 +159,64 @@ def test_fock_json():
         {"multipartition": "-|-", "charge": [0, 1], "coefficient": [[0, 1]]},
         {"multipartition": "1|-", "charge": [0, 1], "coefficient": [[1, 2]]},
     ]
+
+
+def test_bead_masks_round_trip_and_read_the_nodes():
+    # every label of rank <= 5 goes to a mask and back; its addable and
+    # removable node masks list the signature nodes, bit order = above order;
+    # an abacus two ranks wider holds the mask moved up by two positions,
+    # filled with beads (how FockBasis re-encodes what it stores)
+    for e, charge in [(4, (0, 1)), (3, (0, 4, -1)), (2, (2,))]:
+        l = len(charge)
+        abacus = ChargedAbacus(e, l, charge, 5)
+        wider = ChargedAbacus(e, l, charge, 7)
+        for n in range(6):
+            for mp in multipartitions(l, n):
+                b = abacus.mask(mp)
+                assert abacus.label(b) == mp
+                assert wider.mask(mp) == b << 2 * l | (1 << 2 * l) - 1
+                add, rem = abacus.nodes(b)
+                want = [(cont % e, addable) for cont, _c, _node, addable in
+                        sorted(signature_nodes(mp, charge))]
+                got = []
+                while add | rem:
+                    bit = (add | rem) & -(add | rem)
+                    got.append((abacus.residue_of(bit), bool(bit & add)))
+                    assert bit & abacus.residue(abacus.residue_of(bit))
+                    add &= ~bit
+                    rem &= ~bit
+                assert got == want, (e, charge, mp)
+
+
+@st.composite
+def fock_vectors(draw):
+    """(e, charge, i, k, vec): a vector of up to four labels of rank <= 6 at
+    one charge, with random nonzero Laurent coefficients."""
+    e = draw(st.integers(2, 5))
+    l = draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-2, e + 1), min_size=l, max_size=l)))
+    labels = draw(st.lists(
+        st.integers(0, 6).flatmap(lambda n: st.sampled_from(multipartitions(l, n))),
+        min_size=1, max_size=4, unique=True))
+    coefficient = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3).filter(bool),
+                                  min_size=1, max_size=3)
+    vec = {(mp, charge): LaurentPoly(draw(coefficient)) for mp in labels}
+    return e, charge, draw(st.integers(0, e - 1)), draw(st.integers(1, 3)), vec
+
+
+@settings(max_examples=300, deadline=None)
+@given(fock_vectors())
+def test_mask_route_matches_tuple_route(case):
+    # apply_f and FockBasis.peel on bead masks against their tuple-label
+    # forms in tests/oracles.py
+    e, charge, i, k, vec = case
+    assert fock_apply_f(i, vec, e, k) == apply_f_on_tuples(i, vec, e, k)
+    basis = FockBasis(e, len(charge), charge)
+    for mp, _charge in vec:
+        b = basis.mask(mp)
+        want = peel_on_tuples(mp, charge, e)
+        got = basis.peel(b)
+        if want is None:
+            assert got is None
+        else:
+            assert got == (want[0], want[1], basis.mask(want[2])), (e, charge, mp)

@@ -13,7 +13,6 @@ from qfock.partitions import (
     multipartitions,
     partitions,
     rank,
-    remove_node,
     removable_nodes,
     signature_nodes,
 )
@@ -23,6 +22,7 @@ from oracles import (
     add_nodes_to_part,
     content,
     mp_to_text_per_label,
+    remove_node,
     residue,
     signature_nodes_per_label,
 )
