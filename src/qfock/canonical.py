@@ -42,7 +42,7 @@ which are not even defined across charges.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -149,7 +149,8 @@ class FockBasis:
     """Canonical elements G(lambda) of the labels of one charge, built
     through the Fock action on bead masks (see fock.py).  The abacus is
     widened to the rank of the largest label asked for, and what is stored
-    is re-encoded then.  A highest-weight label starts from its own bar,
+    is re-encoded then: a mask that mask() or peel() returned is valid only
+    until the abacus is next widened.  A highest-weight label starts from its own bar,
     taken on one WedgeEngine made when the first needs it; `wedge_labels`
     lists those labels in the order they were sent.
 
@@ -179,13 +180,11 @@ class FockBasis:
                              % (mp, len(mp), self.l))
         n = rank(mp)
         if n > self.abacus.n:
-            # lo falls by n - abacus.n positions, every one of them beads
-            shift = (n - self.abacus.n) * self.l
-            fill = (1 << shift) - 1
-            self.abacus = ChargedAbacus(self.e, self.l, self.charge, n)
+            old, self.abacus = self.abacus, ChargedAbacus(self.e, self.l, self.charge, n)
 
+            @cache
             def move(b):
-                return b << shift | fill
+                return self.abacus.mask(old.label(b))
 
             self._g = {move(b): freeze({(move(m), x): c for m, x, c in each_term(g)})
                        for b, g in self._g.items()}
@@ -539,10 +538,10 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     strictly larger a_rel on every off-label row of each column, uniqueness
     of each column's minimal row, nonnegative integer entries, and, since
     the d_{lambda mu}(q) are parabolic Kazhdan-Lusztig polynomials,
-    nonnegative q-coefficients.  Where checks["semisimple"] is recorded,
-    Ariki's criterion is a second route to the matrix's shape: the algebra
-    is split semisimple iff the matrix is square with no nonzero
-    off-diagonal entry."""
+    nonnegative q-coefficients.  Ariki's criterion, checks["semisimple"],
+    is a second route to the matrix's shape: the algebra is split
+    semisimple iff the matrix is square with no nonzero off-diagonal
+    entry."""
     aval = matrix.aval
     violations = []
     minimal_rows = {}
@@ -591,13 +590,12 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
                     "entry (%s, %s) = %s has a negative coefficient"
                     % (mp_to_text(row), mp_to_text(col), p)
                 )
-    semisimple = matrix.checks.get("semisimple")
-    if semisimple is not None:
-        identity = len(matrix.rows) == len(matrix.cols) and not any(
-            v for (row, col), v in matrix.entries.items() if row != col)
-        if identity != semisimple:
-            violations.append(
-                "Ariki's criterion gives split semisimple = %s, but the matrix %s square "
-                "with no nonzero off-diagonal entry" % (semisimple, "is" if identity else "is not")
-            )
+    semisimple = matrix.checks["semisimple"]
+    identity = len(matrix.rows) == len(matrix.cols) and not any(
+        v for (row, col), v in matrix.entries.items() if row != col)
+    if identity != semisimple:
+        violations.append(
+            "Ariki's criterion gives split semisimple = %s, but the matrix %s square "
+            "with no nonzero off-diagonal entry" % (semisimple, "is" if identity else "is not")
+        )
     return {"ok": not violations, "violations": violations}

@@ -9,6 +9,12 @@ a bead of every component, so lo must sit below the first hole of every
 label held: ChargedAbacus(e, l, charge, n) puts it at min(charge) - n - 1,
 which serves every label of rank at most n.
 
+The nodes of a rank-n label of component c lie in the window
+s_c - n .. s_c + n.  Where the windows of the charge leave a gap, every
+component above it is placed lower by a multiple of e, as far as keeps its
+window above the gap: residues and the order of nodes are unchanged, and
+the width is at most l^2 (2n + 2 + e) bits whatever the charge's spread.
+
 Bit order is the 'above' order of nodes: a node of component c and content
 x is the bit of (x, c), which rises with x, ties going to the larger
 component first.  The node of content x is addable when (x - 1, c) holds a
@@ -39,9 +45,18 @@ class ChargedAbacus:
         self.l = l
         self.charge = tuple(charge)
         self.n = n
-        self.lo = min(self.charge) - n - 1
-        # positions lo .. max(charge) + n hold every node of a rank-n label
-        self.positions = max(self.charge) + n + 1 - self.lo
+        placed = list(self.charge)  # where each component's charge sits
+        drop, top = 0, min(self.charge) + n
+        for c in sorted(range(l), key=self.charge.__getitem__):
+            s = self.charge[c]
+            if s - n - 1 > top:  # s - n - 2 - top free positions below the window
+                drop += (s - n - 2 - top) // e * e
+            placed[c] = s - drop
+            top = s + n
+        self.placed = tuple(placed)
+        self.lo = min(self.placed) - n - 1
+        # positions lo .. max(placed) + n hold every node of a rank-n label
+        self.positions = max(self.placed) + n + 1 - self.lo
         column = _repeat(1, l, l * self.positions)
         self._columns = [column << (l - c) for c in range(1, l + 1)]  # component c's bits
         self._low = (1 << l) - 1
@@ -51,7 +66,7 @@ class ChargedAbacus:
         """The bead mask of mp, whose rank must be at most n."""
         l, lo = self.l, self.lo
         b = 0
-        for c, (comp, s) in enumerate(zip(mp, self.charge), start=1):
+        for c, (comp, s) in enumerate(zip(mp, self.placed), start=1):
             for a, part in enumerate(comp, start=1):
                 b |= 1 << ((part - a + s - lo) * l + l - c)
             # the run of beads from lo up to the first hole, s - len(comp)
@@ -63,7 +78,7 @@ class ChargedAbacus:
         l, lo = self.l, self.lo
         bits = bin(b)[:1:-1]  # bits[j] is bit j
         out = []
-        for c, s in enumerate(self.charge, start=1):
+        for c, s in enumerate(self.placed, start=1):
             beads = bits[l - c::l]  # positions lo, lo + 1, ...
             comp = []
             end = len(beads)

@@ -132,6 +132,28 @@ def test_matrix_renderings_are_consistent():
     assert js["triples"] == [list(t) for t in mat.triples()]
 
 
+def test_decomposition_matrix_records_a_stray_label(monkeypatch):
+    # a label outside the rows, planted in the first built column, is listed
+    # under checks["foreign_support"] with its text, charge and column, and
+    # the column keeps no term for it
+    clean = decomposition_matrix(4, 2, (0, 1), 3)
+    real = FockBasis.build
+    planted = []
+
+    def build(self, b):
+        g = real(self, b)
+        if planted:
+            return g
+        planted.append(self.abacus.label(b))
+        return g + (self.mask(mp_from_text("1|1")), 3, 5)  # rank 2
+
+    monkeypatch.setattr(FockBasis, "build", build)
+    mat = decomposition_matrix(4, 2, (0, 1), 3)
+    col = planted[0]
+    assert mat.checks["foreign_support"] == [["1|1", [0, 1], mp_to_text(col)]]
+    assert mat.columns == clean.columns and mat.entries == clean.entries
+
+
 def test_verify_unitriangular_negative_control():
     rows = [((2,), ()), ((1, 1), ())]
     cols = [((1, 1), ())]
@@ -139,7 +161,8 @@ def test_verify_unitriangular_negative_control():
     aval = AValueTable(4, 2, (0, 1), 3)
     text = {r: mp_to_text(r) for r in rows}
     same = {r: r for r in rows}
-    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, columns, same, {}, aval, text)
+    bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, columns, same,
+                              {"semisimple": False}, aval, text)
     report = verify_unitriangular(bad)
     assert not report["ok"]
     assert any("minimal-a rows" in v for v in report["violations"])
@@ -147,7 +170,7 @@ def test_verify_unitriangular_negative_control():
     # identity matrix passes
     ident = DecompositionMatrix(
         4, 2, (0, 1), 2, rows, rows,
-        {r: (r, 0, 1) for r in rows}, same, {}, aval, text,
+        {r: (r, 0, 1) for r in rows}, same, {"semisimple": True}, aval, text,
     )
     assert verify_unitriangular(ident)["ok"]
 
@@ -371,6 +394,23 @@ def test_fock_build_traps():
     assert fresh.key(side) < fresh.key(lam)
     aval = AValueTable(4, 2, charge, 6)
     assert aval[side] < aval[lam]
+
+
+def test_fock_basis_widening_re_encodes_what_it_stores():
+    # at (3,3), charge (0,40,-30), the windows leave gaps, so each widening
+    # places the charge anew and moves stored masks by more than a shift;
+    # G built across four widenings equals G built after one
+    e, charge = 3, (0, 40, -30)
+    basis = FockBasis(e, 3, charge)
+    built, placed = {}, set()
+    for n in range(1, 6):
+        for mp in sorted(uglov_set(e, 3, charge, n)):
+            built[mp] = basis.element(mp)
+        placed.add(basis.abacus.placed)
+    assert len(placed) == 5 and not basis.wedge_labels
+    wide = FockBasis(e, 3, charge)
+    wide.mask(((1,) * 5, (), ()))
+    assert all(wide.element(mp) == g for mp, g in built.items())
 
 
 def test_fock_build_cycle_guard():

@@ -268,8 +268,7 @@ def test_decomp_ariki_mismatch_exits_4(capsys, monkeypatch):
 
 
 def test_ariki_criterion_matches_the_matrix_both_ways(monkeypatch):
-    # identity matrices exactly where the criterion says semisimple; the
-    # check is off when a matrix records no criterion
+    # identity matrices exactly where the criterion says semisimple
     for e, charge, n, semisimple in [(5, (0,), 4, True), (8, (0, 3), 3, True),
                                      (4, (0, 1), 3, False), (3, (0,), 3, False)]:
         mat = decomposition_matrix(e, len(charge), charge, n)
@@ -279,8 +278,6 @@ def test_ariki_criterion_matches_the_matrix_both_ways(monkeypatch):
         assert verify_unitriangular(mat)["violations"] == [
             "Ariki's criterion gives split semisimple = %s, but the matrix %s square with no "
             "nonzero off-diagonal entry" % (not semisimple, "is" if semisimple else "is not")]
-        del mat.checks["semisimple"]
-        assert verify_unitriangular(mat)["ok"]
 
 
 def test_decomp_build_and_render_memory_guard():

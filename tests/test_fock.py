@@ -161,31 +161,50 @@ def test_fock_json():
     ]
 
 
+def _assert_mask_reads_the_nodes(abacus, mp):
+    """mp goes to a mask and back; its addable and removable node masks
+    list the signature nodes, bit order = above order."""
+    e, charge = abacus.e, abacus.charge
+    b = abacus.mask(mp)
+    assert abacus.label(b) == mp
+    add, rem = abacus.nodes(b)
+    want = [(cont % e, addable) for cont, _c, _node, addable in
+            sorted(signature_nodes(mp, charge))]
+    got = []
+    while add | rem:
+        bit = (add | rem) & -(add | rem)
+        got.append((abacus.residue_of(bit), bool(bit & add)))
+        assert bit & abacus.residue(abacus.residue_of(bit))
+        add &= ~bit
+        rem &= ~bit
+    assert got == want, (e, charge, mp)
+
+
 def test_bead_masks_round_trip_and_read_the_nodes():
-    # every label of rank <= 5 goes to a mask and back; its addable and
-    # removable node masks list the signature nodes, bit order = above order;
-    # an abacus two ranks wider holds the mask moved up by two positions,
-    # filled with beads (how FockBasis re-encodes what it stores)
+    # every label of rank <= 5; an abacus two ranks wider holds the mask
+    # moved up by two positions, filled with beads
     for e, charge in [(4, (0, 1)), (3, (0, 4, -1)), (2, (2,))]:
         l = len(charge)
         abacus = ChargedAbacus(e, l, charge, 5)
         wider = ChargedAbacus(e, l, charge, 7)
         for n in range(6):
             for mp in multipartitions(l, n):
-                b = abacus.mask(mp)
-                assert abacus.label(b) == mp
-                assert wider.mask(mp) == b << 2 * l | (1 << 2 * l) - 1
-                add, rem = abacus.nodes(b)
-                want = [(cont % e, addable) for cont, _c, _node, addable in
-                        sorted(signature_nodes(mp, charge))]
-                got = []
-                while add | rem:
-                    bit = (add | rem) & -(add | rem)
-                    got.append((abacus.residue_of(bit), bool(bit & add)))
-                    assert bit & abacus.residue(abacus.residue_of(bit))
-                    add &= ~bit
-                    rem &= ~bit
-                assert got == want, (e, charge, mp)
+                _assert_mask_reads_the_nodes(abacus, mp)
+                assert wider.mask(mp) == abacus.mask(mp) << 2 * l | (1 << 2 * l) - 1
+
+
+def test_widely_spread_charge_keeps_a_narrow_abacus():
+    # windows that leave a gap are placed closer by multiples of e: every
+    # residue and the above order survive, and the width stays at most
+    # l^2 (2n + 2 + e) bits, however far apart the charge's entries are
+    for e, charge in [(4, (0, 100000)), (3, (0, 40, -30)), (3, (96, 49, 2)), (2, (5, -7))]:
+        l = len(charge)
+        abacus = ChargedAbacus(e, l, charge, 4)
+        assert abacus.positions <= l * (2 * 4 + 2 + e), (e, charge, abacus.placed)
+        assert all((p - s) % e == 0 for p, s in zip(abacus.placed, charge))
+        for n in range(5):
+            for mp in multipartitions(l, n):
+                _assert_mask_reads_the_nodes(abacus, mp)
 
 
 @st.composite

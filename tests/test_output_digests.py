@@ -1,8 +1,10 @@
 """Byte identity of decomp and canonical output, against SHA-256 digests
 recorded from the tuple-label, LaurentPoly implementation of the Fock
 route: decomp at rank 10 for the paper's three (4,2) charges and at rank 8
-for (3,3), charge (0,1,2), in every format, and canonical for three labels
-whose builds take the wedge route for a highest-weight label."""
+for (3,3), charge (0,1,2), in every format, canonical for three labels
+whose builds take the wedge route for a highest-weight label, and decomp at
+rank 6 for three widely spread charges, whose bead masks are placed closer
+than the charge."""
 
 import hashlib
 
@@ -41,6 +43,12 @@ DIGESTS = [
      "531659317b90862341e837402374769d143e3962f61136775be30529cb8365ac", 5896),
     ("canonical --e=2 --charge=0,1 --mp=3,1|3 --keep-q",
      "50e4233b6b7240ae693cbeedcd6d0e9310f27ee0da8119a081fe44a1eabde572", 3091),
+    ("decomp --e=4 --charge=0,100000 --rank=6 --format=json --keep-q",
+     "bf704ad6b44616a853c6be4807f74f30c53546346e0981afe15dcc6005a7a449", 20087),
+    ("decomp --e=3 --charge=96,49,2 --rank=6 --format=json --keep-q",
+     "f958e79c487ec39abd32c504860818fbe173d8e48d4e166f1755bdaa73237075", 175288),
+    ("decomp --e=3 --charge=0,40,-30 --rank=6 --format=csv",
+     "1ce569f749fb53cc038690d5c345d01e9ec21537ecd2ad9b6f5e530d493d4648", 15735),
 ]
 
 
