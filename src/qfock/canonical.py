@@ -46,7 +46,7 @@ from functools import cache, cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .abacus import WedgeMonomial, from_pair, to_pair
+from .abacus import WedgeMonomial, bead_index, from_pair, to_pair
 from .avalue import AValueTable
 from .crystal import uglov_set
 from .errors import InvariantError
@@ -202,10 +202,20 @@ class FockBasis:
         return {(label(b), self.charge): LaurentPoly(t) for b, t in terms.items()}
 
     def key(self, mp):
-        """Correction order: the dominance of mp's wedge monomial, then
-        text.  The first entry strictly grows from a label to every other
-        label in the support of its G."""
-        return dominance(from_pair(mp, self.charge, self.e, self.l)), mp_to_text(mp)
+        """Correction order: the dominance of mp's wedge monomial, up to a
+        constant of the charge, then text.  The first entry strictly grows
+        from a label to every other label in the support of its G.
+
+        Row i (from 0) of component b holds the bead at s_b + part_i - i of
+        runner b, where the empty label has it at s_b - i; every other bead
+        is where the empty label has it.  So the squared indices are summed
+        over the rows alone, in O(rank), however widely the charge spreads."""
+        e, l = self.e, self.l
+        rise = 0
+        for b, (comp, s_b) in enumerate(zip(mp, self.charge), start=1):
+            for i, part in enumerate(comp):
+                rise += bead_index(s_b - i, b, e, l) ** 2 - bead_index(part + s_b - i, b, e, l) ** 2
+        return rise, mp_to_text(mp)
 
     def _order(self, b):
         """key of the label with bead mask b, kept once worked out."""

@@ -393,7 +393,12 @@ def cmd_decomp(args):
 # -- parser ------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The qfock parser.  Every command is listed, for the help and the
+    unknown-command error, but when argv is given only the command it
+    invokes, its first word that is not an option, gets its options: a
+    subparser's options matter only to the subparser that parses."""
+    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
     parser = argparse.ArgumentParser(
         prog="qfock",
         description="Canonical bases of higher-level q-deformed Fock spaces and "
@@ -403,6 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wrap any output in a JSON envelope")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help_text, func):
+        """The subparser of `name`, or None when argv invokes another."""
+        p = sub.add_parser(name, help=help_text)
+        if invoked is not None and name != invoked:
+            return None
+        p.set_defaults(func=func)
+        return p
+
     def common(p, rank=True):
         p.add_argument("--e", type=int, required=True, help="quantum characteristic, >= 2")
         p.add_argument("--l", type=int, default=None, help="level (default: charge length)")
@@ -410,69 +423,63 @@ def build_parser() -> argparse.ArgumentParser:
         if rank:
             p.add_argument("--rank", type=int, required=True, help="number of boxes n >= 0")
 
-    p = sub.add_parser("semisimple", help="Ariki's split-semisimplicity criterion")
-    common(p)
-    p.set_defaults(func=cmd_semisimple)
+    if p := command("semisimple", "Ariki's split-semisimplicity criterion", cmd_semisimple):
+        common(p)
 
-    p = sub.add_parser("uglov-set", help="rank-n layer of the crystal component")
-    common(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_uglov_set)
+    if p := command("uglov-set", "rank-n layer of the crystal component", cmd_uglov_set):
+        common(p)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("flotw-check", help="membership test for ascending charges in [0, e)")
-    common(p, rank=False)
-    p.add_argument("--mp", required=True, help="multipartition, e.g. '2,1|-'")
-    p.set_defaults(func=cmd_flotw_check)
+    if p := command("flotw-check", "membership test for ascending charges in [0, e)",
+                    cmd_flotw_check):
+        common(p, rank=False)
+        p.add_argument("--mp", required=True, help="multipartition, e.g. '2,1|-'")
 
-    p = sub.add_parser("crystal", help="crystal graph on ranks <= n with component marking")
-    common(p)
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.set_defaults(func=cmd_crystal)
+    if p := command("crystal", "crystal graph on ranks <= n with component marking",
+                    cmd_crystal):
+        common(p)
+        p.add_argument("--format", choices=["dot", "json"], default="dot")
 
-    p = sub.add_parser("avalue", help="calibrated a-value table for all rank-n labels")
-    common(p)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(func=cmd_avalue)
+    if p := command("avalue", "calibrated a-value table for all rank-n labels", cmd_avalue):
+        common(p)
+        p.add_argument("--height", type=int, default=None)
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p = sub.add_parser("straighten", help="straighten a raw wedge against the charge-s tail")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--s", type=int, required=True, help="total charge of the ambient space")
-    p.add_argument("--indices", required=True, help="comma-separated integers")
-    p.add_argument("--max-degree", type=int, default=64,
-                   help="cap on the length of the word, tail beads included")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_straighten)
+    if p := command("straighten", "straighten a raw wedge against the charge-s tail",
+                    cmd_straighten):
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--s", type=int, required=True, help="total charge of the ambient space")
+        p.add_argument("--indices", required=True, help="comma-separated integers")
+        p.add_argument("--max-degree", type=int, default=64,
+                       help="cap on the length of the word, tail beads included")
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("bar", help="bar involution of an ordered monomial")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--monomial", required=True, help="e.g. 's=3; k=15,12,8'")
-    p.add_argument("--r", type=int, default=None, help="reversal length (default: the degree)")
-    p.add_argument("--max-degree", type=int, default=64)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_bar)
+    if p := command("bar", "bar involution of an ordered monomial", cmd_bar):
+        p.add_argument("--e", type=int, required=True)
+        p.add_argument("--l", type=int, required=True)
+        p.add_argument("--monomial", required=True, help="e.g. 's=3; k=15,12,8'")
+        p.add_argument("--r", type=int, default=None, help="reversal length (default: the degree)")
+        p.add_argument("--max-degree", type=int, default=64)
+        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("canonical", help="canonical basis element of a label")
-    common(p, rank=False)
-    p.add_argument("--mp", required=True)
-    p.add_argument("--keep-q", action="store_true", help="keep q-polynomials")
-    p.add_argument("--max-degree", type=int, default=64)
-    p.set_defaults(func=cmd_canonical)
+    if p := command("canonical", "canonical basis element of a label", cmd_canonical):
+        common(p, rank=False)
+        p.add_argument("--mp", required=True)
+        p.add_argument("--keep-q", action="store_true", help="keep q-polynomials")
+        p.add_argument("--max-degree", type=int, default=64)
 
-    p = sub.add_parser("decomp", help="decomposition matrix at q = 1")
-    common(p)
-    p.add_argument("--format", choices=["csv", "latex", "json"], default="csv")
-    p.add_argument("--keep-q", action="store_true")
-    p.set_defaults(func=cmd_decomp)
+    if p := command("decomp", "decomposition matrix at q = 1", cmd_decomp):
+        common(p)
+        p.add_argument("--format", choices=["csv", "latex", "json"], default="csv")
+        p.add_argument("--keep-q", action="store_true")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         args.func(args)
     except UnsupportedRegimeError as exc:

@@ -35,6 +35,13 @@ undone on each result: prefixes that differ only above j, or only by a
 translate by e, share one entry.  Masks become index tuples once, on the
 way out.  Caching never changes results; a fresh engine recomputes
 everything from scratch.
+
+Few distinct coefficients occur: a bar's memo holds tens of thousands of
+results over a few hundred distinct polynomials.  So inside the engine a
+coefficient is an int id into a per-engine table of distinct polynomials
+(0 is zero, 1 is one), and a product or sum is computed once per pair of
+ids and then looked up.  The pair cache, the insert memo and the working
+vector hold ids; every public method returns LaurentPoly values.
 """
 
 from __future__ import annotations
@@ -91,6 +98,42 @@ class WedgeEngine:
         self._pair_cache = {}
         self._insert_cache = {}
         self._bar_cache = {}
+        self._polys = [LaurentPoly(), ONE]  # id -> polynomial
+        self._ids = {(): 0, ((0, 1),): 1}  # sorted terms -> id
+        self._products = {}  # (id, id) -> id of the product
+        self._sums = {}  # (id, id) -> id of the sum
+
+    # -- coefficients by id ---------------------------------------------------
+
+    def _id(self, poly) -> int:
+        """The id of a polynomial, entered in the table on first sight."""
+        key = tuple(sorted(poly.terms.items()))
+        hit = self._ids.get(key)
+        if hit is None:
+            hit = self._ids[key] = len(self._polys)
+            self._polys.append(poly)
+        return hit
+
+    def _times(self, a: int, b: int) -> int:
+        """Id of the product of the polynomials with ids a and b."""
+        key = (a, b) if a < b else (b, a)
+        hit = self._products.get(key)
+        if hit is None:
+            hit = self._products[key] = self._id(self._polys[a] * self._polys[b])
+        return hit
+
+    def _add(self, vec, key, c: int):
+        """vec[key] += c for a key already in the sparse {key: id} vector
+        vec, dropping a zero sum."""
+        cur = vec[key]
+        pair = (cur, c) if cur < c else (c, cur)
+        s = self._sums.get(pair)
+        if s is None:
+            s = self._sums[pair] = self._id(self._polys[cur] + self._polys[c])
+        if s:
+            vec[key] = s
+        else:
+            del vec[key]
 
     # -- fuel ---------------------------------------------------------------
 
@@ -112,10 +155,6 @@ class WedgeEngine:
         """
         if k1 > k2:
             raise ValueError("straighten_pair expects k1 <= k2")
-        key = (k1, k2)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
         e, l, el = self.e, self.l, self.el
         out = {}
         if k1 != k2:
@@ -165,8 +204,16 @@ class WedgeEngine:
                     while k2 - shift - el * m > k1 + shift + el * m:
                         _acc(out, (k2 - shift - el * m, k1 + shift + el * m), string(m))
                         m += 1
-        result = self._pair_cache[key] = tuple(sorted(out.items()))
-        return result
+        return tuple(sorted(out.items()))
+
+    def _pair(self, k1: int, k2: int):
+        """straighten_pair with coefficient ids, cached per (k1, k2)."""
+        key = (k1, k2)
+        hit = self._pair_cache.get(key)
+        if hit is None:
+            hit = self._pair_cache[key] = tuple(
+                (xy, self._id(c)) for xy, c in self.straighten_pair(k1, k2))
+        return hit
 
     # -- insertion into an ordered monomial ---------------------------------
 
@@ -179,12 +226,13 @@ class WedgeEngine:
         low = min((j, *mono))
         origin = low - low % self.e
         out = self._insert(j - origin, _mask(mono, origin))
-        return {_indices(m, origin): c for m, c in out.items()}
+        polys = self._polys
+        return {_indices(m, origin): polys[c] for m, c in out.items()}
 
     def _insert(self, j: int, mono: int):
         """mono ^ u_j for an ordered monomial held as a bit mask (bit i is
         index origin + i, origin a multiple of e; j >= 0 in the same frame),
-        as {mask: coefficient}.
+        as {mask: coefficient id}.
 
         Split mono into A, its entries above j, and B.  Every index a pair
         straightening emits lies in [min(B), j], below every entry of A, so
@@ -198,7 +246,7 @@ class WedgeEngine:
         """
         tail = mono & ((2 << j) - 1)
         if not tail:
-            return {mono | 1 << j: ONE}
+            return {mono | 1 << j: 1}
         low = (tail & -tail).bit_length() - 1
         if low == j:
             return {}
@@ -208,24 +256,41 @@ class WedgeEngine:
         if out is None:
             self._burn()
             out = {}
+            add, times = self._add, self._times
             k = low - d
             init = key[1] ^ 1 << k
-            for (x, y), c in self.straighten_pair(k, key[0]):
+            for (x, y), c in self._pair(k, key[0]):
                 # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
                 # placements are emitted here instead of through a call
                 if not init & ((2 << x) - 1):
-                    _acc(out, init | 1 << x | 1 << y, c)
+                    m = init | 1 << x | 1 << y
+                    if m in out:
+                        add(out, m, c)
+                    else:
+                        out[m] = c
                     continue
                 below_y = (2 << y) - 1
                 part = {}
                 for m2, c2 in self._insert(x, init).items():
                     if not m2 & below_y:
-                        _acc(part, m2 | 1 << y, c2)
-                    else:
-                        for m3, c3 in self._insert(y, m2).items():
-                            _acc(part, m3, c2 if c3 is ONE else c3 if c2 is ONE else c2 * c3)
+                        m2 |= 1 << y
+                        if m2 in part:
+                            add(part, m2, c2)
+                        else:
+                            part[m2] = c2
+                        continue
+                    for m3, c3 in self._insert(y, m2).items():
+                        c3 = c2 if c3 == 1 else c3 if c2 == 1 else times(c2, c3)
+                        if m3 in part:
+                            add(part, m3, c3)
+                        else:
+                            part[m3] = c3
                 for m, p in part.items():
-                    _acc(out, m, p if c is ONE else c if p is ONE else c * p)
+                    p = p if c == 1 else c if p == 1 else times(c, p)
+                    if m in out:
+                        add(out, m, p)
+                    else:
+                        out[m] = p
             self._insert_cache[key] = out
         head = mono ^ tail
         if d or head:
@@ -241,15 +306,21 @@ class WedgeEngine:
         word = tuple(indices)
         low = min(word, default=0)
         origin = low - low % self.e
-        vec = {0: ONE}
+        add, times = self._add, self._times
+        vec = {0: 1}
         for j in word:
             j -= origin
             nxt = {}
             for mono, c in vec.items():
                 for m2, c2 in self._insert(j, mono).items():
-                    _acc(nxt, m2, c2 if c is ONE else c if c2 is ONE else c * c2)
+                    c2 = c2 if c == 1 else c if c2 == 1 else times(c, c2)
+                    if m2 in nxt:
+                        add(nxt, m2, c2)
+                    else:
+                        nxt[m2] = c2
             vec = nxt
-        return {_indices(m, origin): c for m, c in vec.items()}
+        polys = self._polys
+        return {_indices(m, origin): polys[c] for m, c in vec.items()}
 
     # -- semi-infinite wrappers ----------------------------------------------
 

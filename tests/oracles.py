@@ -22,6 +22,7 @@ from qfock.partitions import (
     removable_nodes,
     signature_nodes,
 )
+from qfock.wedge import WedgeEngine, _indices, _mask
 
 
 def straighten_naive(eng, indices):
@@ -45,6 +46,58 @@ def straighten_naive(eng, indices):
             nxt = mono[:spot] + (x, y) + mono[spot + 2:]
             _acc(work, nxt, c * c2)
     return done
+
+
+class LaurentWedgeEngine(WedgeEngine):
+    """WedgeEngine with LaurentPoly coefficients in its insert memo and its
+    working vector, where the engine keeps ids into a table of distinct
+    polynomials.  The memo is keyed as the engine's and burns one unit of
+    fuel per miss, so fuel and memo size must agree with the engine's too;
+    bar and straighten are inherited and run on this straightening."""
+
+    def insert(self, j: int, mono: tuple):
+        low = min((j, *mono))
+        origin = low - low % self.e
+        out = self._insert(j - origin, _mask(mono, origin))
+        return {_indices(m, origin): c for m, c in out.items()}
+
+    def _insert(self, j: int, mono: int):
+        tail = mono & ((2 << j) - 1)
+        if not tail:
+            return {mono | 1 << j: ONE}
+        low = (tail & -tail).bit_length() - 1
+        if low == j:
+            return {}
+        d = low - low % self.e
+        key = (j - d, tail >> d)
+        out = self._insert_cache.get(key)
+        if out is None:
+            self._burn()
+            out = {}
+            init = key[1] ^ 1 << (low - d)
+            for (x, y), c in self.straighten_pair(low - d, key[0]):
+                part = {}
+                for m2, c2 in self._insert(x, init).items():
+                    for m3, c3 in self._insert(y, m2).items():
+                        _acc(part, m3, c2 * c3)
+                for m, p in part.items():
+                    _acc(out, m, c * p)
+            self._insert_cache[key] = out
+        head = mono ^ tail
+        return {m << d | head: c for m, c in out.items()}
+
+    def straighten_indices(self, indices):
+        word = tuple(indices)
+        low = min(word, default=0)
+        origin = low - low % self.e
+        vec = {0: ONE}
+        for j in word:
+            nxt = {}
+            for mono, c in vec.items():
+                for m2, c2 in self._insert(j - origin, mono).items():
+                    _acc(nxt, m2, c * c2)
+            vec = nxt
+        return {_indices(m, origin): c for m, c in vec.items()}
 
 
 def index_sum(u: WedgeMonomial, depth: int) -> int:

@@ -564,6 +564,31 @@ def test_correction_key_grows_along_bar_supports_and_canonical_supports(wedge_or
                     assert nu == mp or basis.key(nu)[0] > low, (e, l, charge, mp, nu)
 
 
+def test_correction_key_is_wedge_dominance_up_to_a_constant_of_the_charge():
+    # key reads the label's rows, not its wedge monomial, so it orders the
+    # labels of one charge as wedge dominance does; the constant is 0 at
+    # (4, 2), charge (0, 1)
+    for e, l, charge, want in [(4, 2, (0, 1), 0), (4, 2, (0, 5), 56), (4, 2, (1, 0), 24),
+                               (4, 2, (0, 100), 964800), (3, 3, (0, 1, 2), 7),
+                               (2, 1, (0,), 0), (5, 3, (-3, 7, 2), 1164)]:
+        basis = FockBasis(e, l, charge)
+        shifts = {basis.key(mp)[0] - dominance(from_pair(mp, charge, e, l))
+                  for n in range(7) for mp in multipartitions(l, n)}
+        assert shifts == {want}, (e, l, charge, shifts)
+
+
+def test_spread_charge_decomp_builds_no_wedge_monomial(monkeypatch):
+    # from_pair walks the whole spread of the charge; the decomp route must
+    # not call it
+    def refuse(*args):
+        raise AssertionError("from_pair called on %r" % (args,))
+
+    monkeypatch.setattr(canonical, "from_pair", refuse)
+    mat = decomposition_matrix(4, 2, (0, 100000), 8)
+    assert len(mat.rows) == 185
+    assert verify_unitriangular(mat)["ok"]
+
+
 def test_divide_exact():
     # the division the divided-power oracle of tests/oracles.py relies on
     fact = quantum_factorial(3)

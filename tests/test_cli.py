@@ -554,3 +554,33 @@ def test_peel_and_apply_f_do_not_grow_with_e(capsys):
         start = time.perf_counter()
         assert run(capsys, *argv, "--e=1000000") == small, argv
         assert time.perf_counter() - start < 0.5, argv
+
+
+def _parsed(parser, argv, capsys):
+    """What parse_args does with argv: the namespace or the exit code, and
+    the text written."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_parser_for_the_invoked_command_reads_as_the_full_parser(capsys):
+    # build_parser(argv) gives options to the invoked command only; help,
+    # usage errors and parsed values stay those of the full parser
+    commands = ["semisimple", "uglov-set", "flotw-check", "crystal", "avalue", "straighten",
+                "bar", "canonical", "decomp"]
+    cases = [[], ["--help"], ["-h"], ["--json"], ["--json", "--help"], ["nope"],
+             ["--json", "nope", "--e=4"], ["--bogus", "decomp"],
+             ["decomp", "--e=4", "--charge=0,1", "--rank=4", "--format=latex"],
+             ["--json", "bar", "--e=4", "--l=2", "--monomial=s=0; k=3"],
+             ["canonical", "--e=4", "--charge=0,1", "--mp=1|1", "--keep-q"]]
+    for name in commands:
+        cases += [[name, "--help"], [name], ["--json", name, "--e=4"], [name, "--bogus"],
+                  [name, "--e=x", "--charge=0,1"]]
+    for argv in cases:
+        got = _parsed(cli.build_parser(argv), argv, capsys)
+        assert got == _parsed(cli.build_parser(), argv, capsys), argv
+        assert got[1] or got[2] or isinstance(got[0], dict), argv
