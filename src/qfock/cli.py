@@ -6,25 +6,32 @@ internal invariant violation (a bar support that does not rise in wedge
 dominance or sits at another charge vector, a bar image without
 coefficient 1 on its own monomial, fuel exhaustion, a canonical element
 with the wrong coefficient on its label or an odd one to halve, a
-decomposition matrix with foreign support or failed unitriangularity).
-Any other exception is a bug and propagates.  Identical invocations
-produce byte-identical output.  `decomp` and `canonical` build canonical
-elements through the Fock action (canonical.FockBasis); for the
-highest-weight labels of crystal components other than the vacuum's,
-`canonical` straightens each label's own bar on the wedge engine, and
-`bar` and `straighten` run on it alone.
+decomposition matrix with foreign support or failed unitriangularity),
+141 stdout closed by its reader before all output was written (a broken
+pipe; nothing is written to stderr).  Any other exception is a bug and
+propagates.  Identical invocations produce byte-identical output.
+`decomp` and `canonical` build canonical elements through the Fock action
+(canonical.FockBasis); for the highest-weight labels of crystal components
+other than the vacuum's, `canonical` straightens each label's own bar on
+the wedge engine, and `bar` and `straighten` run on it alone.
+
+main() is the in-process entry and returns the exit code.  A process
+(`qfock`, `python -m qfock.cli`) runs it through run(): once main()
+returns, stdout and stderr are flushed and the process ends by os._exit,
+with no interpreter teardown and no atexit hooks.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from _json import encode_basestring_ascii, make_encoder
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, islice
-from json import JSONEncoder
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import add
+from typing import NoReturn
 
 from .abacus import degree, from_pair, monomial_from_text
 from .avalue import AValueTable
@@ -43,6 +50,10 @@ from .partitions import (
 from .wedge import WedgeEngine, vector_to_json, word_length
 
 
+# Exit code of a run whose stdout was closed before all of it was written,
+# as a shell reports a process that SIGPIPE ended (128 + 13).
+BROKEN_PIPE = 141
+
 # Items of a list or iterator encoded and written per step of _jdump, and
 # lines joined per write by _lines: the text held at once stays bounded, and
 # writes stay few (each one is a system call when stdout is unbuffered).
@@ -52,13 +63,17 @@ _SEQUENCES = (list, tuple, Iterator)
 _CONTAINERS = (dict,) + _SEQUENCES
 
 
+def _default(o):
+    """What json.JSONEncoder().default does: refuse o."""
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 @lru_cache(maxsize=None)
 def _encoder(sep: str):
     """The C encoder that joins a container's items with `sep`, sorts keys
-    and escapes to ASCII, as json.dumps does."""
-    return c_make_encoder(
-        None, JSONEncoder().default, encode_basestring_ascii, None, ": ", sep, True, False, True
-    )
+    and escapes to ASCII, as json.dumps does.  It is taken from _json itself,
+    as json.encoder takes it, so that no command imports the json package."""
+    return make_encoder(None, _default, encode_basestring_ascii, None, ": ", sep, True, False, True)
 
 
 def _scalars(types) -> bool:
@@ -494,5 +509,20 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """The process entry point: main() on sys.argv, ended by os._exit (see
+    the module docstring).  A stdout closed by its reader ends it with
+    BROKEN_PIPE, without a traceback; anything else raised out of main(),
+    argparse's help and usage exits included, takes the normal interpreter
+    exit."""
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = BROKEN_PIPE
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -421,6 +421,15 @@ def test_jdump_matches_json_dumps_on_edge_shapes():
         assert _dumped(obj) == _json_dumps(obj), obj
 
 
+def test_jdump_refuses_what_json_dumps_refuses():
+    for obj in ([object()], {"a": {1, 2}}, [[1, b"x"]], 1j):
+        with pytest.raises(TypeError) as ours:
+            _dumped(obj)
+        with pytest.raises(TypeError) as theirs:
+            _json_dumps(obj)
+        assert str(ours.value) == str(theirs.value), obj
+
+
 # one item of each shape the commands write, numbered
 _ITEM_SHAPES = (
     lambda i: i,

@@ -1,0 +1,97 @@
+"""The process entry point, `python -m qfock.cli`, run as a child process.
+
+run() ends a finished command with os._exit, after flushing stdout and
+stderr itself: these tests hold each child's exit code, stdout bytes and
+stderr to those of main() in-process, on outputs large enough to stay
+buffered, and check the exit on a stdout closed early.  The children run
+with buffered stdout, as from a shell pipe: PYTHONUNBUFFERED is removed
+from their environment.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from qfock import cli
+from qfock.cli import main
+from test_dead_code import _tracer_targets
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CRYSTAL_DOT = ["crystal", "--e", "3", "--charge", "0,1,2", "--rank", "10", "--format", "dot"]
+
+
+def _child_env():
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["COLUMNS"] = "80"  # argparse wraps help and usage text to the terminal width
+    return env
+
+
+def _in_process(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's help and usage exits
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["decomp", "--e", "4", "--charge", "0,1", "--rank", "4"], 0),
+    (["decomp", "--e", "3", "--l", "2", "--charge", "0,1", "--rank", "2"], 3),
+    (["flotw-check", "--e", "4", "--charge", "0,1", "--mp", "2,x|-"], 2),
+    (["decomp", "--e", "4", "--charge", "0,1"], 2),
+    (["--help"], 0),
+    (CRYSTAL_DOT, 0),
+])
+def test_process_matches_main(argv, code, capsys, monkeypatch):
+    proc = subprocess.run([sys.executable, "-m", "qfock.cli", *argv], env=_child_env(),
+                          stdin=subprocess.DEVNULL, capture_output=True, timeout=60)
+    got = (proc.returncode, proc.stdout, proc.stderr.decode())
+    assert got == _in_process(argv, capsys, monkeypatch)
+    assert proc.returncode == code
+    if argv == CRYSTAL_DOT:  # far more than a pipe's buffer: os._exit lost none of it
+        assert len(proc.stdout) == 427514
+
+
+def test_closed_stdout_ends_with_the_broken_pipe_code():
+    proc = subprocess.Popen([sys.executable, "-m", "qfock.cli", *CRYSTAL_DOT], env=_child_env(),
+                            stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE
+    assert head == b"digraph cr" and err == b""
+    assert cli.BROKEN_PIPE not in (0, 2, 3, 4)
+
+
+def test_installed_script_runs_the_process_entry_point():
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    assert scripts.splitlines()[0] == 'qfock = "qfock.cli:run"'
+
+
+def test_import_loads_every_traced_module_and_no_json():
+    # The perfbench tracer wraps functions in the namespaces that importing
+    # qfock.cli loads, so those must load eagerly.  No command needs the
+    # json package: the encoder comes from _json.
+    code = ("import sys\n"
+            "import qfock.cli\n"
+            "loaded = sorted(sys.modules)\n"
+            "qfock.cli.main(['--json', 'decomp', '--e=4', '--charge=0,1', '--rank=4',"
+            " '--format=json', '--keep-q'])\n"
+            "sys.stderr.write(' '.join(loaded) + '\\n' + ' '.join(sorted(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(),
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    on_import, after_command = (set(line.split()) for line in proc.stderr.splitlines())
+    traced = {module for module, _name in _tracer_targets()}
+    assert traced and not traced - on_import
+    assert not [m for m in after_command if m == "json" or m.startswith("json.")]
