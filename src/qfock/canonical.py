@@ -48,7 +48,7 @@ from operator import itemgetter
 
 from .abacus import WedgeMonomial, bead_index, from_pair, to_pair
 from .avalue import AValueTable
-from .crystal import uglov_set
+from .crystal import uglov_layer
 from .errors import InvariantError
 from .fock import ChargedAbacus, apply_f, each_term, freeze
 from .laurent import LaurentPoly, _acc
@@ -231,36 +231,17 @@ class FockBasis:
         """(i, k, e~_i^k b) for the lowest colour i with a good node of the
         label with bead mask b and the largest such k; None when it has no
         good node, i.e. is a highest-weight vertex of its crystal component.
-        e~_i^k removes every normal i-node: removing the good one turns it
-        into an uncancelled addable node and leaves the others normal.  A
-        normal node is removable, so only the residues of the removable
-        nodes are tried, and the cost does not grow with e."""
-        abacus = self.abacus
-        add, rem = abacus.nodes(b)
-        colours = set()
-        nodes = rem
-        while nodes:
-            bit = nodes & -nodes
-            nodes ^= bit
-            colours.add(abacus.residue_of(bit))
-        for i in sorted(colours):
-            res = abacus.residue(i)
-            removable = rem & res
-            nodes = add & res | removable
-            normal = []
-            while nodes:  # the i-signature, most 'above' first
-                bit = nodes & -nodes
-                nodes ^= bit
-                if bit & removable:
-                    normal.append(bit)
-                elif normal:
-                    normal.pop()  # an addable node cancels the nearest survivor above
-            if normal:
-                flip = 0
-                for bit in normal:
-                    flip |= bit | bit >> abacus.l
-                return i, len(normal), b ^ flip
-        return None
+        e~_i^k removes every normal i-node (see ChargedAbacus.signatures):
+        removing the good one turns it into an uncancelled addable node and
+        leaves the others normal."""
+        normal = self.abacus.signatures(b)[1]
+        i = min((i for i, nodes in normal.items() if nodes), default=None)
+        if i is None:
+            return None
+        flip = 0
+        for bit in normal[i]:
+            flip |= bit | bit >> self.l
+        return i, len(normal[i]), b ^ flip
 
     def _highest(self, lam) -> dict:
         """u + bar(u) for the wedge monomial u of a highest-weight label, as
@@ -509,16 +490,16 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     checks["foreign_support"] (every label of a build is at its charge);
     nonempty means the run hit something the theory says cannot happen.
     """
-    aval = AValueTable(e, l, charge, n + 1)
     basis = FockBasis(e, l, charge)
+    aval = AValueTable(e, l, charge, n + 1)
     text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}
 
     def order(mp):
         return (aval[mp], text[mp])
 
     rows = sorted(text, key=order)
-    row_of = {basis.mask(mp): mp for mp in rows}
-    masks = {row_of[m]: m for m in map(basis.mask, uglov_set(e, l, charge, n))}
+    row_of = {basis.mask(mp): mp for mp in rows}  # widens basis.abacus to rank n
+    masks = {row_of[b]: b for b in uglov_layer(basis.abacus, n)}
     cols = sorted(masks, key=order)
     columns = {}
     foreign = set()

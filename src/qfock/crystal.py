@@ -1,87 +1,39 @@
-"""Crystal combinatorics: normal and good nodes, the Fock crystal graph,
-Uglov multipartitions, the FLOTW membership test, and Kleshchev charges.
+"""Crystal combinatorics: the Fock crystal graph, Uglov multipartitions,
+the FLOTW membership test, and Kleshchev charges.
 
-A removable i-node is normal when it survives the signature reduction: list
-every addable and removable i-node from most 'above' to least (the
-i-signature), then let each addable node cancel the nearest surviving
-removable node above it.  The highest surviving removable node is the good
-i-node.  (The prose definition leaves the inclusivity of "between" open;
-this cancellation convention is the one pinned by the rank-4 Uglov sets,
-the FLOTW equivalence and the per-color degree bounds of the crystal, see
-the test suite.)
-
-The reduced signature is the uncancelled addable nodes followed by the
-surviving removable ones.  f~_i adds the last uncancelled addable node:
-adding an i-node turns it into a removable one and changes the
-removability of no other i-node (its neighbours have residues i +- 1), so
-mp -> mp + gamma is an edge exactly when gamma becomes the good i-node of
-mp + gamma, and only the last uncancelled addable node does.
+Labels are walked as bead masks on a fock.ChargedAbacus, whose signatures
+method reduces every i-signature in one pass and holds the cancellation
+convention; f~_i adds the last uncancelled addable i-node, a bead moved one
+position up.  Tuples appear only where a result is handed out.
 """
 
 from __future__ import annotations
 
-from .partitions import (
-    add_node,
-    empty_multipartition,
-    i_signatures,
-    mp_to_text,
-    multipartitions,
-    signature_nodes,
-)
+from itertools import islice
+
+from .fock import ChargedAbacus
+from .partitions import empty_multipartition, mp_to_text, multipartitions
 
 
-def _reduce(sig):
-    """Reduce an i-signature.  Returns the last addable node left
-    uncancelled (None when every one cancels a removable node) and the
-    surviving removable nodes, most 'above' first."""
-    survivors = []
-    last_addable = None
-    for g, addable in sig:
-        if not addable:
-            survivors.append(g)
-        elif survivors:
-            survivors.pop()  # addable cancels nearest surviving removable above
-        else:
-            last_addable = g
-    return last_addable, survivors
-
-
-def good_node(mp, i, charge, e):
-    """The highest normal i-node, or None."""
-    survivors = _reduce(i_signatures(mp, charge, e)[i])[1]
-    return survivors[0] if survivors else None
-
-
-def good_addable_nodes(mp, charge, e):
-    """The nodes gamma such that mp -> mp+gamma is a crystal edge, one per
-    color at most, as (i, gamma) pairs in color order.  One pass reduces
-    every signature at once, holding per residue that occurs the number of
-    surviving removable nodes and the last uncancelled addable node, so the
-    cost does not grow with e."""
-    survivors = {}
-    good = {}
-    for cont, _c, node, addable in signature_nodes(mp, charge):
-        i = cont % e
-        if not addable:
-            survivors[i] = survivors.get(i, 0) + 1
-        elif survivors.get(i):
-            survivors[i] -= 1  # addable cancels nearest surviving removable above
-        else:
-            good[i] = node
-    return sorted(good.items())
+def uglov_layer(abacus, n: int) -> set:
+    """The bead masks of the rank-n Uglov multipartitions on abacus, whose
+    rank must be at least n: layer n of the crystal component of the empty
+    multipartition, grown one layer at a time from the one before, which is
+    all that is kept."""
+    l = abacus.l
+    layer = {abacus.mask(empty_multipartition(l))}
+    for _ in range(n):
+        layer = {b ^ bit ^ bit >> l for b in layer
+                 for bit in abacus.signatures(b)[0].values()}
+    return layer
 
 
 def uglov_set(e: int, l: int, charge, n: int) -> set:
-    """The rank-n Uglov multipartitions for this charge: layer n of the
-    crystal component of the empty multipartition, grown one layer at a
-    time from the one before, which is all that is kept."""
+    """The rank-n Uglov multipartitions for this charge."""
     if n < 0:
         raise ValueError("rank must be >= 0")
-    layer = {empty_multipartition(l)}
-    for _ in range(n):
-        layer = {add_node(mp, gamma) for mp in layer
-                 for _i, gamma in good_addable_nodes(mp, charge, e)}
-    return layer
+    abacus = ChargedAbacus(e, l, charge, n)
+    return set(map(abacus.label, uglov_layer(abacus, n)))
 
 
 def flotw_predicate(mp, e: int, charge) -> bool:
@@ -135,17 +87,19 @@ def crystal_graph(e: int, l: int, charge, n: int) -> dict:
     """
     if n < 0:
         raise ValueError("rank must be >= 0")
+    abacus = ChargedAbacus(e, l, charge, n)
     layers = [multipartitions(l, m) for m in range(n + 1)]
+    label = {abacus.mask(mp): mp for layer in layers for mp in layer}  # rank by rank
     edges = []
     marked = {empty_multipartition(l)}
-    for layer in layers[:n]:  # each rank's marks are complete before its edges
-        for mp in layer:
-            inside = mp in marked
-            for i, gamma in good_addable_nodes(mp, charge, e):
-                mu = add_node(mp, gamma)
-                edges.append((mp, i, mu))
-                if inside:
-                    marked.add(mu)
+    # each rank's marks are complete before its edges; rank n has none
+    for b, mp in islice(label.items(), len(label) - len(layers[n])):
+        inside = mp in marked
+        for i, bit in abacus.signatures(b)[0].items():
+            mu = label[b ^ bit ^ bit >> l]
+            edges.append((mp, i, mu))
+            if inside:
+                marked.add(mu)
     edges.sort()
     return {"layers": layers, "edges": edges, "uglov": marked}
 

@@ -2,26 +2,26 @@
 of f_i acting on it.
 
 An l-partition is held as one int, the bead mask of its charged abacus.
-Component c (1-based) of charge s_c carries a bead at lambda_a - a + s_c
-for every row a, empty rows included, and bit (x - lo) * l + (l - c) of the
-mask is set when it has a bead at position x.  Every position below lo is
-a bead of every component, so lo must sit below the first hole of every
-label held: ChargedAbacus(e, l, charge, n) puts it at min(charge) - n - 1,
-which serves every label of rank at most n.
+Component c (1-based), placed at p_c (see below), carries a bead at
+lambda_a - a + p_c for every row a, empty rows included, and bit
+(x - lo) * l + (l - c) of the mask is set when it has a bead at position x.
+Every position below lo is a bead of every component, so lo must sit below
+the first hole of every label held: ChargedAbacus(e, l, charge, n) puts it
+at min(charge) - n - 1, which serves every label of rank at most n.
 
 The nodes of a rank-n label of component c lie in the window
 s_c - n .. s_c + n.  Where the windows of the charge leave a gap, every
-component above it is placed lower by a multiple of e, as far as keeps its
-window above the gap: residues and the order of nodes are unchanged, and
-the width is at most l^2 (2n + 2 + e) bits whatever the charge's spread.
+component above it is placed lower, p_c = s_c - d_c, as far as keeps one
+free position above the gap: the order of nodes is unchanged, and the width
+is at most l^2 (2n + 2) bits whatever the charge's spread and e.
 
-Bit order is the 'above' order of nodes: a node of component c and content
-x is the bit of (x, c), which rises with x, ties going to the larger
-component first.  The node of content x is addable when (x - 1, c) holds a
+Bit order is the 'above' order of nodes: the node of component c at
+position x is the bit of (x, c), which rises with x, ties going to the
+larger component first.  The node at x is addable when (x - 1, c) holds a
 bead and (x, c) does not, and removable when (x, c) holds one and (x - 1, c)
 does not; adding or removing it moves one bead, an xor of two bits l apart.
-Its residue is x mod e, so the addable and removable i-nodes are ANDs with
-one residue mask per i.
+Its content is x + d_c and its residue that mod e, so the addable and
+removable i-nodes are ANDs with one residue mask per i.
 
 A Fock vector is a flat dict {(mask, exponent): coefficient} of nonzero
 ints; every label in it is at the abacus's charge.  A vector that is done
@@ -38,22 +38,28 @@ from .partitions import mp_to_text
 
 class ChargedAbacus:
     """Bead masks for the labels of rank at most n at one charge: the
-    conversions to and from multipartition tuples, and the node masks."""
+    conversions to and from multipartition tuples, the node masks, and the
+    reduced i-signatures.  The bits of each (slot, partition) are kept once
+    worked out, for the life of the instance."""
 
     def __init__(self, e: int, l: int, charge, n: int):
         self.e = e
         self.l = l
         self.charge = tuple(charge)
+        if len(self.charge) != l:
+            raise ValueError("charge %r has %d entries, expected %d"
+                             % (self.charge, len(self.charge), l))
         self.n = n
         placed = list(self.charge)  # where each component's charge sits
         drop, top = 0, min(self.charge) + n
         for c in sorted(range(l), key=self.charge.__getitem__):
             s = self.charge[c]
-            if s - n - 1 > top:  # s - n - 2 - top free positions below the window
-                drop += (s - n - 2 - top) // e * e
+            if s - n - 1 > top:  # close the gap down to one position, s - n - 1
+                drop += s - n - 2 - top
             placed[c] = s - drop
             top = s + n
         self.placed = tuple(placed)
+        self._drops = tuple(s - p for s, p in zip(self.charge, self.placed))
         self.lo = min(self.placed) - n - 1
         # positions lo .. max(placed) + n hold every node of a rank-n label
         self.positions = max(self.placed) + n + 1 - self.lo
@@ -61,16 +67,28 @@ class ChargedAbacus:
         self._columns = [column << (l - c) for c in range(1, l + 1)]  # component c's bits
         self._low = (1 << l) - 1
         self._residues = {}
+        # the residue of the node at bit j, position plus drop mod e
+        self._residue_at = [(j // l + self.lo + self._drops[l - 1 - j % l]) % e
+                            for j in range(l * self.positions)]
+        self._bits = {}  # (slot, partition) -> that component's bits
 
     def mask(self, mp) -> int:
         """The bead mask of mp, whose rank must be at most n."""
-        l, lo = self.l, self.lo
         b = 0
-        for c, (comp, s) in enumerate(zip(mp, self.placed), start=1):
-            for a, part in enumerate(comp, start=1):
-                b |= 1 << ((part - a + s - lo) * l + l - c)
-            # the run of beads from lo up to the first hole, s - len(comp)
-            b |= self._columns[c - 1] & ((1 << ((s - len(comp) - lo) * l)) - 1)
+        for slot in enumerate(mp):
+            bits = self._bits.get(slot)
+            if bits is None:
+                bits = self._bits[slot] = self._component(*slot)
+            b |= bits
+        return b
+
+    def _component(self, slot: int, comp) -> int:
+        """The bits of component slot + 1 when it holds the partition comp."""
+        l, lo, s = self.l, self.lo, self.placed[slot]
+        # the run of beads from lo up to the first hole, s - len(comp)
+        b = self._columns[slot] & ((1 << ((s - len(comp) - lo) * l)) - 1)
+        for a, part in enumerate(comp, start=1):
+            b |= 1 << ((part - a + s - lo) * l + l - 1 - slot)
         return b
 
     def label(self, b) -> tuple:
@@ -99,19 +117,60 @@ class ChargedAbacus:
         return below & ~b, b & ~below
 
     def residue(self, i: int) -> int:
-        """The mask of every bit at a position of residue i."""
+        """The mask of every bit whose node has residue i."""
         hit = self._residues.get(i)
         if hit is None:
-            l = self.l
-            x = (i - self.lo) % self.e  # the first such position, counted from lo
-            hit = 0 if x >= self.positions else _repeat(
-                self._low << (l * x), l * self.e, l * self.positions)
+            l, e = self.l, self.e
+            hit = 0
+            for slot, drop in enumerate(self._drops):
+                x = (i - self.lo - drop) % e  # the component's first such position, from lo
+                if x < self.positions:
+                    hit |= _repeat(1 << (l * x + l - 1 - slot), l * e, l * self.positions)
             self._residues[i] = hit
         return hit
 
-    def residue_of(self, bit: int) -> int:
-        """The residue of the node at the single-bit mask bit."""
-        return ((bit.bit_length() - 1) // self.l + self.lo) % self.e
+    def signatures(self, b) -> tuple:
+        """(last, normal): the i-signatures of the label with bead mask b,
+        reduced.  last[i] is the single-bit mask of the last uncancelled
+        addable i-node, which f~_i adds; normal[i] lists the surviving
+        removable i-nodes, the normal ones, most 'above' first, so the good
+        i-node is normal[i][0].  A colour with no such node has no key in
+        last, and none or an empty list in normal.
+
+        The i-signature lists the addable and removable i-nodes from most
+        'above' to least, which is bit order, and each addable node cancels
+        the nearest surviving removable node above it.  (The prose
+        definition leaves the inclusivity of "between" open; this
+        cancellation convention is the one pinned by the rank-4 Uglov sets,
+        the FLOTW equivalence and the per-colour degree bounds of the
+        crystal, see the test suite.)  Adding an i-node turns it into a
+        removable one and changes the removability of no other i-node (its
+        neighbours have residues i +- 1), so mp -> mp + gamma is a crystal
+        edge exactly when gamma becomes the good i-node of mp + gamma, and
+        only the last uncancelled addable node does.
+
+        One pass over the node bits serves every colour; a bit's residue is
+        read off a table by its index, so the cost does not grow with e."""
+        add, rem = self.nodes(b)
+        residue_at = self._residue_at
+        last = {}
+        normal = {}
+        nodes = add | rem
+        while nodes:
+            bit = nodes & -nodes
+            nodes ^= bit
+            i = residue_at[bit.bit_length() - 1]
+            survivors = normal.get(i)
+            if bit & rem:
+                if survivors is None:
+                    normal[i] = [bit]
+                else:
+                    survivors.append(bit)
+            elif survivors:
+                survivors.pop()  # an addable node cancels the nearest survivor above
+            else:
+                last[i] = bit
+        return last, normal
 
 
 def _repeat(bits, period, width):

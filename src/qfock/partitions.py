@@ -1,15 +1,10 @@
-"""Partitions, l-partitions, nodes, residues, and the semisimplicity test.
+"""Partitions and l-partitions, their text form, and the semisimplicity
+test.
 
-Conventions, following the usual multipartition combinatorics:
-  * a partition is a tuple of weakly decreasing positive ints;
-  * an l-partition (multipartition) is an l-tuple of partitions;
-  * a node is (a, b, c) = (row, column, component), all 1-based;
-  * the content of (a, b, c) under a charge (s_1, ..., s_l) is b - a + s_c,
-    and its residue is the content mod e.
-
-Multipartitions and charges are plain tuples throughout: they are dict keys
-in the Fock-space vectors, so hashability and cheap equality matter more
-than a class wrapper.
+A partition is a tuple of weakly decreasing positive ints, and an
+l-partition (multipartition) is an l-tuple of partitions.  Multipartitions
+and charges are plain tuples throughout: hashability and cheap equality
+matter more than a class wrapper.
 """
 
 from __future__ import annotations
@@ -37,73 +32,6 @@ def rank(mp) -> int:
 
 def empty_multipartition(l) -> tuple:
     return ((),) * l
-
-
-# -- nodes and residues ------------------------------------------------------
-
-def signature_nodes(mp, charge) -> list:
-    """The addable and removable nodes of mp, most 'above' first (by
-    content, ties to the larger component), as (content, -component, node,
-    is_addable).  No two of them share a content and a component.  Each
-    component's run comes presorted from a memo, so the sort merges l
-    runs."""
-    keyed = []
-    for c, comp in enumerate(mp, start=1):
-        keyed += _component_nodes(c, charge[c - 1], comp)
-    keyed.sort()
-    return keyed
-
-
-@lru_cache(maxsize=None)
-def _component_nodes(c: int, s: int, comp) -> tuple:
-    """signature_nodes of the partition comp alone, at component c with
-    charge entry s, sorted."""
-    keyed = []
-    last = len(comp)
-    for a, p in enumerate(comp, start=1):
-        # row a can grow iff it stays weakly below row a-1
-        if a == 1 or p < comp[a - 2]:
-            keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
-        if a == last or comp[a] < p:
-            keyed.append((p - a + s, -c, (a, p, c), False))
-    keyed.append((s - last, -c, (last + 1, 1, c), True))
-    keyed.sort()
-    return tuple(keyed)
-
-
-def i_signatures(mp, charge, e):
-    """For each residue i, the i-signature of mp: its addable and removable
-    i-nodes, most 'above' first, as (node, is_addable) pairs.  One walk over
-    mp serves every residue."""
-    sigs = [[] for _ in range(e)]
-    for cont, _c, node, addable in signature_nodes(mp, charge):
-        sigs[cont % e].append((node, addable))
-    return sigs
-
-
-def addable_nodes(mp, i, charge, e):
-    """Addable i-nodes, most 'above' first."""
-    return [g for g, addable in i_signatures(mp, charge, e)[i] if addable]
-
-
-def removable_nodes(mp, i, charge, e):
-    """Removable i-nodes, most 'above' first."""
-    return [g for g, addable in i_signatures(mp, charge, e)[i] if not addable]
-
-
-def add_node(mp, node):
-    """The multipartition with one box added at `node` (must be addable)."""
-    a, b, c = node
-    comp = list(mp[c - 1])
-    if a == len(comp) + 1:
-        if b != 1:
-            raise ValueError("node %r is not addable to %r" % (node, mp))
-        comp.append(1)
-    else:
-        if comp[a - 1] + 1 != b or (a > 1 and comp[a - 2] < b):
-            raise ValueError("node %r is not addable to %r" % (node, mp))
-        comp[a - 1] += 1
-    return mp[: c - 1] + (tuple(comp),) + mp[c:]
 
 
 # -- enumeration ---------------------------------------------------------------

