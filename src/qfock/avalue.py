@@ -32,6 +32,8 @@ from .errors import UnsupportedRegimeError
 def m_vector(e: int, l: int, charge) -> tuple:
     """(shifts, alpha): the shift vector as ints and its alpha, the
     smallest value >= 0 that makes every entry nonnegative."""
+    if len(charge) != l:
+        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
     integral = not any(j * e % l for j in range(l))
     if integral:
         base = [charge[j] - j * e // l for j in range(l)]

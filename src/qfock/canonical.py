@@ -42,7 +42,7 @@ which are not even defined across charges.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
@@ -146,50 +146,40 @@ class CanonicalBasis:
 
 
 class FockBasis:
-    """Canonical elements G(lambda) of the labels of one charge, built
-    through the Fock action on bead masks (see fock.py).  The abacus is
-    widened to the rank of the largest label asked for, and what is stored
-    is re-encoded then: a mask that mask() or peel() returned is valid only
-    until the abacus is next widened.  A highest-weight label starts from its own bar,
-    taken on one WedgeEngine made when the first needs it; `wedge_labels`
-    lists those labels in the order they were sent.
+    """Canonical elements G(lambda) of the labels of rank at most n at one
+    charge, built through the Fock action on bead masks of one
+    ChargedAbacus (see fock.py).  A highest-weight label starts from its own
+    bar, taken on one WedgeEngine made when the first needs it and capped
+    at max_degree factors (see WedgeEngine); `wedge_labels` lists the
+    labels whose bar it returned, in that order.
 
     element() takes a multipartition and returns a Fock-space vector
     {(mp, charge): polynomial}; build() takes a bead mask and returns the
     frozen flat vector (see fock.py), the form every G is stored in."""
 
-    def __init__(self, e: int, l: int, charge):
+    def __init__(self, e: int, l: int, charge, n: int, max_degree: int | None = None):
         self.e = e
         self.l = l
         self.charge = tuple(charge)
-        self.abacus = ChargedAbacus(e, l, self.charge, 0)
+        self.abacus = ChargedAbacus(e, l, self.charge, n)
+        self.max_degree = max_degree
         vacuum = self.abacus.mask(empty_multipartition(l))
         self._g = {vacuum: (vacuum, 0, 1)}  # frozen vectors
-        self._open = set()  # masks whose build has started and not finished
         self._key = {}
         self.wedge_labels = []
 
     @cached_property
     def engine(self) -> WedgeEngine:
-        return WedgeEngine(self.e, self.l)
+        return WedgeEngine(self.e, self.l, self.max_degree)
 
     def mask(self, mp) -> int:
-        """The bead mask of mp, after widening the abacus to mp's rank."""
+        """The bead mask of mp, whose rank must be at most the basis's."""
         if len(mp) != self.l:
-            raise ValueError("multipartition %r has %d components, expected %d"
-                             % (mp, len(mp), self.l))
-        n = rank(mp)
-        if n > self.abacus.n:
-            old, self.abacus = self.abacus, ChargedAbacus(self.e, self.l, self.charge, n)
-
-            @cache
-            def move(b):
-                return self.abacus.mask(old.label(b))
-
-            self._g = {move(b): freeze({(move(m), x): c for m, x, c in each_term(g)})
-                       for b, g in self._g.items()}
-            self._open = set(map(move, self._open))
-            self._key = {move(b): key for b, key in self._key.items()}
+            raise ValueError("multipartition %s has %d components, expected %d"
+                             % (mp_to_text(mp), len(mp), self.l))
+        if rank(mp) > self.abacus.n:
+            raise ValueError("multipartition %s has rank %d, above the basis's rank %d"
+                             % (mp_to_text(mp), rank(mp), self.abacus.n))
         return self.abacus.mask(mp)
 
     def element(self, mp) -> dict:
@@ -249,12 +239,13 @@ class FockBasis:
         its support must be at this charge and rank, and rise in wedge
         dominance, the order the corrections are taken in."""
         mp = self.abacus.label(lam)
-        self.wedge_labels.append(mp)
         u = from_pair(mp, self.charge, self.e, self.l)
+        image = self.engine.bar(u)
+        self.wedge_labels.append(mp)
         low = dominance(u)
         n = rank(mp)
         v = {(lam, 0): 1}
-        for w, c in self.engine.bar(u).items():
+        for w, c in image.items():
             nu, charge = to_pair(w, self.e, self.l)
             if charge != self.charge:
                 raise InvariantError(
@@ -278,23 +269,25 @@ class FockBasis:
 
     def build(self, b) -> tuple:
         """G of the label with bead mask b, as a frozen vector, building
-        whatever it needs first."""
-        stack = []
+        whatever it needs first.  The open builds are the keys of `stack`,
+        in the order opened, so a build that raises leaves none behind."""
+        stack = {}
         self._push(b, stack)
         while stack:
-            frame = stack[-1]
-            lam, v, corrected, lead = frame
+            lam = next(reversed(stack))
+            frame = stack[lam]
+            v, corrected, lead = frame
             if v is None:
                 peeled = self.peel(lam)
                 if peeled is None:
-                    v = frame[1] = self._highest(lam)
-                    lead = frame[3] = 2
+                    v = frame[0] = self._highest(lam)
+                    lead = frame[2] = 2
                 else:
                     i, k, low = peeled
                     if self._push(low, stack):
                         continue
                     # bar-invariant and on lam, with lam's coefficient not yet 1
-                    v = frame[1] = apply_f(i, each_term(self._g[low]), self.abacus, k)
+                    v = frame[0] = apply_f(i, each_term(self._g[low]), self.abacus, k)
             nu, terms = self._lowest_uncorrected(lam, v)
             while nu is not None and not self._push(nu, stack):
                 if nu in corrected:
@@ -325,8 +318,7 @@ class FockBasis:
                     )
                 v = {key: c // 2 for key, c in v.items()}
             self._g[lam] = freeze(v)
-            self._open.discard(lam)
-            stack.pop()
+            stack.popitem()
         return self._g[b]
 
     def _push(self, b, stack) -> bool:
@@ -335,13 +327,12 @@ class FockBasis:
         wait on itself."""
         if b in self._g:
             return False
-        if b in self._open:
+        if b in stack:
             raise InvariantError(
                 "build of G(%s) at charge %s waits on itself" % (self._text(b), self.charge)
             )
-        self._open.add(b)
-        # label, vector so far, labels corrected, coefficient its label ends with
-        stack.append([b, None, set(), 1])
+        # vector so far, labels corrected, coefficient its label ends with
+        stack[b] = [None, set(), 1]
         return True
 
     def _lowest_uncorrected(self, lam, v):
@@ -490,7 +481,7 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     checks["foreign_support"] (every label of a build is at its charge);
     nonempty means the run hit something the theory says cannot happen.
     """
-    basis = FockBasis(e, l, charge)
+    basis = FockBasis(e, l, charge, n)
     aval = AValueTable(e, l, charge, n + 1)
     text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}
 
@@ -498,8 +489,8 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
         return (aval[mp], text[mp])
 
     rows = sorted(text, key=order)
-    row_of = {basis.mask(mp): mp for mp in rows}  # widens basis.abacus to rank n
-    masks = {row_of[b]: b for b in uglov_layer(basis.abacus, n)}
+    row_of = {basis.abacus.mask(mp): mp for mp in rows}
+    masks = {row_of[b]: b for b in uglov_layer(basis.abacus)}
     cols = sorted(masks, key=order)
     columns = {}
     foreign = set()

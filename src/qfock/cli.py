@@ -13,7 +13,9 @@ propagates.  Identical invocations produce byte-identical output.
 `decomp` and `canonical` build canonical elements through the Fock action
 (canonical.FockBasis); for the highest-weight labels of crystal components
 other than the vacuum's, `canonical` straightens each label's own bar on
-the wedge engine, and `bar` and `straighten` run on it alone.
+the wedge engine, and `bar` and `straighten` run on it alone.  Their
+--max-degree is the engine's cap on the length of a word to straighten
+(see WedgeEngine), checked before the word is built.
 
 main() is the in-process entry and returns the exit code.  A process
 (`qfock`, `python -m qfock.cli`) runs it through run(): once main()
@@ -33,7 +35,7 @@ from itertools import chain, islice
 from operator import add
 from typing import NoReturn
 
-from .abacus import degree, from_pair, monomial_from_text
+from .abacus import monomial_from_text
 from .avalue import AValueTable
 from .canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predicate, uglov_set
@@ -47,7 +49,7 @@ from .partitions import (
     multipartitions,
     rank,
 )
-from .wedge import WedgeEngine, vector_to_json, word_length
+from .wedge import WedgeEngine, vector_to_json
 
 
 # Exit code of a run whose stdout was closed before all of it was written,
@@ -278,10 +280,8 @@ def cmd_uglov_set(args):
 
 def cmd_flotw_check(args):
     e, l, charge = _ambient(args)
-    mp = mp_from_text(args.mp)
-    if len(mp) != l:
-        raise ValueError("multipartition %r has %d components, expected %d" % (args.mp, len(mp), l))
-    _emit(args, _lines, ["true\n" if flotw_predicate(mp, e, charge) else "false\n"])
+    member = flotw_predicate(mp_from_text(args.mp), e, charge)
+    _emit(args, _lines, ["true\n" if member else "false\n"])
 
 
 def cmd_crystal(args):
@@ -318,17 +318,8 @@ def cmd_avalue(args):
 
 
 def cmd_straighten(args):
-    e = args.e
-    l = args.l
-    engine = WedgeEngine(e, l)
+    engine = WedgeEngine(args.e, args.l, args.max_degree)
     indices = [int(k) for k in args.indices.split(",")] if args.indices else []
-    # the work grows with the extended word, tail beads included
-    n = word_length(indices, args.s)
-    if n > args.max_degree:
-        raise ValueError(
-            "the word to straighten has %d factors (tail beads included), exceeding "
-            "--max-degree %d; raise the cap to proceed" % (n, args.max_degree)
-        )
     vec = engine.straighten(indices, args.s)
     if args.format == "json":
         _emit(args, _jdump, vector_to_json(vec))
@@ -337,21 +328,8 @@ def cmd_straighten(args):
 
 
 def cmd_bar(args):
-    engine = WedgeEngine(args.e, args.l)
-    u = monomial_from_text(args.monomial)
-    if degree(u) > args.max_degree:
-        raise ValueError(
-            "monomial degree %d exceeds --max-degree %d; raise the cap to proceed"
-            % (degree(u), args.max_degree)
-        )
-    # the work grows with the number of factors reversed, r >= degree >= the
-    # prefix length of a parsed monomial, so the cap bounds r too
-    if args.r is not None and args.r > args.max_degree:
-        raise ValueError(
-            "--r %d exceeds --max-degree %d; raise the cap to proceed"
-            % (args.r, args.max_degree)
-        )
-    vec = engine.bar(u, r=args.r)
+    engine = WedgeEngine(args.e, args.l, args.max_degree)
+    vec = engine.bar(monomial_from_text(args.monomial), r=args.r)
     if args.format == "json":
         _emit(args, _jdump, vector_to_json(vec))
     else:
@@ -361,13 +339,7 @@ def cmd_bar(args):
 def cmd_canonical(args):
     e, l, charge = _ambient(args)
     mp = mp_from_text(args.mp)
-    u0 = from_pair(mp, charge, e, l)
-    if degree(u0) > args.max_degree:
-        raise ValueError(
-            "label has wedge degree %d, exceeding --max-degree %d; raise the cap to proceed"
-            % (degree(u0), args.max_degree)
-        )
-    vec = FockBasis(e, l, charge).element(mp)
+    vec = FockBasis(e, l, charge, rank(mp), args.max_degree).element(mp)
     records = fock_to_json(vec)
     if not args.keep_q:
         records = (

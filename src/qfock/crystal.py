@@ -15,14 +15,13 @@ from .fock import ChargedAbacus
 from .partitions import empty_multipartition, mp_to_text, multipartitions
 
 
-def uglov_layer(abacus, n: int) -> set:
-    """The bead masks of the rank-n Uglov multipartitions on abacus, whose
-    rank must be at least n: layer n of the crystal component of the empty
-    multipartition, grown one layer at a time from the one before, which is
-    all that is kept."""
+def uglov_layer(abacus) -> set:
+    """The bead masks of the Uglov multipartitions of the abacus's rank n:
+    layer n of the crystal component of the empty multipartition, grown one
+    layer at a time from the one before, which is all that is kept."""
     l = abacus.l
     layer = {abacus.mask(empty_multipartition(l))}
-    for _ in range(n):
+    for _ in range(abacus.n):
         layer = {b ^ bit ^ bit >> l for b in layer
                  for bit in abacus.signatures(b)[0].values()}
     return layer
@@ -33,7 +32,7 @@ def uglov_set(e: int, l: int, charge, n: int) -> set:
     if n < 0:
         raise ValueError("rank must be >= 0")
     abacus = ChargedAbacus(e, l, charge, n)
-    return set(map(abacus.label, uglov_layer(abacus, n)))
+    return set(map(abacus.label, uglov_layer(abacus)))
 
 
 def flotw_predicate(mp, e: int, charge) -> bool:
@@ -42,6 +41,9 @@ def flotw_predicate(mp, e: int, charge) -> bool:
     requirement that the right-end residues of the length-k rows never
     exhaust all of {0..e-1}."""
     l = len(charge)
+    if len(mp) != l:
+        raise ValueError("multipartition %s has %d components, expected %d"
+                         % (mp_to_text(mp), len(mp), l))
     if not all(0 <= charge[j] <= charge[j + 1] for j in range(l - 1)) or charge[-1] >= e:
         raise ValueError("flotw_predicate needs 0 <= s_1 <= ... <= s_l < e")
 

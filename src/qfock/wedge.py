@@ -50,6 +50,7 @@ from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from .errors import InvariantError
 from .laurent import ONE, LaurentPoly, _acc
 
+_MINUS_ONE = LaurentPoly({0: -1})
 _MINUS_Q_INV = LaurentPoly({-1: -1})
 _PLUS_Q = LaurentPoly({1: 1})
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
@@ -85,14 +86,19 @@ class WedgeEngine:
     that need a cold recomputation just build a fresh one.  Operations
     never mutate their arguments, so a single engine can be shared freely
     within a thread.
+
+    max_degree, when given, caps the length of the word that straighten and
+    bar straighten, tail beads included: a longer one is refused with a
+    ValueError before it is built.
     """
 
-    def __init__(self, e: int, l: int, fuel: int = 50_000_000):
+    def __init__(self, e: int, l: int, max_degree: int | None = None, fuel: int = 50_000_000):
         if e < 2 or l < 1:
             raise ValueError("need e >= 2 and l >= 1")
         self.e = e
         self.l = l
         self.el = e * l
+        self.max_degree = max_degree
         self.fuel = fuel
         self._spent = 0
         self._pair_cache = {}
@@ -145,66 +151,63 @@ class WedgeEngine:
                 "limit or report a non-terminating rewrite" % self.fuel
             )
 
+    def _check_length(self, n: int):
+        """Refuse a word of n factors longer than max_degree."""
+        if self.max_degree is not None and n > self.max_degree:
+            raise ValueError(
+                "the word to straighten has %d factors (tail beads included), exceeding "
+                "max_degree %d; raise the cap to proceed" % (n, self.max_degree)
+            )
+
     # -- one adjacent pair ----------------------------------------------------
 
     def straighten_pair(self, k1: int, k2: int):
         """Expansion of u_{k1} ^ u_{k2} with k1 <= k2 into ordered pairs.
 
         Returns a tuple of ((x, y), coefficient) with x > y.  Equal indices
-        give the empty expansion (the wedge square is zero).
+        give the empty expansion (the wedge square is zero).  Each rule is
+        its reversal coefficient and its strings, (shift, coefficient(m),
+        first m); no two terms share a pair, since a nonzero alpha is no
+        multiple of e and beta is, so the shifts differ mod el.
         """
         if k1 > k2:
             raise ValueError("straighten_pair expects k1 <= k2")
+        if k1 == k2:
+            return ()
         e, l, el = self.e, self.l, self.el
-        out = {}
-        if k1 != k2:
-            a1, b1, _ = factorize(k1, e, l)
-            a2, b2, _ = factorize(k2, e, l)
-            alpha = (a2 - a1) % el
-            beta = (e * (b1 - b2)) % el
-            if alpha == 0 and beta == 0:
-                _acc(out, (k2, k1), LaurentPoly({0: -1}))
-            elif alpha != 0 and beta == 0:
-                _acc(out, (k2, k1), _MINUS_Q_INV)
-                m = 0
-                while k2 - alpha - el * m > k1 + alpha + el * m:
-                    _acc(out, (k2 - alpha - el * m, k1 + alpha + el * m),
-                         LaurentPoly({-2 * m - 2: 1, -2 * m: -1}))
-                    m += 1
-                m = 1
-                while k2 - el * m > k1 + el * m:
-                    _acc(out, (k2 - el * m, k1 + el * m),
-                         LaurentPoly({-2 * m + 1: 1, -2 * m - 1: -1}))
-                    m += 1
-            elif alpha == 0:
-                _acc(out, (k2, k1), _PLUS_Q)
-                m = 0
-                while k2 - beta - el * m > k1 + beta + el * m:
-                    _acc(out, (k2 - beta - el * m, k1 + beta + el * m),
-                         LaurentPoly({2 * m + 2: 1, 2 * m: -1}))
-                    m += 1
-                m = 1
-                while k2 - el * m > k1 + el * m:
-                    _acc(out, (k2 - el * m, k1 + el * m),
-                         LaurentPoly({2 * m + 1: 1, 2 * m - 1: -1}))
-                    m += 1
-            else:
-                # Mixed rule.  The alpha+beta chain carries even-string index
-                # m+1: starting it at m (whose string is the zero polynomial)
-                # breaks confluence and the two-factor bar involution, with
-                # defect 2(q-q^{-1})^2 exactly at the alpha+beta shift.
-                _acc(out, (k2, k1), ONE)
-                for shift, string, mstart in (
-                    (beta, _odd_string, 0),
-                    (alpha, _odd_string, 0),
-                    (alpha + beta, lambda m: _even_string(m + 1), 0),
-                    (0, _even_string, 1),
-                ):
-                    m = mstart
-                    while k2 - shift - el * m > k1 + shift + el * m:
-                        _acc(out, (k2 - shift - el * m, k1 + shift + el * m), string(m))
-                        m += 1
-        return tuple(sorted(out.items()))
+        a1, b1, _ = factorize(k1, e, l)
+        a2, b2, _ = factorize(k2, e, l)
+        alpha = (a2 - a1) % el
+        beta = (e * (b1 - b2)) % el
+        if alpha == 0 and beta == 0:
+            reversal, strings = _MINUS_ONE, ()
+        elif beta == 0:
+            reversal, strings = _MINUS_Q_INV, (
+                (alpha, lambda m: LaurentPoly({-2 * m - 2: 1, -2 * m: -1}), 0),
+                (0, lambda m: LaurentPoly({-2 * m + 1: 1, -2 * m - 1: -1}), 1),
+            )
+        elif alpha == 0:
+            reversal, strings = _PLUS_Q, (
+                (beta, lambda m: LaurentPoly({2 * m + 2: 1, 2 * m: -1}), 0),
+                (0, lambda m: LaurentPoly({2 * m + 1: 1, 2 * m - 1: -1}), 1),
+            )
+        else:
+            # Mixed rule.  The alpha+beta chain carries even-string index
+            # m+1: starting it at m (whose string is the zero polynomial)
+            # breaks confluence and the two-factor bar involution, with
+            # defect 2(q-q^{-1})^2 exactly at the alpha+beta shift.
+            reversal, strings = ONE, (
+                (beta, _odd_string, 0),
+                (alpha, _odd_string, 0),
+                (alpha + beta, lambda m: _even_string(m + 1), 0),
+                (0, _even_string, 1),
+            )
+        out = [((k2, k1), reversal)]
+        for shift, string, m in strings:
+            while k2 - shift - el * m > k1 + shift + el * m:
+                out.append(((k2 - shift - el * m, k1 + shift + el * m), string(m)))
+                m += 1
+        return tuple(sorted(out))
 
     def _pair(self, k1: int, k2: int):
         """straighten_pair with coefficient ids, cached per (k1, k2)."""
@@ -332,15 +335,16 @@ class WedgeEngine:
         repeated bead does NOT kill a q-wedge unless the two copies are
         adjacent, so the word is extended with explicit tail beads down past
         its minimum index (anything deeper is inert) and straightened in
-        full.  Returns {WedgeMonomial: coefficient}.
+        full.  Returns {WedgeMonomial: coefficient}.  The word's length is
+        checked against max_degree first.
         """
         indices = tuple(indices)
-        tail = range(len(indices) + 1, word_length(indices, s) + 1)
-        word = indices + tuple(s - i + 1 for i in tail)
-        out = {}
-        for mono, c in self.straighten_indices(word).items():
-            _acc(out, wedge_monomial(mono, s), c)
-        return out
+        n = word_length(indices, s)
+        self._check_length(n)
+        word = indices + tuple(s - i + 1 for i in range(len(indices) + 1, n + 1))
+        # wedge_monomial is injective on words of one length
+        return {wedge_monomial(mono, s): c
+                for mono, c in self.straighten_indices(word).items()}
 
     def bar(self, u: WedgeMonomial, r: int | None = None):
         """The bar involution of an ordered monomial, as {WedgeMonomial: c}.
@@ -351,7 +355,8 @@ class WedgeEngine:
         count index pairs i < j <= r sharing the bead letter a, resp. the
         runner b.  Every computed image must have coefficient exactly 1 on u
         (bar is unitriangular); anything else raises InvariantError before
-        the image is cached under (u, r).
+        the image is cached under (u, r).  The r factors are checked against
+        max_degree first.
         """
         n = degree(u)
         r0 = len(u.prefix)
@@ -359,6 +364,7 @@ class WedgeEngine:
             r = max(n, r0)
         elif r < max(n, r0):
             raise ValueError("bar needs r >= max(degree, prefix length) = %d" % max(n, r0))
+        self._check_length(r)
         key = (u, r)
         hit = self._bar_cache.get(key)
         if hit is not None:
@@ -379,7 +385,7 @@ class WedgeEngine:
         for mono, c in self.straighten_indices(reversed(factors)).items():
             if mono and mono[-1] <= floor:
                 raise InvariantError("straightened prefix dipped into the tail")
-            _acc(out, wedge_monomial(mono, u.s), pref * c)
+            out[wedge_monomial(mono, u.s)] = pref * c  # injective, as in straighten
         one = out.get(u)
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))

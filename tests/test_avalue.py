@@ -22,6 +22,16 @@ def lifted(charge, t, e=4):
     return tuple(c + t * e for c in charge)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: m_vector(4, 2, (0,)),
+    lambda: m_vector(4, 2, (0, 1, 2)),
+    lambda: AValueTable(4, 2, (0,), 3),
+])
+def test_charge_of_the_wrong_length_is_refused(call):
+    with pytest.raises(ValueError, match="entries, expected 2"):
+        call()
+
+
 def test_m_vector_examples():
     assert m_vector(4, 2, (0, 1)) == ((4, 3), 1)
     assert m_vector(4, 2, (4, 1)) == ((8, 3), 1)

@@ -26,6 +26,7 @@ from qfock.errors import InvariantError
 from qfock.fock import apply_f, each_term
 from qfock.laurent import LaurentPoly
 from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
+from qfock.wedge import WedgeEngine
 
 from oracles import (
     divide_exact,
@@ -385,14 +386,14 @@ def test_fock_build_traps():
     # with a good node) to 1|3, and f_0 G(1|3) has 1 + q^2 on 1|3,1 ...
     charge = (0, 1)
     lam, low = mp_from_text("1|3,1"), mp_from_text("1|3")
-    basis = FockBasis(4, 2, charge)
+    basis = FockBasis(4, 2, charge, 5)
     assert basis.peel(basis.mask(lam)) == (0, 1, basis.mask(low))
     basis.element(low)
     image = apply_f(0, each_term(basis._g[basis.mask(low)]), basis.abacus)
     assert {x: c for (b, x), c in image.items() if b == basis.mask(lam)} == {0: 1, 2: 1}
     # ... and the correction that restores the 1 needs G(1|4), lower in
     # the correction order and in a-value
-    fresh = FockBasis(4, 2, charge)
+    fresh = FockBasis(4, 2, charge, 5)
     g = fresh.element(lam)
     assert g[(lam, charge)] == LaurentPoly.one()
     side = mp_from_text("1|4")
@@ -402,30 +403,56 @@ def test_fock_build_traps():
     assert aval[side] < aval[lam]
 
 
-def test_fock_basis_widening_re_encodes_what_it_stores():
-    # at (3,3), charge (0,40,-30), the windows leave gaps, so each widening
-    # places the charge anew and moves stored masks by more than a shift;
-    # G built across four widenings equals G built after one
+def test_fock_basis_of_each_rank_builds_the_same_elements():
+    # at (3,3), charge (0,40,-30), the windows leave gaps, so a basis of
+    # each rank places the charge anew and its masks are not a shift of the
+    # rank-5 basis's; G of every Uglov label of ranks 1-5 is the same on both
     e, charge = 3, (0, 40, -30)
-    basis = FockBasis(e, 3, charge)
-    built, placed = {}, set()
+    wide = FockBasis(e, 3, charge, 5)
+    placed = {wide.abacus.placed}
     for n in range(1, 6):
-        for mp in sorted(uglov_set(e, 3, charge, n)):
-            built[mp] = basis.element(mp)
+        basis = FockBasis(e, 3, charge, n)
         placed.add(basis.abacus.placed)
-    assert len(placed) == 5 and not basis.wedge_labels
-    wide = FockBasis(e, 3, charge)
-    wide.mask(((1,) * 5, (), ()))
-    assert all(wide.element(mp) == g for mp, g in built.items())
+        for mp in sorted(uglov_set(e, 3, charge, n)):
+            assert basis.element(mp) == wide.element(mp), (n, mp_to_text(mp))
+        assert not basis.wedge_labels
+    assert len(placed) == 5 and not wide.wedge_labels
 
 
-def test_fock_build_cycle_guard():
-    # a planted open build of G(1|4) makes the build of G(1|3,1) wait on it
-    basis = FockBasis(4, 2, (0, 1))
-    planted = basis.mask(mp_from_text("1|4"))  # widens the abacus to rank 5
-    basis._open.add(planted)
-    with pytest.raises(InvariantError, match="waits on itself"):
+def test_fock_basis_refuses_a_label_above_its_rank():
+    basis = FockBasis(4, 2, (0, 1), 3)
+    with pytest.raises(ValueError, match="rank 4, above the basis's rank 3"):
+        basis.element(mp_from_text("2|1,1"))
+
+
+def test_fock_build_cycle_guard(monkeypatch):
+    # a peel that leads from 1|3 back to 1|3,1 makes the build of G(1|3,1)
+    # wait on itself
+    basis = FockBasis(4, 2, (0, 1), 5)
+    lam, low = basis.mask(mp_from_text("1|3,1")), basis.mask(mp_from_text("1|3"))
+    real = FockBasis.peel
+    monkeypatch.setattr(FockBasis, "peel",
+                        lambda self, b: (0, 1, lam) if b == low else real(self, b))
+    with pytest.raises(InvariantError, match=r"G\(1\|3,1\) at charge \(0, 1\) waits on itself"):
         basis.element(mp_from_text("1|3,1"))
+
+
+def test_refused_build_leaves_the_basis_usable(monkeypatch):
+    # at (4,2), charge (0,40), 1|- is a highest-weight label whose bar needs
+    # a word of 725 factors: a capped basis refuses it before straightening,
+    # again on a retry, and still builds -|1, which needs no wedge work
+    def refuse(*args):
+        raise AssertionError("a word was straightened")
+
+    monkeypatch.setattr(WedgeEngine, "straighten_indices", refuse)
+    basis = FockBasis(4, 2, (0, 40), 1, max_degree=64)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="has 725 factors"):
+            basis.element(mp_from_text("1|-"))
+    assert basis.wedge_labels == []
+    lam = mp_from_text("-|1")
+    assert basis.element(lam) == FockBasis(4, 2, (0, 40), 1).element(lam)
+    assert basis.wedge_labels == []
 
 
 def test_fock_build_of_non_uglov_labels(monkeypatch):
@@ -434,13 +461,13 @@ def test_fock_build_of_non_uglov_labels(monkeypatch):
     charge = (0, 1)
     lam = mp_from_text("-|3,1")
     assert lam not in UGLOV_SETS[charge]
-    basis = FockBasis(4, 2, charge)
+    basis = FockBasis(4, 2, charge, 4)
     assert basis.element(lam) == CanonicalBasis(4, 2).element_for_label(lam, charge)
     highest = mp_from_text("-|1,1")
     assert basis.wedge_labels == [highest] and basis.peel(basis.mask(highest)) is None
     # decomposition_matrix refuses a column that would need the wedge engine
     monkeypatch.setattr(canonical, "uglov_layer",
-                        lambda abacus, n: uglov_layer(abacus, n) | {abacus.mask(lam)})
+                        lambda abacus: uglov_layer(abacus) | {abacus.mask(lam)})
     with pytest.raises(InvariantError, match="needed the wedge engine"):
         decomposition_matrix(4, 2, charge, 4)
 
@@ -459,7 +486,7 @@ HIGHEST = mp_from_text("1,1,1|1")
 
 
 def test_highest_weight_start_rejects_a_support_that_does_not_rise():
-    basis = FockBasis(4, 2, (0, 1))
+    basis = FockBasis(4, 2, (0, 1), 4)
     assert basis.peel(basis.mask(HIGHEST)) is None
     low = mp_from_text("2|1,1")
     assert basis.key(low)[0] <= basis.key(HIGHEST)[0]
@@ -469,7 +496,7 @@ def test_highest_weight_start_rejects_a_support_that_does_not_rise():
 
 
 def test_highest_weight_start_rejects_support_at_another_charge():
-    basis = FockBasis(4, 2, (0, 1))
+    basis = FockBasis(4, 2, (0, 1), 4)
     w = from_pair(mp_from_text("-|1,1,1,1"), (1, 0), 4, 2)
     assert dominance(w) > basis.key(HIGHEST)[0]
     _plant_bar(basis, HIGHEST, (w, LaurentPoly({1: 2})))
@@ -480,7 +507,7 @@ def test_highest_weight_start_rejects_support_at_another_charge():
 def test_highest_weight_start_rejects_an_odd_coefficient():
     # u + bar(u) = 2u + q w needs no correction, since G(w) = w and q is in
     # qZ[q], but it is not twice a vector over Z[q, q^-1]
-    basis = FockBasis(4, 2, (0, 1))
+    basis = FockBasis(4, 2, (0, 1), 4)
     w = mp_from_text("1,1,1,1|-")
     assert basis.key(w)[0] > basis.key(HIGHEST)[0]
     assert basis.element(w) == {(w, (0, 1)): LaurentPoly.one()}
@@ -493,7 +520,7 @@ def test_fock_route_wedge_fuel_regression_guard():
     # every label of ranks <= 8 at (2,2), charge (0,1): straightening each
     # highest-weight label's own bar alone spends 5 517 steps; building the
     # G of each whole bar closure on the wedge spent 6 526
-    basis = FockBasis(2, 2, (0, 1))
+    basis = FockBasis(2, 2, (0, 1), 8)
     for n in range(9):
         for mp in multipartitions(2, n):
             basis.element(mp)
@@ -525,10 +552,10 @@ def test_peel_matches_repeated_good_node_removal():
                           (3, 3, [(0, 1, 2), (0, 4, -1)]),
                           (2, 2, [(0, 1), (2, 2)])]:
         for charge in charges:
-            basis = FockBasis(e, l, charge)
+            basis = FockBasis(e, l, charge, 6)
             for n in range(7):
                 for mp in multipartitions(l, n):
-                    b = basis.mask(mp)  # widens the abacus to rank n first
+                    b = basis.mask(mp)
                     want = None
                     for i in range(e):
                         low, k = mp, 0
@@ -545,7 +572,7 @@ def test_peel_matches_repeated_good_node_removal():
 def test_fock_route_matches_wedge_route_on_every_label(wedge_oracles):
     for e, l, charge, top in ALL_LABEL_AMBIENTS:
         oracle = wedge_oracles.setdefault((e, l), CanonicalBasis(e, l))
-        basis = FockBasis(e, l, charge)
+        basis = FockBasis(e, l, charge, top)
         for n in range(top + 1):
             for mp in multipartitions(l, n):
                 assert basis.element(mp) == oracle.element_for_label(mp, charge), \
@@ -558,7 +585,7 @@ def test_correction_key_grows_along_bar_supports_and_canonical_supports(wedge_or
     # strictly grows; so it does from each label to the rest of its G
     for e, l, charge, top in ALL_LABEL_AMBIENTS:
         oracle = wedge_oracles.setdefault((e, l), CanonicalBasis(e, l))
-        basis = FockBasis(e, l, charge)
+        basis = FockBasis(e, l, charge, min(top, 5))
         for n in range(min(top, 5) + 1):
             for mp in multipartitions(l, n):
                 low = basis.key(mp)[0]
@@ -578,7 +605,7 @@ def test_correction_key_is_wedge_dominance_up_to_a_constant_of_the_charge():
     for e, l, charge, want in [(4, 2, (0, 1), 0), (4, 2, (0, 5), 56), (4, 2, (1, 0), 24),
                                (4, 2, (0, 100), 964800), (3, 3, (0, 1, 2), 7),
                                (2, 1, (0,), 0), (5, 3, (-3, 7, 2), 1164)]:
-        basis = FockBasis(e, l, charge)
+        basis = FockBasis(e, l, charge, 6)
         shifts = {basis.key(mp)[0] - dominance(from_pair(mp, charge, e, l))
                   for n in range(7) for mp in multipartitions(l, n)}
         assert shifts == {want}, (e, l, charge, shifts)

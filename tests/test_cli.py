@@ -12,6 +12,7 @@ from qfock.canonical import decomposition_matrix, verify_unitriangular
 from qfock.cli import main
 from qfock.crystal import crystal_graph, crystal_to_dot, crystal_to_json
 from qfock.partitions import multipartitions
+from qfock.wedge import WedgeEngine
 
 
 def run(capsys, *argv):
@@ -95,10 +96,15 @@ def test_straighten_and_bar(capsys):
     ]
 
 
-def test_bar_degree_guard(capsys):
+def test_bar_degree_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", "s=0; k=99",
                        "--max-degree", "10")
-    assert code == 2 and "max-degree" in err
+    assert code == 2 and "has 99 factors" in err and "max_degree 10" in err
+    # the reversal length is checked before the word is built or straightened
+    monkeypatch.setattr(WedgeEngine, "straighten_indices", _no_straightening)
+    code, out, err = run(capsys, "bar", "--e", "4", "--l", "2",
+                         "--monomial", "s=0; k=10000000000000")
+    assert code == 2 and out == "" and "has 10000000000000 factors" in err
 
 
 def test_bar_reversal_length_guard(capsys):
@@ -108,7 +114,7 @@ def test_bar_reversal_length_guard(capsys):
                  ("--r", "25", "--max-degree", "24")):
         code, out, err = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
                              *argv)
-        assert code == 2 and out == "" and "exceeds --max-degree" in err, argv
+        assert code == 2 and out == "" and "exceeding max_degree" in err, argv
     code, out, _ = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
                        "--r", "24", "--max-degree", "24")
     assert code == 0 and "[s=0; k=1]" in out
@@ -125,11 +131,11 @@ def test_straighten_word_length_guard(capsys):
         outs.append(out)
     assert outs[0] == outs[1]
     code, out, err = run(capsys, *argv, "--max-degree", "4")
-    assert code == 2 and out == "" and "has 5 factors" in err and "--max-degree 4" in err
+    assert code == 2 and out == "" and "has 5 factors" in err and "max_degree 4" in err
     # the default cap of 64 refuses (80, -80), an 82-factor word, before any work
     code, out, err = run(capsys, "straighten", "--e", "4", "--l", "2", "--s", "0",
                          "--indices", "80,-80")
-    assert code == 2 and out == "" and "has 82 factors" in err and "--max-degree 64" in err
+    assert code == 2 and out == "" and "has 82 factors" in err and "max_degree 64" in err
     # the length is counted, not built: a huge charge costs nothing to refuse
     code, out, err = run(capsys, "straighten", "--e", "4", "--l", "2", "--s", "10000000000000",
                          "--indices", "0")
@@ -138,6 +144,24 @@ def test_straighten_word_length_guard(capsys):
     code, _, err = run(capsys, "straighten", "--e", "2", "--l", "1", "--s", "0",
                        "--indices", "9,7,5,3,1", "--max-degree", "4")
     assert code == 2 and "has 5 factors" in err
+
+
+def _no_straightening(*args):
+    raise AssertionError("a word was straightened")
+
+
+def test_canonical_refuses_only_a_highest_weight_bar_over_the_cap(capsys, monkeypatch):
+    # at (4,2), charge (0,40), -|1 is an Uglov label whose wedge monomial
+    # has degree 725, but its build needs no wedge work; 1|- is a
+    # highest-weight label whose bar needs a word of 725 factors
+    monkeypatch.setattr(WedgeEngine, "straighten_indices", _no_straightening)
+    argv = ("canonical", "--e", "4", "--charge", "0,40")
+    code, out, err = run(capsys, *argv, "--mp=-|1")
+    assert code == 0 and '"multipartition": "-|1"' in out and err == ""
+    code, out, err = run(capsys, *argv, "--mp=1|-")
+    assert code == 2 and out == ""
+    assert err == ("invalid input: the word to straighten has 725 factors (tail beads "
+                   "included), exceeding max_degree 64; raise the cap to proceed\n")
 
 
 def test_malformed_monomials_are_invalid_input(capsys):
@@ -310,7 +334,7 @@ def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):
     assert code == 0 and built == []
     code, out, _ = run(capsys, "canonical", "--e", "3", "--charge", "0,1", "--mp=-|3,1",
                        "--keep-q")
-    assert code == 0 and built == [(3, 2)]
+    assert code == 0 and built == [(3, 2, 64)]
     assert '"multipartition": "-|3,1"' in out
 
 
@@ -557,7 +581,7 @@ def test_peel_and_apply_f_do_not_grow_with_e(capsys):
     # decomp at rank 4 peels and applies f_i on every label; canonical peels
     # its label down to the vacuum
     for argv in (["decomp", "--charge=0,1", "--rank=4"],
-                 ["canonical", "--charge=0,1", "--mp=2,1|1", "--max-degree=100000000"]):
+                 ["canonical", "--charge=0,1", "--mp=2,1|1"]):
         small = run(capsys, *argv, "--e=1000")
         assert small[0] == 0
         start = time.perf_counter()

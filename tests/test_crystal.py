@@ -86,6 +86,15 @@ def test_flotw_examples():
         flotw_predicate(((), ()), 4, (1, 0))  # charge outside the regime
 
 
+@pytest.mark.parametrize("mp, charge", [
+    (((1,), ()), (0, 1, 2)),
+    (((1,), (), ()), (0, 1)),
+])
+def test_flotw_refuses_a_label_and_charge_of_different_lengths(mp, charge):
+    with pytest.raises(ValueError, match="components, expected %d" % len(charge)):
+        flotw_predicate(mp, 4, charge)
+
+
 def test_flotw_equals_crystal_component():
     for (e, l) in [(4, 2), (3, 2), (4, 3)]:
         for charge in product(range(e), repeat=l):

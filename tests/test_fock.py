@@ -211,7 +211,7 @@ def test_one_partition_at_two_slots_gets_each_slots_bits():
 @pytest.mark.parametrize("call", [
     lambda: uglov_set(4, 2, (0, 1, 2), 3),
     lambda: uglov_set(4, 2, (0,), 3),
-    lambda: FockBasis(4, 2, (0,)).element(((1,), ())),
+    lambda: FockBasis(4, 2, (0,), 1).element(((1,), ())),
 ])
 def test_charge_of_the_wrong_length_is_refused(call):
     # through the library API, where no command line checks the charge
@@ -257,7 +257,7 @@ def test_mask_route_matches_tuple_route(case):
     # forms in tests/oracles.py
     e, charge, i, k, vec = case
     assert fock_apply_f(i, vec, e, k) == apply_f_on_tuples(i, vec, e, k)
-    basis = FockBasis(e, len(charge), charge)
+    basis = FockBasis(e, len(charge), charge, 6)
     for mp, _charge in vec:
         b = basis.mask(mp)
         want = peel_on_tuples(mp, charge, e)
