@@ -92,16 +92,11 @@ def bead_index(v: int, b: int, e: int, l: int) -> int:
 
 
 def _runner_tail_top(cutoff: int, b: int, e: int, l: int) -> int:
-    """Largest runner-b position v with global index <= cutoff."""
-    best = None
-    for a in range(1, e + 1):
-        # smallest m with a + e(l-b) - elm <= cutoff
-        num = a + e * (l - b) - cutoff
-        m = -((-num) // (e * l))  # ceil(num / el)
-        v = a - e * m
-        if best is None or v > best:
-            best = v
-    return best
+    """Largest runner-b position v with global index <= cutoff.  Runner b
+    holds its positions e*t + 1..e*t + e at indices e(l - b) + el*t + 1..+e,
+    so v = e*t + min(e, r) for t, r = divmod(cutoff - e(l - b), el)."""
+    t, r = divmod(cutoff - e * (l - b), e * l)
+    return e * t + min(e, r)
 
 
 def to_pair(u: WedgeMonomial, e: int, l: int) -> tuple:

@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 invalid input (a ValueError from parsing or
 validation only), 3 unsupported regime (non-integral shift vector), 4
 internal invariant violation (a bar support that does not rise in wedge
 dominance or sits at another charge vector, a bar image without
-coefficient 1 on its own monomial, fuel exhaustion, a canonical element
-with the wrong coefficient on its label or an odd one to halve, a
-decomposition matrix with foreign support or failed unitriangularity),
+coefficient 1 on its own monomial, fuel exhaustion, a word to straighten
+too long for Python's recursion limit, a canonical element with the wrong
+coefficient on its label or an odd one to halve, a decomposition matrix
+with foreign support or failed unitriangularity),
 141 stdout closed by its reader before all output was written (a broken
 pipe; nothing is written to stderr).  Any other exception is a bug and
 propagates.  Identical invocations produce byte-identical output.

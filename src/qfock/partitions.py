@@ -87,22 +87,14 @@ def multipartitions(l: int, n: int) -> list:
 def is_split_semisimple(e: int, charge, n: int) -> bool:
     """True iff the specialized Ariki-Koike algebra on n strands is split
     semisimple: e > n, and no pair of charge entries satisfies
-    d + s_i = s_j mod e for any |d| < n."""
+    d + s_i = s_j mod e for any |d| < n, i.e. no s_j - s_i mod e or its
+    negative is below n: one test per pair, whatever n is."""
     if n < 0:
         raise ValueError("rank must be >= 0")
-    if n == 0:
-        return True
-    if e <= n:
-        return False
-    l = len(charge)
-    for i in range(l):
-        for j in range(l):
-            if i == j:
-                continue
-            for d in range(-(n - 1), n):
-                if (d + charge[i] - charge[j]) % e == 0:
-                    return False
-    return True
+    return n == 0 or e > n and all(
+        min((a - b) % e, (b - a) % e) >= n
+        for i, a in enumerate(charge) for b in charge[i + 1:]
+    )
 
 
 # -- text formats ----------------------------------------------------------------

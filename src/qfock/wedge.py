@@ -46,6 +46,8 @@ vector hold ids; every public method returns LaurentPoly values.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from .errors import InvariantError
 from .laurent import ONE, LaurentPoly, _acc
@@ -68,9 +70,9 @@ def _even_string(m):
     return _Q_MINUS_QINV * body
 
 
-def _mask(mono, origin):
-    """Bit mask of distinct indices: bit i stands for index origin + i."""
-    return sum(1 << (k - origin) for k in mono)
+def _shared_pairs(values) -> int:
+    """The number of pairs i < j with values[i] == values[j]."""
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())
 
 
 def _indices(mask, origin):
@@ -221,16 +223,9 @@ class WedgeEngine:
     # -- insertion into an ordered monomial ---------------------------------
 
     def insert(self, j: int, mono: tuple):
-        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}.
-
-        A tuple front end to the mask recursion `_insert`, read from the
-        largest multiple of e at or below every index involved.
-        """
-        low = min((j, *mono))
-        origin = low - low % self.e
-        out = self._insert(j - origin, _mask(mono, origin))
-        polys = self._polys
-        return {_indices(m, origin): polys[c] for m, c in out.items()}
+        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}: the word
+        mono, u_j straightened, whose ordered entries place with no work."""
+        return self.straighten_indices((*mono, j))
 
     def _insert(self, j: int, mono: int):
         """mono ^ u_j for an ordered monomial held as a bit mask (bit i is
@@ -304,24 +299,30 @@ class WedgeEngine:
         """Straighten a finite wedge of arbitrary integer indices.
 
         Returns {strictly decreasing tuple: coefficient}; monomials that
-        develop a repeated index vanish along the way.
+        develop a repeated index vanish along the way.  A word long enough for
+        _insert's recursion to reach Python's limit (about a thousand
+        factors) raises InvariantError; the memos keep only finished entries.
         """
         word = tuple(indices)
         low = min(word, default=0)
         origin = low - low % self.e
         add, times = self._add, self._times
         vec = {0: 1}
-        for j in word:
-            j -= origin
-            nxt = {}
-            for mono, c in vec.items():
-                for m2, c2 in self._insert(j, mono).items():
-                    c2 = c2 if c == 1 else c if c2 == 1 else times(c, c2)
-                    if m2 in nxt:
-                        add(nxt, m2, c2)
-                    else:
-                        nxt[m2] = c2
-            vec = nxt
+        try:
+            for j in word:
+                j -= origin
+                nxt = {}
+                for mono, c in vec.items():
+                    for m2, c2 in self._insert(j, mono).items():
+                        c2 = c2 if c == 1 else c if c2 == 1 else times(c, c2)
+                        if m2 in nxt:
+                            add(nxt, m2, c2)
+                        else:
+                            nxt[m2] = c2
+                vec = nxt
+        except RecursionError:
+            raise InvariantError("straightening a word of %d factors reached Python's "
+                                 "recursion limit" % len(word)) from None
         polys = self._polys
         return {_indices(m, origin): polys[c] for m, c in vec.items()}
 
@@ -371,14 +372,8 @@ class WedgeEngine:
             return hit
         factors = list(u.prefix) + [u.s - i + 1 for i in range(r0 + 1, r + 1)]
         letters = [factorize(k, self.e, self.l) for k in factors]
-        omega = 0
-        omega_p = 0
-        for i in range(r):
-            for j in range(i + 1, r):
-                if letters[i].a == letters[j].a:
-                    omega += 1
-                if letters[i].b == letters[j].b:
-                    omega_p += 1
+        omega = _shared_pairs(x.a for x in letters)
+        omega_p = _shared_pairs(x.b for x in letters)
         pref = LaurentPoly({omega_p - omega: (-1) ** omega_p})
         out = {}
         floor = u.s - r

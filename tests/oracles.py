@@ -7,12 +7,12 @@ fault in the optimized code cannot hide in them as well.
 from itertools import combinations, count
 from operator import mul
 
-from qfock.abacus import WedgeMonomial
+from qfock.abacus import WedgeMonomial, factorize
 from qfock.avalue import AValueTable, _entries, _min_ramp
 from qfock.fock import ChargedAbacus, apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.partitions import empty_multipartition, multipartitions, partitions, rank
-from qfock.wedge import WedgeEngine, _indices, _mask
+from qfock.wedge import WedgeEngine, _indices
 
 
 # -- the crystal on multipartition tuples --------------------------------------
@@ -165,13 +165,7 @@ class LaurentWedgeEngine(WedgeEngine):
     working vector, where the engine keeps ids into a table of distinct
     polynomials.  The memo is keyed as the engine's and burns one unit of
     fuel per miss, so fuel and memo size must agree with the engine's too;
-    bar and straighten are inherited and run on this straightening."""
-
-    def insert(self, j: int, mono: tuple):
-        low = min((j, *mono))
-        origin = low - low % self.e
-        out = self._insert(j - origin, _mask(mono, origin))
-        return {_indices(m, origin): c for m, c in out.items()}
+    insert, bar and straighten are inherited and run on this straightening."""
 
     def _insert(self, j: int, mono: int):
         tail = mono & ((2 << j) - 1)
@@ -489,3 +483,54 @@ def precedes(mu, nu, e: int, l: int, charge) -> bool:
         raise ValueError("precedes compares equal ranks only")
     table = AValueTable(e, l, charge, max(height(mu), height(nu)) + 1)
     return table[mu] < table[nu]
+
+
+# -- the searches the closed forms replaced ------------------------------------
+
+def is_split_semisimple_by_search(e: int, charge, n: int) -> bool:
+    """Ariki's criterion by trying every |d| < n on every ordered pair of
+    charge entries: O(l^2 n)."""
+    if n < 0:
+        raise ValueError("rank must be >= 0")
+    if n == 0:
+        return True
+    if e <= n:
+        return False
+    l = len(charge)
+    for i in range(l):
+        for j in range(l):
+            if i == j:
+                continue
+            for d in range(-(n - 1), n):
+                if (d + charge[i] - charge[j]) % e == 0:
+                    return False
+    return True
+
+
+def runner_tail_top_by_search(cutoff: int, b: int, e: int, l: int) -> int:
+    """Largest runner-b position with global index <= cutoff, as the best
+    over the e bead letters a."""
+    best = None
+    for a in range(1, e + 1):
+        # smallest m with a + e(l-b) - elm <= cutoff
+        num = a + e * (l - b) - cutoff
+        m = -((-num) // (e * l))  # ceil(num / el)
+        v = a - e * m
+        if best is None or v > best:
+            best = v
+    return best
+
+
+def bar_omegas_by_pairs(factors, e: int, l: int) -> tuple:
+    """(omega, omega') of the bar prefactor: the index pairs i < j of the
+    word sharing the bead letter a, resp. the runner b, counted pair by
+    pair."""
+    letters = [factorize(k, e, l) for k in factors]
+    omega = omega_p = 0
+    for i in range(len(letters)):
+        for j in range(i + 1, len(letters)):
+            if letters[i].a == letters[j].a:
+                omega += 1
+            if letters[i].b == letters[j].b:
+                omega_p += 1
+    return omega, omega_p

@@ -1,10 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock.abacus import (
     BeadTriple,
     WedgeMonomial,
+    _runner_tail_top,
+    bead_index,
     degree,
     factorize,
     from_pair,
@@ -14,7 +18,7 @@ from qfock.abacus import (
 )
 from qfock.partitions import partitions
 
-from oracles import enumerate_degree_component
+from oracles import enumerate_degree_component, runner_tail_top_by_search
 from paper_data import WORKED_LABEL, WORKED_MONOMIAL
 
 
@@ -30,6 +34,29 @@ def test_factorize_reconstruction_grid():
             a, b, m = factorize(k, e, l)
             assert 1 <= a <= e and 1 <= b <= l
             assert k == a + e * (l - b) - e * l * m
+
+
+@st.composite
+def tail_cutoffs(draw):
+    """(cutoff, b, e, l): negative cutoffs, l = 1 and e up to ~1000."""
+    l = draw(st.integers(1, 5))
+    return draw(st.integers(-10**5, 10**5)), draw(st.integers(1, l)), draw(st.integers(2, 997)), l
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(tail_cutoffs())
+def test_runner_tail_top_closed_form_matches_the_search(args):
+    cutoff, b, e, l = args
+    v = _runner_tail_top(cutoff, b, e, l)
+    assert v == runner_tail_top_by_search(cutoff, b, e, l)
+    assert bead_index(v, b, e, l) <= cutoff < bead_index(v + 1, b, e, l)
+
+
+def test_runner_tail_top_closed_form_on_a_grid():
+    for e, l in [(2, 1), (3, 1), (2, 2), (4, 3), (5, 2), (7, 5)]:
+        for b in range(1, l + 1):
+            for cutoff in range(-3 * e * l, 3 * e * l + 1):
+                assert _runner_tail_top(cutoff, b, e, l) == runner_tail_top_by_search(cutoff, b, e, l)
 
 
 def test_worked_example_both_directions():

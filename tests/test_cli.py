@@ -1,16 +1,19 @@
 import json
+import sys
 import time
 import tracemalloc
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock import canonical, cli
-from qfock.canonical import decomposition_matrix, verify_unitriangular
+from qfock.canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from qfock.cli import main
 from qfock.crystal import crystal_graph, crystal_to_dot, crystal_to_json
+from qfock.errors import InvariantError
 from qfock.partitions import multipartitions
 from qfock.wedge import WedgeEngine
 
@@ -26,6 +29,14 @@ def test_semisimple_command(capsys):
     assert code == 0 and out == "false\n"
     code, out, _ = run(capsys, "semisimple", "--e", "5", "--charge", "0", "--rank", "4")
     assert code == 0 and out == "true\n"
+
+
+def test_semisimple_costs_nothing_in_the_rank(capsys):
+    argv = ("semisimple", "--e", "1000000001", "--rank", "100000000")
+    for charge, want in (("0,500000000", "true\n"), ("0,99999999", "false\n")):
+        start = time.perf_counter()
+        assert run(capsys, *argv, "--charge", charge) == (0, want, "")
+        assert time.perf_counter() - start < 1.0
 
 
 def test_semisimple_takes_l_like_the_other_ambient_commands(capsys):
@@ -162,6 +173,49 @@ def test_canonical_refuses_only_a_highest_weight_bar_over_the_cap(capsys, monkey
     assert code == 2 and out == ""
     assert err == ("invalid input: the word to straighten has 725 factors (tail beads "
                    "included), exceeding max_degree 64; raise the cap to proceed\n")
+
+
+@contextmanager
+def recursion_headroom(frames):
+    """Python's recursion limit lowered to `frames` above the current depth,
+    and restored on the way out."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# -|1,1 at charge (0,1) is a highest-weight label: its bar straightens a word
+# of e + 2 factors, and the recursion of _insert goes about one frame deeper
+# per tail bead, so at e = 150 a headroom of 100 frames is too little
+DEEP_ARGV = ("canonical", "--e", "150", "--charge", "0,1", "--mp=-|1,1", "--keep-q",
+             "--max-degree", "1000")
+
+
+def test_a_word_past_the_recursion_limit_exits_4(capsys):
+    with recursion_headroom(100):
+        code = main(list(DEEP_ARGV))
+    out = capsys.readouterr()
+    assert (code, out.out) == (4, "")
+    assert out.err == ("internal invariant violation: straightening a word of 152 factors "
+                       "reached Python's recursion limit\n")
+    code, out, err = run(capsys, *DEEP_ARGV)
+    assert code == 0 and err == "" and '"multipartition": "-|1,1"' in out
+
+
+def test_engine_and_basis_outlive_the_recursion_limit():
+    mp = ((), (1, 1))
+    basis = FockBasis(150, 2, (0, 1), 2)
+    with recursion_headroom(100), pytest.raises(InvariantError, match="word of 152 factors"):
+        basis.element(mp)
+    assert basis.wedge_labels == []
+    assert basis.element(mp) == FockBasis(150, 2, (0, 1), 2).element(mp)
+    assert basis.wedge_labels == [mp]
 
 
 def test_malformed_monomials_are_invalid_input(capsys):

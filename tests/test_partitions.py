@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfock.partitions import (
     charge_from_text,
@@ -19,6 +21,7 @@ from oracles import (
     addable_nodes,
     content,
     i_signatures,
+    is_split_semisimple_by_search,
     mp_to_text_per_label,
     remove_node,
     removable_nodes,
@@ -155,6 +158,31 @@ def test_semisimple_shift_invariance():
         n = rng.randint(0, 5)
         shifted = tuple(s + e * rng.randint(-2, 2) for s in charge)
         assert is_split_semisimple(e, charge, n) == is_split_semisimple(e, shifted, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 1000), st.lists(st.integers(-3000, 3000), min_size=1, max_size=4),
+       st.integers(0, 1100))
+def test_semisimple_closed_form_matches_the_search(e, charge, n):
+    charge = tuple(charge)
+    assert is_split_semisimple(e, charge, n) == is_split_semisimple_by_search(e, charge, n)
+
+
+def test_semisimple_closed_form_at_its_boundary():
+    # n at, just past and just short of the nearest pair of charge entries
+    # mod e, where one |d| < n more decides; l = 1 and equal entries included
+    rng = random.Random(21)
+    for _ in range(2000):
+        e = rng.randint(2, 1000)
+        l = rng.randint(1, 4)
+        charge = [rng.randint(-2000, 2000) for _ in range(l)]
+        if l > 1 and rng.random() < 0.2:
+            charge[1] = charge[0] + e * rng.randint(-2, 2)
+        gap = min((min((a - b) % e, (b - a) % e) for i, a in enumerate(charge)
+                   for b in charge[i + 1:]), default=e)
+        for n in {0, max(gap - 1, 0), gap, gap + 1, e - 1, e, rng.randint(0, e + 1)}:
+            want = is_split_semisimple_by_search(e, tuple(charge), n)
+            assert is_split_semisimple(e, tuple(charge), n) == want, (e, charge, n)
 
 
 def test_add_nodes_to_part():

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from qfock.abacus import (
     WedgeMonomial,
     degree,
+    factorize,
     monomial_from_text,
     wedge_monomial,
 )
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.wedge import WedgeEngine, _indices, _mask, vector_to_json
+from qfock.wedge import WedgeEngine, _indices, _shared_pairs, vector_to_json
 
 from oracles import (
     LaurentWedgeEngine,
+    bar_omegas_by_pairs,
     enumerate_degree_component,
     index_sum,
     straighten_naive,
@@ -216,11 +218,10 @@ def test_translates_by_e_cost_no_fuel():
 def test_mask_round_trip():
     for mono, origin in [((), 0), ((), -8), ((5,), 4), ((-3,), -4),
                          ((7, 2, 0, -1, -9), -12), ((-2, -5, -6), -6)]:
-        mask = _mask(mono, origin)
-        assert mask.bit_count() == len(mono)
+        mask = sum(1 << (k - origin) for k in mono)
         assert _indices(mask, origin) == mono, (mono, origin)
-    assert _mask((-1, -4), -4) == 0b1001
-    # the tuple front end of the mask recursion, on the empty monomial too
+    assert _indices(0b1001, -4) == (-1, -4)
+    # insert on the empty monomial too
     assert WedgeEngine(2, 2).insert(-3, ()) == {(-3,): ONE}
 
 
@@ -353,20 +354,14 @@ def test_cache_does_not_change_results():
 
 def test_bar_against_naive_strategy():
     # an independent bar: reverse the factors, straighten with the naive
-    # leftmost rewriter, apply the same prefactor
-    from qfock.abacus import factorize
-
+    # leftmost rewriter, apply the prefactor counted pair by pair
     for (e, l, s, top) in [(2, 2, 0, 7), (4, 2, 1, 6)]:
         eng = WedgeEngine(e, l)
         for n in range(top + 1):
             for u in enumerate_degree_component(s, n):
                 r = max(n, len(u.prefix))
                 factors = list(u.prefix) + [s - i + 1 for i in range(len(u.prefix) + 1, r + 1)]
-                letters = [factorize(k, e, l) for k in factors]
-                om = sum(1 for i in range(r) for j in range(i + 1, r)
-                         if letters[i].a == letters[j].a)
-                omp = sum(1 for i in range(r) for j in range(i + 1, r)
-                          if letters[i].b == letters[j].b)
+                om, omp = bar_omegas_by_pairs(factors, e, l)
                 pref = LaurentPoly({omp - om: (-1) ** omp})
                 naive = {}
                 for mono, c in straighten_naive(eng, tuple(reversed(factors))).items():
@@ -375,6 +370,17 @@ def test_bar_against_naive_strategy():
                     naive[key] = cur + pref * c
                 naive = {k: c for k, c in naive.items() if c}
                 assert naive == eng.bar(u)
+
+
+def test_bar_omegas_from_counts_match_the_pair_loop():
+    rng = random.Random(21)
+    for _ in range(500):
+        e = rng.choice((2, 3, 4, 7, rng.randint(2, 1000)))
+        l = rng.randint(1, 5)
+        word = [rng.randint(-3 * e * l, 3 * e * l) for _ in range(rng.randint(0, 60))]
+        letters = [factorize(k, e, l) for k in word]
+        got = (_shared_pairs(x.a for x in letters), _shared_pairs(x.b for x in letters))
+        assert got == bar_omegas_by_pairs(word, e, l), (e, l, word)
 
 
 def test_fuel_exhaustion_fails_loudly():
