@@ -34,7 +34,7 @@ def m_vector(e: int, l: int, charge) -> tuple:
     smallest value >= 0 that makes every entry nonnegative."""
     if len(charge) != l:
         raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
-    integral = not any(j * e % l for j in range(l))
+    integral = e % l == 0
     if integral:
         base = [charge[j] - j * e // l for j in range(l)]
     else:

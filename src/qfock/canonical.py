@@ -127,7 +127,7 @@ class CanonicalBasis:
                         "correction coefficient %s on %s is not antisymmetric "
                         "(bar involution broken upstream)" % (gamma, alpha)
                     )
-                beta = gamma.truncate_positive()
+                beta = LaurentPoly({x: c for x, c in gamma.terms.items() if x > 0})
                 for w, c in self._g[alpha].items():
                     _acc(g, w, beta * c)
                     if w != alpha:
@@ -477,10 +477,11 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     such a build meets lies in the crystal component of the vacuum, so a
     build that sends one to the wedge engine raises.
 
-    Supports of other ranks are required to be empty and recorded under
-    checks["foreign_support"] (every label of a build is at its charge);
-    nonempty means the run hit something the theory says cannot happen.
+    A column with support outside the rows (a label of another rank; every
+    label of a build is at its charge) raises at the first such label, so
+    checks["foreign_support"] is always empty.
     """
+    semisimple = is_split_semisimple(e, charge, n)  # refuses a negative rank first
     basis = FockBasis(e, l, charge, n)
     aval = AValueTable(e, l, charge, n + 1)
     text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}
@@ -493,7 +494,6 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     masks = {row_of[b]: b for b in uglov_layer(basis.abacus)}
     cols = sorted(masks, key=order)
     columns = {}
-    foreign = set()
     for col in cols:
         g = basis.build(masks[col])
         if basis.wedge_labels:
@@ -501,17 +501,14 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
                 "building the Uglov column %s at charge %s needed the wedge engine for %s"
                 % (mp_to_text(col), tuple(charge), mp_to_text(basis.wedge_labels[0]))
             )
-        stray = [b for b in g[::3] if b not in row_of]
-        if stray:
-            foreign.update((b, col) for b in stray)
-            g = freeze({(b, x): c for b, x, c in each_term(g) if b in row_of})
+        stray = next((b for b in g[::3] if b not in row_of), None)
+        if stray is not None:
+            raise InvariantError(
+                "the Uglov column %s at charge %s has foreign support on %s, not a "
+                "label of rank %d" % (mp_to_text(col), tuple(charge), basis._text(stray), n)
+            )
         columns[col] = g
-    checks = {
-        "semisimple": is_split_semisimple(e, charge, n),
-        "foreign_support": sorted(
-            [basis._text(b), list(charge), mp_to_text(col)] for b, col in foreign
-        ),
-    }
+    checks = {"semisimple": semisimple, "foreign_support": []}
     return DecompositionMatrix(e, l, charge, n, rows, cols, columns, row_of, checks, aval, text)
 
 

@@ -353,21 +353,18 @@ def cmd_canonical(args):
 
 def cmd_decomp(args):
     e, l, charge = _ambient(args)
-    if is_split_semisimple(e, charge, args.rank):
-        sys.stderr.write(
-            "warning: these parameters are split semisimple; the matrix is trivial\n"
-        )
     mat = decomposition_matrix(e, l, charge, args.rank)
-    if mat.checks["foreign_support"]:
-        raise InvariantError(
-            "Uglov columns acquired foreign support: %s" % mat.checks["foreign_support"]
-        )
     report = verify_unitriangular(mat)
     if not report["ok"]:
         raise InvariantError(
             "decomposition matrix is not unitriangular: %s" % report["violations"]
         )
-    # every check above has passed before the first byte is written
+    # every check above has passed before the first byte is written, and a
+    # failed one leaves its error as the only line on stderr
+    if mat.checks["semisimple"]:
+        sys.stderr.write(
+            "warning: these parameters are split semisimple; the matrix is trivial\n"
+        )
     if args.format == "csv":
         _emit(args, _lines, mat.to_csv())
     elif args.format == "latex":

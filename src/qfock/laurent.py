@@ -100,30 +100,12 @@ class LaurentPoly:
         out.terms = {-e: c for e, c in self.terms.items()}
         return out
 
-    def eval_one(self):
-        """Value at q = 1, i.e. the coefficient sum."""
-        return sum(self.terms.values())
-
     def is_antisymmetric(self):
         """True iff bar(p) == -p."""
         for e, c in self.terms.items():
             if self.terms.get(-e, 0) != -c:
                 return False
         return True
-
-    def truncate_positive(self):
-        """For antisymmetric p, the unique beta with positive exponents
-        such that beta - bar(beta) == p.
-
-        Rejects non-antisymmetric input: in the canonical-basis recursion a
-        failure here means the bar involution is broken upstream, so it must
-        not be silently patched over.
-        """
-        if not self.is_antisymmetric():
-            raise ValueError("truncate_positive: input is not antisymmetric: %s" % self)
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: c for e, c in self.terms.items() if e > 0}
-        return out
 
     # -- rendering -----------------------------------------------------------
 

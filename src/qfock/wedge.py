@@ -50,7 +50,7 @@ from collections import Counter
 
 from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from .errors import InvariantError
-from .laurent import ONE, LaurentPoly, _acc
+from .laurent import ONE, LaurentPoly
 
 _MINUS_ONE = LaurentPoly({0: -1})
 _MINUS_Q_INV = LaurentPoly({-1: -1})
@@ -145,8 +145,8 @@ class WedgeEngine:
 
     # -- fuel ---------------------------------------------------------------
 
-    def _burn(self, amount=1):
-        self._spent += amount
+    def _burn(self):
+        self._spent += 1
         if self._spent > self.fuel:
             raise InvariantError(
                 "straightening fuel exhausted (%d steps); either raise the "
@@ -221,11 +221,6 @@ class WedgeEngine:
         return hit
 
     # -- insertion into an ordered monomial ---------------------------------
-
-    def insert(self, j: int, mono: tuple):
-        """(ordered monomial) ^ u_j as {ordered tuple: coefficient}: the word
-        mono, u_j straightened, whose ordered entries place with no work."""
-        return self.straighten_indices((*mono, j))
 
     def _insert(self, j: int, mono: int):
         """mono ^ u_j for an ordered monomial held as a bit mask (bit i is
@@ -385,16 +380,6 @@ class WedgeEngine:
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))
         self._bar_cache[key] = out
-        return out
-
-    def bar_vector(self, vec):
-        """Semilinear extension: coefficients through q -> q^{-1}, monomials
-        through bar."""
-        out = {}
-        for u, c in vec.items():
-            cbar = c.bar()
-            for v, c2 in self.bar(u).items():
-                _acc(out, v, cbar * c2)
         return out
 
 

@@ -165,7 +165,7 @@ class LaurentWedgeEngine(WedgeEngine):
     working vector, where the engine keeps ids into a table of distinct
     polynomials.  The memo is keyed as the engine's and burns one unit of
     fuel per miss, so fuel and memo size must agree with the engine's too;
-    insert, bar and straighten are inherited and run on this straightening."""
+    bar and straighten are inherited and run on this straightening."""
 
     def _insert(self, j: int, mono: int):
         tail = mono & ((2 << j) - 1)
@@ -204,6 +204,18 @@ class LaurentWedgeEngine(WedgeEngine):
                     _acc(nxt, m2, c * c2)
             vec = nxt
         return {_indices(m, origin): c for m, c in vec.items()}
+
+
+def bar_vector(engine, vec):
+    """The bar involution of a wedge vector {monomial: polynomial}, extended
+    semilinearly: coefficients through q -> q^{-1}, monomials through
+    engine.bar."""
+    out = {}
+    for u, c in vec.items():
+        cbar = c.bar()
+        for v, c2 in engine.bar(u).items():
+            _acc(out, v, cbar * c2)
+    return out
 
 
 def index_sum(u: WedgeMonomial, depth: int) -> int:

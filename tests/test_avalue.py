@@ -32,6 +32,20 @@ def test_charge_of_the_wrong_length_is_refused(call):
         call()
 
 
+def test_m_vector_is_integral_exactly_when_l_divides_e():
+    # l | j*e for every j < l, the condition the shift vector needs, is
+    # decided by its j = 1 term
+    for e in range(2, 61):
+        for l in range(1, 9):
+            integral = not any(j * e % l for j in range(l))
+            try:
+                m_vector(e, l, (0,) * l)
+            except UnsupportedRegimeError:
+                assert not integral, (e, l)
+            else:
+                assert integral, (e, l)
+
+
 def test_m_vector_examples():
     assert m_vector(4, 2, (0, 1)) == ((4, 3), 1)
     assert m_vector(4, 2, (4, 1)) == ((8, 3), 1)

@@ -1,7 +1,11 @@
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qfock import canonical
 from qfock.abacus import (
@@ -11,7 +15,7 @@ from qfock.abacus import (
     to_pair,
     wedge_monomial,
 )
-from qfock.avalue import AValueTable
+from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import (
     CanonicalBasis,
     DecompositionMatrix,
@@ -20,15 +24,16 @@ from qfock.canonical import (
     dominance,
     verify_unitriangular,
 )
-from qfock.cli import _jdump
+from qfock.cli import _jdump, main
 from qfock.crystal import uglov_layer, uglov_set
-from qfock.errors import InvariantError
+from qfock.errors import InvariantError, UnsupportedRegimeError
 from qfock.fock import apply_f, each_term
 from qfock.laurent import LaurentPoly
 from qfock.partitions import mp_from_text, mp_to_text, multipartitions, partitions, rank
 from qfock.wedge import WedgeEngine
 
 from oracles import (
+    bar_vector,
     divide_exact,
     enumerate_degree_component,
     good_node,
@@ -112,7 +117,7 @@ def test_canonical_element_shape():
         for u, c in g.items():
             if u != u0:
                 assert all(exp >= 1 for exp in c.terms)
-        assert basis.engine.bar_vector(g) == g
+        assert bar_vector(basis.engine, g) == g
 
 
 def test_paper_matrices():
@@ -123,6 +128,58 @@ def test_paper_matrices():
         assert mat.checks["foreign_support"] == []
         assert verify_unitriangular(mat)["ok"]
         assert set(mat.cols) == UGLOV_SETS[charge]
+
+
+@st.composite
+def ambients(draw):
+    """(e, l, charge, n) with e <= 5, l <= 3, charge entries in [-4, 4] and
+    n <= 5."""
+    e, l = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    charge = tuple(draw(st.lists(st.integers(-4, 4), min_size=l, max_size=l)))
+    return e, l, charge, draw(st.integers(0, 5))
+
+
+def _integral(e, l, charge):
+    try:
+        m_vector(e, l, charge)
+    except UnsupportedRegimeError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ambients())
+def test_uglov_labels_are_the_canonical_basic_set(ambient):
+    # the source paper's theorem: each column's a-minimal row set is that
+    # column alone, so no two columns share one, and the columns are the
+    # Uglov labels
+    e, l, charge, n = ambient
+    assume(_integral(e, l, charge))
+    mat = decomposition_matrix(e, l, charge, n)
+    assert set(mat.cols) == uglov_set(e, l, charge, n)
+    support = {}
+    for (row, col), v in mat.entries.items():
+        if v:
+            support.setdefault(col, []).append(row)
+    minimal = {}
+    for col in mat.cols:
+        amin = min(mat.aval[row] for row in support[col])
+        minimal[col] = {row for row in support[col] if mat.aval[row] == amin}
+    assert minimal == {col: {col} for col in mat.cols}
+    assert verify_unitriangular(mat)["ok"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ambients())
+def test_decomp_refuses_a_non_integral_shift_vector(ambient):
+    e, l, charge, n = ambient
+    assume(not _integral(e, l, charge))
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["decomp", "--e=%d" % e, "--charge=" + ",".join(map(str, charge)),
+                     "--rank=%d" % n])
+    assert code == 3 and out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("unsupported regime: ")
 
 
 def test_matrix_renderings_are_consistent():
@@ -139,11 +196,9 @@ def test_matrix_renderings_are_consistent():
     assert js["triples"] == [list(t) for t in mat.triples()]
 
 
-def test_decomposition_matrix_records_a_stray_label(monkeypatch):
-    # a label outside the rows, planted in the first built column, is listed
-    # under checks["foreign_support"] with its text, charge and column, and
-    # the column keeps no term for it
-    clean = decomposition_matrix(4, 2, (0, 1), 3)
+def test_decomposition_matrix_raises_at_a_stray_label(monkeypatch):
+    # a label outside the rows, planted in the first built column, raises
+    # there, naming the column, the charge and the label
     real = FockBasis.build
     planted = []
 
@@ -155,10 +210,10 @@ def test_decomposition_matrix_records_a_stray_label(monkeypatch):
         return g + (self.mask(mp_from_text("1|1")), 3, 5)  # rank 2
 
     monkeypatch.setattr(FockBasis, "build", build)
-    mat = decomposition_matrix(4, 2, (0, 1), 3)
-    col = planted[0]
-    assert mat.checks["foreign_support"] == [["1|1", [0, 1], mp_to_text(col)]]
-    assert mat.columns == clean.columns and mat.entries == clean.entries
+    with pytest.raises(InvariantError) as info:
+        decomposition_matrix(4, 2, (0, 1), 3)
+    assert str(info.value) == ("the Uglov column %s at charge (0, 1) has foreign support "
+                               "on 1|1, not a label of rank 3" % mp_to_text(planted[0]))
 
 
 def test_verify_unitriangular_negative_control():
@@ -266,6 +321,19 @@ def test_bar_cycle_detection_guard():
         basis.bar_closure(a)
 
 
+def test_element_rejects_a_correction_that_is_not_antisymmetric():
+    # bar(a) = a + q b with bar(b) = b leaves the correction q on b, which is
+    # not antisymmetric, so the bar involution is broken upstream
+    basis = CanonicalBasis(2, 2)
+    a = wedge_monomial((4,), 0)
+    b = wedge_monomial((3, 0), 0)
+    assert dominance(a) < dominance(b)
+    basis.engine._bar_cache[(a, degree(a))] = {a: LaurentPoly.one(), b: LaurentPoly({1: 1})}
+    basis.engine._bar_cache[(b, degree(b))] = {b: LaurentPoly.one()}
+    with pytest.raises(InvariantError, match="not antisymmetric"):
+        basis.element(a)
+
+
 def test_bar_closure_rejects_a_support_that_does_not_rise():
     # an acyclic bar support from b down to a, lower in wedge dominance: no
     # cycle, but it breaks the order both canonical-basis builders rely on
@@ -298,7 +366,7 @@ def test_full_component_sweep_matches_lazy_closures():
     fresh = CanonicalBasis(2, 2)
     for u, g in full.items():
         assert fresh.element(u) == g
-        assert sweep_basis.engine.bar_vector(g) == g
+        assert bar_vector(sweep_basis.engine, g) == g
 
 
 def test_rank5_labelings_agree_up_to_column_relabeling():

@@ -305,7 +305,7 @@ def test_decomp_ignores_cache_dir(tmp_path, capsys, monkeypatch):
     assert forged.read_text() == '{"checks": {"foreign_support": []}, "triples": []}'
 
 
-def _decomp_fails_before_any_output(capsys):
+def _decomp_fails_before_any_output(capsys, needle):
     # both decomp checks run before the first byte, so stdout stays empty
     # even under the --json envelope, whose head would otherwise come first
     for fmt in ("csv", "latex", "json"):
@@ -313,25 +313,25 @@ def _decomp_fails_before_any_output(capsys):
             code, out, err = run(capsys, *envelope, "decomp", "--e=4", "--l=2", "--charge=0,1",
                                  "--rank=2", "--format=" + fmt, "--keep-q")
             assert code == 4 and out == "", (fmt, envelope)
-            assert "internal invariant violation" in err and "planted" in err
+            assert err.count("\n") == 1 and "internal invariant violation" in err
+            assert needle in err
 
 
 def test_decomp_failed_unitriangularity_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_unitriangular",
                         lambda mat: {"ok": False, "violations": ["planted violation"]})
-    _decomp_fails_before_any_output(capsys)
+    _decomp_fails_before_any_output(capsys, "planted violation")
 
 
 def test_decomp_foreign_support_exits_4(capsys, monkeypatch):
-    real = cli.decomposition_matrix
+    # a label of rank 1 planted in every built column
+    real = FockBasis.build
 
-    def planted(*args):
-        mat = real(*args)
-        mat.checks["foreign_support"] = [["planted", [0, 5], "-|1"]]
-        return mat
+    def build(self, b):
+        return real(self, b) + (self.mask(((1,), ())), 3, 5)
 
-    monkeypatch.setattr(cli, "decomposition_matrix", planted)
-    _decomp_fails_before_any_output(capsys)
+    monkeypatch.setattr(FockBasis, "build", build)
+    _decomp_fails_before_any_output(capsys, "foreign support on 1|-")
 
 
 def test_decomp_ariki_mismatch_exits_4(capsys, monkeypatch):

@@ -5,8 +5,7 @@ name that nothing calls, imports or reads is dead code.
 
 A definition in src/ must also be named by src/ itself, not only by the
 tests: test-only code belongs in tests/oracles.py.  The names in TEST_ONLY
-are kept in src/ on purpose, each for the reason given; a reason that names
-the perfbench tracer is checked against its TARGETS."""
+are kept in src/ on purpose, each for the reason given."""
 
 import ast
 from pathlib import Path
@@ -15,15 +14,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qfock"
 CHECKED = sorted(PACKAGE.glob("*.py")) + [ROOT / "tests" / "oracles.py"]
 
-TRACER = ROOT / "perfbench" / "tracer.py"
-WRAPPED = "perfbench/tracer.py wraps it"
 RECORD = ("perfbench/record.py builds the label pool with it; "
-          "moves to tests/oracles.py with ROADMAP item 5")
+          "moves to tests/oracles.py with ROADMAP item 6")
 
 TEST_ONLY = {
-    "bar_vector": WRAPPED,
-    "insert": WRAPPED,
-    "eval_one": WRAPPED,
     "kleshchev_charge": "exported from qfock/__init__.py",
     "CanonicalBasis": RECORD,
     "element_for_label": RECORD,
@@ -88,25 +82,3 @@ def test_no_src_definition_only_tests_name():
     assert not unlisted, "named only by tests/: " + ", ".join(unlisted)
     assert not set(TEST_ONLY) - names, "stale TEST_ONLY entries"
 
-
-def _tracer_targets():
-    """(module, function or method name) of each entry of the tracer's
-    TARGETS, read from its source without importing it."""
-    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-            return {(module, attr.rsplit(".", 1)[-1])
-                    for module, attr, *_ in ast.literal_eval(node.value)}
-    raise AssertionError("no TARGETS in %s" % TRACER)
-
-
-def test_tracer_reasons_match_tracer_targets():
-    targets = _tracer_targets()
-    defined = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, _path, _first, _last in _definitions(path, ast.parse(path.read_text())):
-            defined.setdefault(name, set()).add("qfock." + path.stem)
-    stale = [name for name, reason in TEST_ONLY.items() if reason == WRAPPED
-             and not any((module, name) in targets for module in defined.get(name, ()))]
-    assert not stale, "not wrapped by perfbench/tracer.py: " + ", ".join(stale)

@@ -8,6 +8,7 @@ with buffered stdout, as from a shell pipe: PYTHONUNBUFFERED is removed
 from their environment.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,10 +18,10 @@ import pytest
 
 from qfock import cli
 from qfock.cli import main
-from test_dead_code import _tracer_targets
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+TRACER = ROOT / "perfbench" / "tracer.py"
 CRYSTAL_DOT = ["crystal", "--e", "3", "--charge", "0,1,2", "--rank", "10", "--format", "dot"]
 
 
@@ -76,6 +77,18 @@ def test_closed_stdout_ends_with_the_broken_pipe_code():
 def test_installed_script_runs_the_process_entry_point():
     scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
     assert scripts.splitlines()[0] == 'qfock = "qfock.cli:run"'
+
+
+def _tracer_targets():
+    """(module, function or method name) of each entry of the tracer's
+    TARGETS, read from its source without importing it."""
+    tree = ast.parse(TRACER.read_text(), filename=str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {(module, attr.rsplit(".", 1)[-1])
+                    for module, attr, *_ in ast.literal_eval(node.value)}
+    raise AssertionError("no TARGETS in %s" % TRACER)
 
 
 def test_import_loads_every_traced_module_and_no_json():

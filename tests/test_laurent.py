@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from qfock.laurent import LaurentPoly
 
 
@@ -21,26 +19,6 @@ def test_bar_examples():
     assert p.bar() == -p
 
 
-def test_eval_one_examples():
-    assert LaurentPoly({1: 1, -1: 1}).eval_one() == 2
-    assert LaurentPoly().eval_one() == 0
-    assert LaurentPoly({3: 1, 1: -2}).eval_one() == -1
-
-
-def test_truncate_positive_examples():
-    assert LaurentPoly({1: 1, -1: -1}).truncate_positive() == LaurentPoly({1: 1})
-    p = LaurentPoly({3: 2, -3: -2, 1: 1, -1: -1})
-    assert p.truncate_positive() == LaurentPoly({3: 2, 1: 1})
-    assert LaurentPoly().truncate_positive() == LaurentPoly()
-
-
-def test_truncate_positive_rejects_non_antisymmetric():
-    with pytest.raises(ValueError):
-        LaurentPoly({1: 1}).truncate_positive()
-    with pytest.raises(ValueError):
-        LaurentPoly({0: 2}).truncate_positive()
-
-
 def test_bar_is_ring_involution():
     rng = random.Random(1)
     for _ in range(200):
@@ -50,22 +28,25 @@ def test_bar_is_ring_involution():
         assert (p + r).bar() == p.bar() + r.bar()
 
 
-def test_eval_one_is_ring_homomorphism():
+def test_is_antisymmetric_examples():
+    assert LaurentPoly({1: 1, -1: -1}).is_antisymmetric()
+    assert LaurentPoly({3: 2, -3: -2, 1: 1, -1: -1}).is_antisymmetric()
+    assert LaurentPoly().is_antisymmetric()
+    assert not LaurentPoly({1: 1}).is_antisymmetric()
+    assert not LaurentPoly({0: 2}).is_antisymmetric()
+    assert not LaurentPoly({1: 1, -1: 1}).is_antisymmetric()
+
+
+def test_value_at_q_1_is_ring_homomorphism():
     rng = random.Random(2)
+
+    def at_one(p):
+        return sum(p.terms.values())
+
     for _ in range(200):
         p, r = rand_poly(rng), rand_poly(rng)
-        assert (p * r).eval_one() == p.eval_one() * r.eval_one()
-        assert (p + r).eval_one() == p.eval_one() + r.eval_one()
-
-
-def test_truncate_positive_splits_antisymmetric_part():
-    rng = random.Random(3)
-    for _ in range(200):
-        r = rand_poly(rng)
-        p = r - r.bar()  # antisymmetric by construction
-        beta = p.truncate_positive()
-        assert beta - beta.bar() == p
-        assert all(e > 0 for e in beta.terms)
+        assert at_one(p * r) == at_one(p) * at_one(r)
+        assert at_one(p + r) == at_one(p) + at_one(r)
 
 
 def test_no_zero_coefficients_stored():

@@ -18,6 +18,7 @@ from qfock.wedge import WedgeEngine, _indices, _shared_pairs, vector_to_json
 from oracles import (
     LaurentWedgeEngine,
     bar_omegas_by_pairs,
+    bar_vector,
     enumerate_degree_component,
     index_sum,
     straighten_naive,
@@ -145,8 +146,9 @@ def test_append_straightening_matches_prepend_route_on_random_words():
 
 
 def test_insert_ignores_the_leading_run_above_the_new_factor():
-    # insert(j, A + B) == A + insert(j, B) when min(A) > j; both sides are
-    # checked against the right-to-left route on the word A + B + (j,)
+    # appending u_j to A + B leaves A in front when min(A) > j: the word
+    # A + B + (j,) straightens to A prepended to the straightening of
+    # B + (j,), both checked against the right-to-left route
     rng = random.Random(11)
     ambients = [(2, 1), (2, 2), (3, 2), (4, 2), (3, 3)]
     warm = {(e, l): WedgeEngine(e, l) for e, l in ambients}  # caches shared across inserts
@@ -158,8 +160,9 @@ def test_insert_ignores_the_leading_run_above_the_new_factor():
         want = prepend_straighten(WedgeEngine(e, l), a + b + (j,))
         # a fresh engine per side, so the short insert is not served by the long one's memo
         for eng, short in ((warm[e, l], warm[e, l]), (WedgeEngine(e, l), WedgeEngine(e, l))):
-            got = eng.insert(j, a + b)
-            assert got == {a + m: c for m, c in short.insert(j, b).items()} == want, (e, l, j, a, b)
+            got = eng.straighten_indices(a + b + (j,))
+            short_got = short.straighten_indices(b + (j,))
+            assert got == {a + m: c for m, c in short_got.items()} == want, (e, l, j, a, b)
 
 
 def test_insert_memo_keys_hold_no_entry_above_the_new_factor():
@@ -221,8 +224,8 @@ def test_mask_round_trip():
         mask = sum(1 << (k - origin) for k in mono)
         assert _indices(mask, origin) == mono, (mono, origin)
     assert _indices(0b1001, -4) == (-1, -4)
-    # insert on the empty monomial too
-    assert WedgeEngine(2, 2).insert(-3, ()) == {(-3,): ONE}
+    # one factor appended to the empty monomial too
+    assert WedgeEngine(2, 2).straighten_indices((-3,)) == {(-3,): ONE}
 
 
 def test_bar_fuel_regression_guard():
@@ -266,7 +269,7 @@ def test_straighten_indices_and_insert_match_the_laurent_oracle(ambient, word, j
     eng, oracle = WedgeEngine(*ambient), LaurentWedgeEngine(*ambient)
     assert eng.straighten_indices(word) == oracle.straighten_indices(word)
     mono = tuple(sorted(set(word), reverse=True))
-    assert eng.insert(j, mono) == oracle.insert(j, mono)
+    assert eng.straighten_indices((*mono, j)) == oracle.straighten_indices((*mono, j))
     assert eng._spent == oracle._spent
     assert len(eng._insert_cache) == len(oracle._insert_cache)
 
@@ -323,7 +326,7 @@ def test_bar_involution_and_r_independence():
         for n in range(11):
             for u in enumerate_degree_component(s, n):
                 image = eng.bar(u)
-                back = eng.bar_vector(image)
+                back = bar_vector(eng, image)
                 assert back == {u: LaurentPoly.one()}
                 if n and n <= 7:
                     assert image == eng.bar(u, r=n + 1) == eng.bar(u, r=n + 2)
@@ -333,7 +336,7 @@ def test_bar_vector_semilinearity():
     eng = WedgeEngine(2, 2)
     u = wedge_monomial((3,), 0)
     q = LaurentPoly({1: 1})
-    lhs = eng.bar_vector({u: q})
+    lhs = bar_vector(eng, {u: q})
     rhs = {v: LaurentPoly({-1: 1}) * c for v, c in eng.bar(u).items()}
     assert lhs == rhs
 
