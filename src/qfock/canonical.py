@@ -520,14 +520,15 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     nonnegative q-coefficients.  Ariki's criterion, checks["semisimple"],
     is a second route to the matrix's shape: the algebra is split
     semisimple iff the matrix is square with no nonzero off-diagonal
-    entry."""
+    entry.  Every entry's row lies in matrix.rows: decomposition_matrix
+    raises at a column's first label outside them."""
     aval = matrix.aval
     violations = []
     minimal_rows = {}
     row_pos = {row: i for i, row in enumerate(matrix.rows)}
     supports = {}
     for (row, col), v in matrix.entries.items():
-        if v and row in row_pos:
+        if v:
             supports.setdefault(col, []).append(row)
     for col in matrix.cols:
         support = sorted(supports.get(col, ()), key=row_pos.__getitem__)

