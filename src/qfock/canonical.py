@@ -26,7 +26,7 @@ CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
 by the bar recursion over the whole bar closure of v, independently of the
 Fock action; the tests compare FockBasis against it.  For such v let
 bar(v) = v + sum of other monomials (WedgeEngine.bar asserts the unit
-coefficient on v and owns the only cache of bar images).  Writing
+coefficient on v; CanonicalBasis keeps each image it reads).  Writing
 d = bar(v) - v and expanding d over the already-known canonical elements of
 the monomials reachable from v gives antisymmetric coefficients; truncating
 each to its positive-exponent half yields the corrections, and
@@ -71,16 +71,25 @@ def dominance(u: WedgeMonomial) -> int:
 
 
 class CanonicalBasis:
-    """Shared straightening engine, which caches the bar images, plus a
-    global cache of canonical elements keyed by monomial.  Monomials carry
-    their total charge, so one instance serves every charge of a fixed
-    (e, l)."""
+    """Shared straightening engine, plus the bar images and canonical
+    elements already worked out, each keyed by monomial: the closure walk
+    and element both read a bar, which is straightened once.  Monomials
+    carry their total charge, so one instance serves every charge of a
+    fixed (e, l)."""
 
     def __init__(self, e: int, l: int):
         self.e = e
         self.l = l
         self.engine = WedgeEngine(e, l)
+        self._bars = {}
         self._g = {}
+
+    def _bar(self, u: WedgeMonomial) -> dict:
+        """bar(u), straightened on first use."""
+        hit = self._bars.get(u)
+        if hit is None:
+            hit = self._bars[u] = self.engine.bar(u)
+        return hit
 
     def bar_closure(self, u0: WedgeMonomial) -> list:
         """Monomials reachable from u0 through bar supports, sorted by
@@ -92,7 +101,7 @@ class CanonicalBasis:
         while work:
             u = work.pop()
             low = dom[u]
-            for w in self.engine.bar(u):
+            for w in self._bar(u):
                 if w == u:
                     continue
                 d = dom.get(w)
@@ -116,7 +125,7 @@ class CanonicalBasis:
         for v in reversed(order):
             if v in self._g:
                 continue
-            residual = dict(self.engine.bar(v))
+            residual = dict(self._bar(v))
             del residual[v]  # unit coefficient asserted in WedgeEngine.bar
             g = {v: LaurentPoly({0: 1})}
             while residual:

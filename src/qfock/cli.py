@@ -297,9 +297,7 @@ def cmd_crystal(args):
 def cmd_avalue(args):
     e, l, charge = _ambient(args)
     labels = multipartitions(l, args.rank)
-    h = args.height
-    if h is None:
-        h = args.rank + 1  # (1^n) in one component is the tallest label
+    h = args.rank + 1  # (1^n) in one component is the tallest label
     vals = AValueTable(e, l, charge, h)
     table = sorted((vals[mp], mp_to_text(mp)) for mp in labels)
     base, calibration = table[0]
@@ -331,7 +329,7 @@ def cmd_straighten(args):
 def cmd_bar(args):
     u = monomial_from_text(args.monomial)
     # as in straighten, the engine and its memos are freed before the render
-    vec = WedgeEngine(args.e, args.l, args.max_degree).bar(u, r=args.r)
+    vec = WedgeEngine(args.e, args.l, args.max_degree).bar(u)
     if args.format == "json":
         _emit(args, _jdump, vector_to_json(vec))
     else:
@@ -428,7 +426,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     if p := command("avalue", "calibrated a-value table for all rank-n labels", cmd_avalue):
         common(p)
-        p.add_argument("--height", type=int, default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     if p := command("straighten", "straighten a raw wedge against the charge-s tail",
@@ -445,8 +442,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
         p.add_argument("--e", type=int, required=True)
         p.add_argument("--l", type=int, required=True)
         p.add_argument("--monomial", required=True, help="e.g. 's=3; k=15,12,8'")
-        p.add_argument("--r", type=int, default=None, help="reversal length (default: the degree)")
-        p.add_argument("--max-degree", type=int, default=64)
+        p.add_argument("--max-degree", type=int, default=64,
+                       help="cap on the factors reversed, the degree or the prefix length")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     if p := command("canonical", "canonical basis element of a label", cmd_canonical):

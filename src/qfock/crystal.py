@@ -29,8 +29,6 @@ def uglov_layer(abacus) -> set:
 
 def uglov_set(e: int, l: int, charge, n: int) -> set:
     """The rank-n Uglov multipartitions for this charge."""
-    if n < 0:
-        raise ValueError("rank must be >= 0")
     abacus = ChargedAbacus(e, l, charge, n)
     return set(map(abacus.label, uglov_layer(abacus)))
 
@@ -87,8 +85,6 @@ def crystal_graph(e: int, l: int, charge, n: int) -> dict:
     "uglov": set of component vertices}.  Everything is deterministically
     ordered for reproducible output.
     """
-    if n < 0:
-        raise ValueError("rank must be >= 0")
     abacus = ChargedAbacus(e, l, charge, n)
     layers = [multipartitions(l, m) for m in range(n + 1)]
     label = {abacus.mask(mp): mp for layer in layers for mp in layer}  # rank by rank

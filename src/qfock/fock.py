@@ -43,6 +43,8 @@ class ChargedAbacus:
     worked out, for the life of the instance."""
 
     def __init__(self, e: int, l: int, charge, n: int):
+        if n < 0:
+            raise ValueError("rank must be >= 0")
         self.e = e
         self.l = l
         self.charge = tuple(charge)
@@ -59,17 +61,19 @@ class ChargedAbacus:
             placed[c] = s - drop
             top = s + n
         self.placed = tuple(placed)
-        self._drops = tuple(s - p for s, p in zip(self.charge, self.placed))
+        drops = tuple(s - p for s, p in zip(self.charge, self.placed))
         self.lo = min(self.placed) - n - 1
         # positions lo .. max(placed) + n hold every node of a rank-n label
         self.positions = max(self.placed) + n + 1 - self.lo
-        column = _repeat(1, l, l * self.positions)
-        self._columns = [column << (l - c) for c in range(1, l + 1)]  # component c's bits
         self._low = (1 << l) - 1
-        self._residues = {}
+        column = ((1 << l * self.positions) - 1) // self._low  # bits 0, l, 2l, ...
+        self._columns = [column << (l - c) for c in range(1, l + 1)]  # component c's bits
         # the residue of the node at bit j, position plus drop mod e
-        self._residue_at = [(j // l + self.lo + self._drops[l - 1 - j % l]) % e
+        self._residue_at = [(j // l + self.lo + drops[l - 1 - j % l]) % e
                             for j in range(l * self.positions)]
+        self._residues = {}  # residue -> the mask of its bits
+        for j, i in enumerate(self._residue_at):
+            self._residues[i] = self._residues.get(i, 0) | 1 << j
         self._bits = {}  # (slot, partition) -> that component's bits
 
     def mask(self, mp) -> int:
@@ -118,16 +122,7 @@ class ChargedAbacus:
 
     def residue(self, i: int) -> int:
         """The mask of every bit whose node has residue i."""
-        hit = self._residues.get(i)
-        if hit is None:
-            l, e = self.l, self.e
-            hit = 0
-            for slot, drop in enumerate(self._drops):
-                x = (i - self.lo - drop) % e  # the component's first such position, from lo
-                if x < self.positions:
-                    hit |= _repeat(1 << (l * x + l - 1 - slot), l * e, l * self.positions)
-            self._residues[i] = hit
-        return hit
+        return self._residues.get(i, 0)
 
     def signatures(self, b) -> tuple:
         """(last, normal): the i-signatures of the label with bead mask b,
@@ -171,16 +166,6 @@ class ChargedAbacus:
             else:
                 last[i] = bit
         return last, normal
-
-
-def _repeat(bits, period, width):
-    """bits | bits << period | bits << 2 * period | ..., cut to its low
-    width bits; the copies double at each step, so a wide abacus costs a
-    few shifts, not one per position."""
-    while period < width:
-        bits |= bits << period
-        period *= 2
-    return bits & ((1 << width) - 1)
 
 
 def freeze(vec) -> tuple:

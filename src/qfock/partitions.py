@@ -10,6 +10,7 @@ matter more than a class wrapper.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, combinations, product
 
 
 # -- validation helpers ------------------------------------------------------
@@ -64,22 +65,13 @@ def multipartitions(l: int, n: int) -> list:
     """
     if l < 1 or n < 0:
         raise ValueError("need l >= 1 and n >= 0")
-    out = []
-
-    def rec(comp_index, remaining, prefix):
-        if comp_index == l - 1:
-            for p in partitions(remaining):
-                out.append(tuple(prefix) + (p,))
-            return
-        for k in range(remaining + 1):
-            for p in partitions(k):
-                prefix.append(p)
-                rec(comp_index + 1, remaining - k, prefix)
-                prefix.pop()
-
-    rec(0, n, [])
-    out.sort()
-    return out
+    # the l-compositions of n: l - 1 bars among n + l - 1 slots, the ranks
+    # being the gaps between them
+    slots = n + l - 1
+    return sorted(chain.from_iterable(
+        product(*(partitions(b - a - 1) for a, b in zip((-1,) + bars, bars + (slots,))))
+        for bars in combinations(range(slots), l - 1)
+    ))
 
 
 # -- semisimplicity (Ariki's criterion at v = eta_e, x_j = eta_e^{s_j}) -------

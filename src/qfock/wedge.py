@@ -96,21 +96,22 @@ class WedgeEngine:
 
     max_degree, when given, caps the length of the word that straighten and
     bar straighten, tail beads included: a longer one is refused with a
-    ValueError before it is built.
+    ValueError before it is built.  fuel caps the insert-memo misses over
+    the engine's life; exhausting it raises InvariantError.
     """
 
-    def __init__(self, e: int, l: int, max_degree: int | None = None, fuel: int = 50_000_000):
+    fuel = 50_000_000
+
+    def __init__(self, e: int, l: int, max_degree: int | None = None):
         if e < 2 or l < 1:
             raise ValueError("need e >= 2 and l >= 1")
         self.e = e
         self.l = l
         self.el = e * l
         self.max_degree = max_degree
-        self.fuel = fuel
         self._spent = 0
         self._pair_cache = {}
         self._insert_cache = {}
-        self._bar_cache = {}
         self._polys = [LaurentPoly(), ONE]  # id -> polynomial
         self._ids = {self._polys[0]: 0, ONE: 1}  # polynomial -> id
         self._products = {}  # (id, id) -> id of the product
@@ -356,16 +357,17 @@ class WedgeEngine:
                 for mono, c in self.straighten_indices(word).items()}
 
     def bar(self, u: WedgeMonomial, r: int | None = None):
-        """The bar involution of an ordered monomial, as {WedgeMonomial: c}.
+        """The bar involution of an ordered monomial, as a new dict
+        {WedgeMonomial: c} on every call.
 
         Reverses the first r factors (r >= degree is required; the result is
-        then independent of r), straightens them back against the frozen
-        tail, and scales by (-q)^{omega'} q^{-omega}, where omega and omega'
-        count index pairs i < j <= r sharing the bead letter a, resp. the
-        runner b.  Every computed image must have coefficient exactly 1 on u
-        (bar is unitriangular); anything else raises InvariantError before
-        the image is cached under (u, r).  The r factors are checked against
-        max_degree first.
+        then independent of r, and r defaults to the least), straightens
+        them back against the frozen tail, and scales by
+        (-q)^{omega'} q^{-omega}, where omega and omega' count index pairs
+        i < j <= r sharing the bead letter a, resp. the runner b.  Every
+        image must have coefficient exactly 1 on u (bar is unitriangular);
+        anything else raises InvariantError.  The r factors are checked
+        against max_degree first.
         """
         n = degree(u)
         r0 = len(u.prefix)
@@ -374,10 +376,6 @@ class WedgeEngine:
         elif r < max(n, r0):
             raise ValueError("bar needs r >= max(degree, prefix length) = %d" % max(n, r0))
         self._check_length(r)
-        key = (u, r)
-        hit = self._bar_cache.get(key)
-        if hit is not None:
-            return hit
         factors = list(u.prefix) + [u.s - i + 1 for i in range(r0 + 1, r + 1)]
         letters = [factorize(k, self.e, self.l) for k in factors]
         omega = _shared_pairs(x.a for x in letters)
@@ -392,7 +390,6 @@ class WedgeEngine:
         one = out.get(u)
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))
-        self._bar_cache[key] = out
         return out
 
 

@@ -125,6 +125,20 @@ def crystal_graph_on_tuples(e: int, l: int, charge, n: int) -> dict:
     return {"layers": layers, "edges": edges, "uglov": marked}
 
 
+def _relabel(mp, e, charge, target):
+    """Psi: the label at charge `target` reached from the vacuum by the
+    colours of a good-node path from the vacuum to mp at `charge`."""
+    colours = []
+    while rank(mp):
+        i, gamma = next((i, g) for i in range(e)
+                        if (g := good_node(mp, i, charge, e)) is not None)
+        colours.append(i)
+        mp = remove_node(mp, gamma)
+    for i in reversed(colours):
+        mp = add_node(mp, dict(good_addable_nodes(mp, target, e))[i])
+    return mp
+
+
 def bit_node(abacus, b, bit):
     """The node (row, column, component) of the addable or removable node
     at the single-bit mask `bit` of the bead mask b, read off the labels

@@ -28,18 +28,15 @@ from qfock.partitions import (
 from qfock.wedge import WedgeEngine
 
 from oracles import (
-    add_node,
+    _relabel,
     add_nodes_to_part,
     apply_e,
     bar_vector,
     enumerate_degree_component,
     fock_apply_f,
-    good_addable_nodes,
-    good_node,
     height,
     n_count,
     precedes,
-    remove_node,
     straighten_naive,
     translated_symbol,
     uglov_layers,
@@ -107,20 +104,6 @@ def test_criterion_3_crystal_labelings(matrices):
         assert len(colvec[charge]) == 13
     assert colvec[(0, 1)] == colvec[(4, 1)] == colvec[(0, 5)]
     print("ACCEPTANCE 3 (Uglov sets + column-relabeling agreement): PASS")
-
-
-def _relabel(mp, e, charge, target):
-    """Psi: the label at charge `target` reached from the vacuum by the
-    colours of a good-node path from the vacuum to mp at `charge`."""
-    colours = []
-    while rank(mp):
-        i, gamma = next((i, g) for i in range(e)
-                        if (g := good_node(mp, i, charge, e)) is not None)
-        colours.append(i)
-        mp = remove_node(mp, gamma)
-    for i in reversed(colours):
-        mp = add_node(mp, dict(good_addable_nodes(mp, target, e))[i])
-    return mp
 
 
 def test_criterion_3_labelings_agree_by_crystal_isomorphism():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -119,15 +120,14 @@ def test_bar_degree_guard(capsys, monkeypatch):
 
 
 def test_bar_reversal_length_guard(capsys):
-    # the work grows with the number of factors reversed, so a long --r on a
-    # shallow monomial is refused like a deep monomial
-    for argv in (("--r", "400"), ("--r", "60", "--max-degree", "24"),
-                 ("--r", "25", "--max-degree", "24")):
-        code, out, err = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
-                             *argv)
-        assert code == 2 and out == "" and "exceeding max_degree" in err, argv
-    code, out, _ = run(capsys, "bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1",
-                       "--r", "24", "--max-degree", "24")
+    # the image is the same for every reversal length, so bar takes none: it
+    # reverses the monomial's own factors, and a long --r on a shallow
+    # monomial is refused by argparse before any work
+    argv = ["bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1"]
+    for extra in (("--r", "400"), ("--r", "24", "--max-degree", "24")):
+        code, out, err = _parsed(cli.build_parser(), argv + list(extra), capsys)
+        assert code == 2 and out == "" and "--r" in err, extra
+    code, out, _ = run(capsys, *argv, "--max-degree", "24")
     assert code == 0 and "[s=0; k=1]" in out
 
 
@@ -617,18 +617,20 @@ def test_crystal_json_render_holds_less_than_its_output():
 
 
 def test_avalue_default_height_is_rank_plus_one(capsys):
-    # the tallest rank-n label is (1^n) in one component
+    # the tallest rank-n label is (1^n) in one component; the calibrated
+    # table is the same at every height that serves, so avalue takes none
     for e, charge in ((4, "0,1"), (3, "0,1,2")):
         l = len(charge.split(","))
         for n in range(7):
             tallest = max((len(comp) for mp in multipartitions(l, n) for comp in mp), default=0)
             assert tallest == n
-            for fmt in ("csv", "json"):
-                argv = ["avalue", "--e=%d" % e, "--charge=" + charge, "--rank=%d" % n,
-                        "--format=" + fmt]
-                default = run(capsys, *argv)
-                assert default[0] == 0
-                assert run(capsys, *argv, "--height=%d" % (n + 1)) == default
+            argv = ["avalue", "--e=%d" % e, "--charge=" + charge, "--rank=%d" % n]
+            code, out, _ = run(capsys, *argv, "--format=json")
+            assert code == 0 and json.loads(out)["height"] == n + 1
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out.endswith("at height %d\n" % (n + 1))
+            code, out, err = _parsed(cli.build_parser(), argv + ["--height=%d" % (n + 1)], capsys)
+            assert code == 2 and out == "" and "--height" in err
 
 
 def test_peel_and_apply_f_do_not_grow_with_e(capsys):
@@ -671,3 +673,32 @@ def test_parser_for_the_invoked_command_reads_as_the_full_parser(capsys):
         got = _parsed(cli.build_parser(argv), argv, capsys)
         assert got == _parsed(cli.build_parser(), argv, capsys), argv
         assert got[1] or got[2] or isinstance(got[0], dict), argv
+
+
+# Every option of every command, --json (the parser's own) under "".  A new
+# setting shows up here, where it must be argued for.
+OPTIONS = {
+    "": ["--json"],
+    "semisimple": ["--e", "--l", "--charge", "--rank"],
+    "uglov-set": ["--e", "--l", "--charge", "--rank", "--format"],
+    "flotw-check": ["--e", "--l", "--charge", "--mp"],
+    "crystal": ["--e", "--l", "--charge", "--rank", "--format"],
+    "avalue": ["--e", "--l", "--charge", "--rank", "--format"],
+    "straighten": ["--e", "--l", "--s", "--indices", "--max-degree", "--format"],
+    "bar": ["--e", "--l", "--monomial", "--max-degree", "--format"],
+    "canonical": ["--e", "--l", "--charge", "--mp", "--keep-q", "--max-degree"],
+    "decomp": ["--e", "--l", "--charge", "--rank", "--format", "--keep-q"],
+}
+
+
+def _options(parser):
+    return [opt for action in parser._actions if not isinstance(action, argparse._HelpAction)
+            for opt in action.option_strings]
+
+
+def test_option_inventory():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {"": _options(parser)}
+    found.update((name, _options(p)) for name, p in commands.choices.items())
+    assert found == OPTIONS

@@ -409,14 +409,15 @@ def test_bar_omegas_from_counts_match_the_pair_loop():
 def test_fuel_exhaustion_fails_loudly():
     from qfock.errors import InvariantError
 
-    eng = WedgeEngine(4, 2, fuel=3)
+    eng = WedgeEngine(4, 2)
+    eng.fuel = 3
     with pytest.raises(InvariantError):
         eng.straighten_indices(tuple(range(-5, 6)))
 
 
 def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
     # a straightening that doubles every coefficient breaks unitriangularity;
-    # the image is rejected before it is cached, on a fresh or a warm engine
+    # the image is rejected on a fresh or a warm engine
     from qfock.errors import InvariantError
 
     u = wedge_monomial((2,), 0)
@@ -424,13 +425,20 @@ def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
         eng = WedgeEngine(2, 1)
         if warm:
             eng.bar(wedge_monomial((1,), 0))
-        cached = dict(eng._bar_cache)
         straighten = eng.straighten_indices
         monkeypatch.setattr(eng, "straighten_indices",
                             lambda word: {m: c * 2 for m, c in straighten(word).items()})
         with pytest.raises(InvariantError, match="coefficient 2 on its own monomial"):
             eng.bar(u)
-        assert eng._bar_cache == cached
+
+
+def test_bar_hands_each_caller_its_own_image():
+    # a caller that empties the image it was given leaves the next call's
+    # answer whole
+    eng = WedgeEngine(4, 2)
+    u = monomial_from_text("s=1; k=5,2")
+    eng.bar(u).clear()
+    assert eng.bar(u) == WedgeEngine(4, 2).bar(u) != {}
 
 
 def test_vector_json_and_index_sum_helper():
