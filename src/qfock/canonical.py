@@ -201,9 +201,11 @@ class FockBasis:
         return {(label(b), self.charge): LaurentPoly(t) for b, t in terms.items()}
 
     def key(self, mp):
-        """Correction order: the dominance of mp's wedge monomial, up to a
-        constant of the charge, then text.  The first entry strictly grows
-        from a label to every other label in the support of its G.
+        """Correction order: mp's rise, the dominance of its wedge monomial
+        up to a constant of the charge, which strictly grows from a label to
+        every other label in the support of its G.  Ties need no break: a
+        correction at nu changes only nu and labels of strictly larger rise,
+        so the labels tied with nu are untouched whichever goes first.
 
         Row i (from 0) of component b holds the bead at s_b + part_i - i of
         runner b, where the empty label has it at s_b - i; every other bead
@@ -214,7 +216,7 @@ class FockBasis:
         for b, (comp, s_b) in enumerate(zip(mp, self.charge), start=1):
             for i, part in enumerate(comp):
                 rise += bead_index(s_b - i, b, e, l) ** 2 - bead_index(part + s_b - i, b, e, l) ** 2
-        return rise, mp_to_text(mp)
+        return rise
 
     def _order(self, b):
         """key of the label with bead mask b, kept once worked out."""
@@ -245,13 +247,13 @@ class FockBasis:
     def _highest(self, lam) -> dict:
         """u + bar(u) for the wedge monomial u of a highest-weight label, as
         a flat vector: bar-invariant, with 2 on lam.  Every other label of
-        its support must be at this charge and rank, and rise in wedge
-        dominance, the order the corrections are taken in."""
+        its support must be at this charge and rank, and have a strictly
+        larger rise (see key), the order the corrections are taken in."""
         mp = self.abacus.label(lam)
         u = from_pair(mp, self.charge, self.e, self.l)
         image = self.engine.bar(u)
         self.wedge_labels.append(mp)
-        low = dominance(u)
+        low = self._order(lam)
         n = rank(mp)
         v = {(lam, 0): 1}
         for w, c in image.items():
@@ -261,17 +263,17 @@ class FockBasis:
                     "bar of %s at charge %s has support %s at charge %s"
                     % (mp_to_text(mp), self.charge, mp_to_text(nu), charge)
                 )
-            if w != u and dominance(w) <= low:
-                raise InvariantError(
-                    "bar(%s) has support %s, which does not rise in wedge dominance"
-                    % (u, w)
-                )
             if rank(nu) != n:
                 raise InvariantError(
                     "bar of %s at charge %s has support %s of another rank"
                     % (mp_to_text(mp), self.charge, mp_to_text(nu))
                 )
             b = self.abacus.mask(nu)  # bar(u) is 1 on u, so no term cancels
+            if b != lam and self._order(b) <= low:
+                raise InvariantError(
+                    "bar(%s) has support %s, which does not rise in wedge dominance"
+                    % (u, w)
+                )
             for x, cx in c.terms.items():
                 v[b, x] = v.get((b, x), 0) + cx
         return v
@@ -522,66 +524,39 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
 
 
 def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
-    """Checks the triangular shape against the a-value order: unit diagonal,
-    strictly larger a_rel on every off-label row of each column, uniqueness
-    of each column's minimal row, nonnegative integer entries, and, since
-    the d_{lambda mu}(q) are parabolic Kazhdan-Lusztig polynomials,
-    nonnegative q-coefficients.  Ariki's criterion, checks["semisimple"],
-    is a second route to the matrix's shape: the algebra is split
-    semisimple iff the matrix is square with no nonzero off-diagonal
-    entry.  Every entry's row lies in matrix.rows: decomposition_matrix
-    raises at a column's first label outside them."""
+    """Checks the source paper's theorem on the matrix's shape: each column
+    mu has d_{mu mu} = 1 and a strictly larger a_rel than mu on every other
+    row of its support.  So mu is its column's unique a-minimal row: no
+    column is empty and no two share their minimal row.  Also checked:
+    nonnegative entries and, since the d_{lambda mu}(q) are parabolic
+    Kazhdan-Lusztig polynomials, nonnegative q-coefficients; and Ariki's
+    criterion, checks["semisimple"], a second route to the shape: the
+    algebra is split semisimple iff the matrix is square with no nonzero
+    off-diagonal entry."""
     aval = matrix.aval
+    entries = matrix.entries
     violations = []
-    minimal_rows = {}
-    row_pos = {row: i for i, row in enumerate(matrix.rows)}
-    supports = {}
-    for (row, col), v in matrix.entries.items():
-        if v:
-            supports.setdefault(col, []).append(row)
-    for col in matrix.cols:
-        support = sorted(supports.get(col, ()), key=row_pos.__getitem__)
-        if matrix.entries.get((col, col)) != 1:
-            violations.append("column %s: diagonal entry is %r, not 1"
-                              % (mp_to_text(col), matrix.entries.get((col, col))))
-        if not support:
-            violations.append("column %s: empty" % mp_to_text(col))
-            continue
-        amin = min(aval[row] for row in support)
-        lowest = [row for row in support if aval[row] == amin]
-        if lowest != [col]:
-            violations.append(
-                "column %s: minimal-a rows are %s"
-                % (mp_to_text(col), [mp_to_text(r) for r in lowest])
-            )
-        minimal_rows.setdefault(tuple(lowest), []).append(col)
-        for row in support:
-            if row != col and aval[row] <= aval[col]:
-                violations.append(
-                    "column %s: row %s has a=%d <= %d"
-                    % (mp_to_text(col), mp_to_text(row), aval[row], aval[col])
-                )
-    for lowest, cols in minimal_rows.items():
-        if len(cols) > 1:
-            violations.append(
-                "columns %s share the minimal row set %s"
-                % ([mp_to_text(c) for c in cols], [mp_to_text(r) for r in lowest])
-            )
-    for (row, col), v in matrix.entries.items():
+    off_diagonal = False
+    for (row, col), v in entries.items():
         if v < 0:
-            violations.append(
-                "entry (%s, %s) = %d is negative" % (mp_to_text(row), mp_to_text(col), v)
-            )
+            violations.append("entry (%s, %s) = %d is negative"
+                              % (mp_to_text(row), mp_to_text(col), v))
+        if v and row != col:
+            off_diagonal = True
+            if aval[row] <= aval[col]:
+                violations.append("column %s: row %s has a=%d <= %d"
+                                  % (mp_to_text(col), mp_to_text(row), aval[row], aval[col]))
+    for col in matrix.cols:
+        if entries.get((col, col)) != 1:
+            violations.append("column %s: diagonal entry is %r, not 1"
+                              % (mp_to_text(col), entries.get((col, col))))
     if any(min(g[2::3], default=0) < 0 for g in matrix.columns.values()):
         for (row, col), p in matrix.qentries.items():
             if min(p.terms.values()) < 0:
-                violations.append(
-                    "entry (%s, %s) = %s has a negative coefficient"
-                    % (mp_to_text(row), mp_to_text(col), p)
-                )
+                violations.append("entry (%s, %s) = %s has a negative coefficient"
+                                  % (mp_to_text(row), mp_to_text(col), p))
     semisimple = matrix.checks["semisimple"]
-    identity = len(matrix.rows) == len(matrix.cols) and not any(
-        v for (row, col), v in matrix.entries.items() if row != col)
+    identity = len(matrix.rows) == len(matrix.cols) and not off_diagonal
     if identity != semisimple:
         violations.append(
             "Ariki's criterion gives split semisimple = %s, but the matrix %s square "

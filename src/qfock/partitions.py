@@ -63,8 +63,10 @@ def multipartitions(l: int, n: int) -> list:
     The order is fixed only so every rendering of a result set is
     byte-reproducible; nothing downstream depends on which order it is.
     """
-    if l < 1 or n < 0:
-        raise ValueError("need l >= 1 and n >= 0")
+    if n < 0:
+        raise ValueError("rank must be >= 0")
+    if l < 1:
+        raise ValueError("need l >= 1")
     # the l-compositions of n: l - 1 bars among n + l - 1 slots, the ranks
     # being the gaps between them
     slots = n + l - 1

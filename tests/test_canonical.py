@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from io import StringIO
 
 import pytest
@@ -252,9 +254,12 @@ def test_verify_unitriangular_negative_control():
     same = {r: r for r in rows}
     bad = DecompositionMatrix(4, 2, (0, 1), 2, rows, cols, columns, same,
                               {"semisimple": False}, aval, text)
+    # 2|- has the lower a-value, so the column's minimal row is not its own
+    # label: reported as the off-row a-value that puts it there
     report = verify_unitriangular(bad)
-    assert not report["ok"]
-    assert any("minimal-a rows" in v for v in report["violations"])
+    assert report == {"ok": False, "violations": [
+        "column 1,1|-: row 2|- has a=%d <= %d" % (aval[rows[0]], aval[rows[1]])]}
+    assert any("minimal-a rows" in v for v in _verify_by_lookup(bad)["violations"])
 
     # identity matrix passes
     ident = DecompositionMatrix(
@@ -302,6 +307,39 @@ def _verify_by_lookup(matrix):
     return {"ok": not violations, "violations": violations}
 
 
+def _implied(violation):
+    """True for the three kinds of _verify_by_lookup's violations that the
+    unit diagonal and the off-row a-values imply: an empty column, a
+    minimal row set other than the column's label, and a minimal row set
+    shared by two columns."""
+    return (violation.endswith(": empty") or ": minimal-a rows are " in violation
+            or " share the minimal row set " in violation)
+
+
+def _ariki(matrix):
+    """The violation verify_unitriangular reports when Ariki's criterion
+    disagrees with the matrix's shape, read by lookups; [] when it agrees."""
+    identity = len(matrix.rows) == len(matrix.cols) and not any(
+        matrix.entries.get((row, col)) for row in matrix.rows for col in matrix.cols
+        if row != col)
+    semisimple = matrix.checks["semisimple"]
+    if identity == semisimple:
+        return []
+    return ["Ariki's criterion gives split semisimple = %s, but the matrix %s square "
+            "with no nonzero off-diagonal entry" % (semisimple, "is" if identity else "is not")]
+
+
+def _assert_matches_lookup(matrix):
+    """verify_unitriangular(matrix) has the reference's ok and its
+    violations, as a multiset, less the implied kinds; the reference is
+    _verify_by_lookup plus the Ariki check.  Returns the report."""
+    want = _verify_by_lookup(matrix)["violations"] + _ariki(matrix)
+    report = verify_unitriangular(matrix)
+    assert report["ok"] == (not want)
+    assert Counter(report["violations"]) == Counter(v for v in want if not _implied(v))
+    return report
+
+
 def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     mat = decomposition_matrix(4, 2, (0, 1), 5)
     assert verify_unitriangular(mat) == _verify_by_lookup(mat) == {"ok": True, "violations": []}
@@ -315,17 +353,23 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     mat.entries[c0, c2] = 1  # a row of lower a-value than its column
     mat.entries[mat.rows[-1], c3] = -1  # negative entry
     mat.entries[mat.rows[-2], c3] = 0  # explicit zero: not support
-    report = verify_unitriangular(mat)
-    assert report == _verify_by_lookup(mat)
-    assert len(report["violations"]) >= 5
+    report = _assert_matches_lookup(mat)
+    # the empty column c1 is reported only by its diagonal, and c2's minimal
+    # row c0 (shared with column c0) only by c0's a-value in c2
+    assert len(report["violations"]) == 4
+    assert [v for v in _verify_by_lookup(mat)["violations"] if _implied(v)] == [
+        "column %s: empty" % mp_to_text(c1),
+        "column %s: minimal-a rows are %s" % (mp_to_text(c2), [mp_to_text(c0)]),
+        "columns %s share the minimal row set %s"
+        % ([mp_to_text(c0), mp_to_text(c2)], [mp_to_text(c0)]),
+    ]
     # a q-entry with a negative coefficient but a positive value at q = 1
     mat.entries = dict(clean)
     off = next(key for key, p in mat.qentries.items() if key[0] != key[1] and p)
     row = next(key for key, r in mat.row_of.items() if r == off[0])
     column = [t for t in each_term(mat.columns[off[1]]) if t[0] != row]
     mat.columns[off[1]] = sum(column, ()) + (row, 1, 2, row, 3, -1)
-    report = verify_unitriangular(mat)
-    assert report == _verify_by_lookup(mat)
+    report = _assert_matches_lookup(mat)
     assert report["violations"] == ["entry (%s, %s) = %s has a negative coefficient"
                                     % (mp_to_text(off[0]), mp_to_text(off[1]),
                                        mat.qentries[off])]
@@ -335,7 +379,56 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
         for _ in range(rng.randint(1, 12)):
             key = (rng.choice(mat.rows), rng.choice(mat.cols))
             mat.entries[key] = rng.choice([-1, 0, 1, 2])
-        assert verify_unitriangular(mat) == _verify_by_lookup(mat)
+        _assert_matches_lookup(mat)
+
+
+# (e, l, charge, n): two matrices of the paper's ambient, one at l = 3, one
+# at e = 2 and a split semisimple one; each has labels tied in a-value
+CORRUPTED = [(4, 2, (0, 1), 4), (4, 2, (0, 5), 3), (3, 3, (0, 1, 2), 3), (2, 2, (0, 1), 3),
+             (4, 2, (0, 2), 1)]
+
+
+_clean = cache(decomposition_matrix)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CORRUPTED), st.data())
+def test_verify_unitriangular_matches_lookup_on_drawn_corruptions(ambient, data):
+    m = _clean(*ambient)  # never corrupted: each draw corrupts a copy
+    mat = DecompositionMatrix(m.e, m.l, m.charge, m.n, m.rows, m.cols, dict(m.columns),
+                              m.row_of, dict(m.checks), m.aval, m.text)
+    rows, cols, aval = mat.rows, mat.cols, mat.aval
+    mask = {row: b for b, row in mat.row_of.items()}
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["tie", "diagonal", "negative", "zero", "empty",
+                                          "semisimple", "q", "any"]))
+        col = data.draw(st.sampled_from(cols))
+        row = data.draw(st.sampled_from(rows))
+        if kind == "tie":  # another row at the column's a-value, else below it
+            tied = [r for r in rows if r != col and aval[r] == aval[col]]
+            low = tied or [r for r in rows if aval[r] < aval[col]]
+            if low:
+                mat.entries[data.draw(st.sampled_from(low)), col] = 1
+        elif kind == "diagonal":  # dropped or doubled
+            value = data.draw(st.sampled_from([None, 0, 2]))
+            if value is None:
+                mat.entries.pop((col, col), None)
+            else:
+                mat.entries[col, col] = value
+        elif kind == "negative":
+            mat.entries[row, col] = data.draw(st.integers(-2, -1))
+        elif kind == "zero":  # explicit: not support
+            mat.entries[row, col] = 0
+        elif kind == "empty":
+            for r in rows:
+                mat.entries.pop((r, col), None)
+        elif kind == "semisimple":
+            mat.checks["semisimple"] = not mat.checks["semisimple"]
+        elif kind == "q":  # q - q^2 on a row: 0 at q = 1, so the entries stay
+            mat.columns[col] += (mask[row], 1, 1, mask[row], 2, -1)
+        else:
+            mat.entries[row, col] = data.draw(st.integers(-1, 2))
+    _assert_matches_lookup(mat)
 
 
 def test_bar_cycle_detection_guard():
@@ -590,7 +683,7 @@ def test_highest_weight_start_rejects_a_support_that_does_not_rise():
     basis = FockBasis(4, 2, (0, 1), 4)
     assert basis.peel(basis.mask(HIGHEST)) is None
     low = mp_from_text("2|1,1")
-    assert basis.key(low)[0] <= basis.key(HIGHEST)[0]
+    assert basis.key(low) <= basis.key(HIGHEST)
     _plant_bar(basis, HIGHEST, (from_pair(low, (0, 1), 4, 2), LaurentPoly({1: 2})))
     with pytest.raises(InvariantError, match="does not rise"):
         basis.element(HIGHEST)
@@ -599,7 +692,7 @@ def test_highest_weight_start_rejects_a_support_that_does_not_rise():
 def test_highest_weight_start_rejects_support_at_another_charge():
     basis = FockBasis(4, 2, (0, 1), 4)
     w = from_pair(mp_from_text("-|1,1,1,1"), (1, 0), 4, 2)
-    assert dominance(w) > basis.key(HIGHEST)[0]
+    assert dominance(w) > basis.key(HIGHEST)
     _plant_bar(basis, HIGHEST, (w, LaurentPoly({1: 2})))
     with pytest.raises(InvariantError, match=r"at charge \(1, 0\)"):
         basis.element(HIGHEST)
@@ -610,7 +703,7 @@ def test_highest_weight_start_rejects_an_odd_coefficient():
     # qZ[q], but it is not twice a vector over Z[q, q^-1]
     basis = FockBasis(4, 2, (0, 1), 4)
     w = mp_from_text("1,1,1,1|-")
-    assert basis.key(w)[0] > basis.key(HIGHEST)[0]
+    assert basis.key(w) > basis.key(HIGHEST)
     assert basis.element(w) == {(w, (0, 1)): LaurentPoly.one()}
     _plant_bar(basis, HIGHEST, (from_pair(w, (0, 1), 4, 2), LaurentPoly({1: 1})))
     with pytest.raises(InvariantError, match="odd coefficient"):
@@ -689,14 +782,14 @@ def test_correction_key_grows_along_bar_supports_and_canonical_supports(wedge_or
         basis = FockBasis(e, l, charge, min(top, 5))
         for n in range(min(top, 5) + 1):
             for mp in multipartitions(l, n):
-                low = basis.key(mp)[0]
+                low = basis.key(mp)
                 u = from_pair(mp, charge, e, l)
                 for w in oracle.engine.bar(u):
                     if w != u:
                         nu, ch = to_pair(w, e, l)
-                        assert ch == charge and basis.key(nu)[0] > low, (e, l, charge, mp, nu)
+                        assert ch == charge and basis.key(nu) > low, (e, l, charge, mp, nu)
                 for nu, ch in basis.element(mp):
-                    assert nu == mp or basis.key(nu)[0] > low, (e, l, charge, mp, nu)
+                    assert nu == mp or basis.key(nu) > low, (e, l, charge, mp, nu)
 
 
 def test_correction_key_is_wedge_dominance_up_to_a_constant_of_the_charge():
@@ -707,7 +800,7 @@ def test_correction_key_is_wedge_dominance_up_to_a_constant_of_the_charge():
                                (4, 2, (0, 100), 964800), (3, 3, (0, 1, 2), 7),
                                (2, 1, (0,), 0), (5, 3, (-3, 7, 2), 1164)]:
         basis = FockBasis(e, l, charge, 6)
-        shifts = {basis.key(mp)[0] - dominance(from_pair(mp, charge, e, l))
+        shifts = {basis.key(mp) - dominance(from_pair(mp, charge, e, l))
                   for n in range(7) for mp in multipartitions(l, n)}
         assert shifts == {want}, (e, l, charge, shifts)
 

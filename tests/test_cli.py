@@ -417,8 +417,9 @@ def test_level_zero_is_refused(capsys):
 
 
 def test_negative_rank_is_refused(capsys):
-    # refused before decomp's semisimplicity warning, which it would fake
-    for command in ("semisimple", "decomp"):
+    # one message for every --rank command, and refused before decomp's
+    # semisimplicity warning, which it would fake
+    for command in ("avalue", "semisimple", "uglov-set", "crystal", "decomp"):
         code, out, err = run(capsys, command, "--e", "4", "--charge", "0,1", "--rank=-1")
         assert code == 2 and out == "" and err == "invalid input: rank must be >= 0\n"
 
