@@ -46,6 +46,13 @@ results have one term, so a dict per entry would outweigh its terms: an
 entry is one flat tuple (mask, id, mask, id, ...) in the memo's own frame,
 the shared () when the result vanishes.  Its readers undo the shift and
 re-attach A as they read each mask, so a hit builds nothing.
+
+Every memo is keyed by one exact int, so a lookup hashes an int and a
+stored key holds no tuple.  The insert memo's key is B | 2 << J for the
+moved-down index J and prefix B: no bit of B lies above J, so the marker
+bit sits above B, and J is the key's bit length minus 2.  A product or sum
+of ids a <= b is keyed by the triangular number b (b + 1) / 2 plus a, which
+is exact for any ids, and the pair cache keys k1 < k2 the same way.
 """
 
 from __future__ import annotations
@@ -114,8 +121,8 @@ class WedgeEngine:
         self._insert_cache = {}
         self._polys = [LaurentPoly(), ONE]  # id -> polynomial
         self._ids = {self._polys[0]: 0, ONE: 1}  # polynomial -> id
-        self._products = {}  # (id, id) -> id of the product
-        self._sums = {}  # (id, id) -> id of the sum
+        self._products = {}  # b (b + 1) / 2 + a for ids a <= b -> id of the product
+        self._sums = {}  # the same key -> id of the sum
 
     # -- coefficients by id ---------------------------------------------------
 
@@ -129,7 +136,7 @@ class WedgeEngine:
 
     def _times(self, a: int, b: int) -> int:
         """Id of the product of the polynomials with ids a and b."""
-        key = (a, b) if a < b else (b, a)
+        key = b * (b + 1) // 2 + a if a <= b else a * (a + 1) // 2 + b
         hit = self._products.get(key)
         if hit is None:
             hit = self._products[key] = self._id(self._polys[a] * self._polys[b])
@@ -139,7 +146,7 @@ class WedgeEngine:
         """vec[key] += c for a key already in the sparse {key: id} vector
         vec, dropping a zero sum."""
         cur = vec[key]
-        pair = (cur, c) if cur < c else (c, cur)
+        pair = c * (c + 1) // 2 + cur if cur <= c else cur * (cur + 1) // 2 + c
         s = self._sums.get(pair)
         if s is None:
             s = self._sums[pair] = self._id(self._polys[cur] + self._polys[c])
@@ -217,8 +224,9 @@ class WedgeEngine:
         return tuple(sorted(out))
 
     def _pair(self, k1: int, k2: int):
-        """straighten_pair with coefficient ids, cached per (k1, k2)."""
-        key = (k1, k2)
+        """straighten_pair with coefficient ids, for 0 <= k1 <= k2, cached
+        under the int k2 (k2 + 1) / 2 + k1."""
+        key = k2 * (k2 + 1) // 2 + k1
         hit = self._pair_cache.get(key)
         if hit is None:
             hit = self._pair_cache[key] = tuple(
@@ -237,9 +245,10 @@ class WedgeEngine:
         pair straightening emits lies in [min(B), j], below every entry of
         A, so A is re-attached to every result of B ^ u_j.  Shifting the
         indices of a pair by e keeps alpha, beta and the string
-        coefficients, so B ^ u_j translates by any multiple of e: the memo
-        is keyed on (j - d, B >> d), with d = min(B) rounded down to a
-        multiple of e, holds the run in that frame, and each miss burns one
+        coefficients, so B ^ u_j translates by any multiple of e: with d =
+        min(B) rounded down to a multiple of e, the memo is keyed on the
+        int B >> d | 2 << (j - d), whose top bit marks j - d above the
+        translated B, holds the run in that frame, and each miss burns one
         unit of fuel.  The caller applies the shift and A as it reads, so a
         hit copies nothing.  Within a miss the products for one straightened
         pair are summed before the pair coefficient multiplies them, once
@@ -252,15 +261,15 @@ class WedgeEngine:
         if low == j:
             return (), 0, 0
         d = low - low % self.e
-        key = (j - d, tail >> d)
+        key = tail >> d | 2 << j - d
         run = self._insert_cache.get(key)
         if run is None:
             self._burn()
             out = {}
             add, times = self._add, self._times
             k = low - d
-            init = key[1] ^ 1 << k
-            for (x, y), c in self._pair(k, key[0]):
+            init = tail >> d ^ 1 << k
+            for (x, y), c in self._pair(k, j - d):
                 # init ^ u_x ^ u_y with x > y: place x, then y; the trivial
                 # placements are emitted here instead of through a call
                 if not init & ((2 << x) - 1):

@@ -189,13 +189,13 @@ class LaurentWedgeEngine(WedgeEngine):
         if low == j:
             return {}
         d = low - low % self.e
-        key = (j - d, tail >> d)
+        key = tail >> d | 2 << j - d
         out = self._insert_cache.get(key)
         if out is None:
             self._burn()
             out = {}
-            init = key[1] ^ 1 << (low - d)
-            for (x, y), c in self.straighten_pair(low - d, key[0]):
+            init = tail >> d ^ 1 << (low - d)
+            for (x, y), c in self.straighten_pair(low - d, j - d):
                 part = {}
                 for m2, c2 in self._insert(x, init).items():
                     for m3, c3 in self._insert(y, m2).items():
@@ -560,3 +560,74 @@ def bar_omegas_by_pairs(factors, e: int, l: int) -> tuple:
             if letters[i].b == letters[j].b:
                 omega_p += 1
     return omega, omega_p
+
+
+def crystal_image(mp, e: int, charge, target):
+    """The label at charge `target` reached from its vacuum by f~_i along
+    the colours of a good-node path that peels mp to the vacuum at
+    `charge`, both read through ChargedAbacus.signatures.  When the two
+    charges have one dominant weight (equal residues mod e, in any order),
+    this is the crystal isomorphism between their vacuum components; mp
+    must lie in the component at `charge`."""
+    n, l = rank(mp), len(charge)
+    here, there = ChargedAbacus(e, l, charge, n), ChargedAbacus(e, l, target, n)
+    b, colours = here.mask(mp), []
+    for _ in range(n):
+        normal = here.signatures(b)[1]
+        i = min(i for i, nodes in normal.items() if nodes)
+        bit = normal[i][0]  # the good i-node
+        b ^= bit ^ bit >> l
+        colours.append(i)
+    if b != here.mask(empty_multipartition(l)):
+        raise ValueError("%r is not in the vacuum's component at %r" % (mp, charge))
+    b = there.mask(empty_multipartition(l))
+    for i in reversed(colours):
+        bit = there.signatures(b)[0][i]
+        b ^= bit ^ bit >> l
+    return there.label(b)
+
+
+def residue_content(mp, charge, e: int) -> list:
+    """beta_i, the number of nodes of mp with residue i, for i in [0, e)."""
+    beta = [0] * e
+    for c, comp in enumerate(mp, start=1):
+        for a, p in enumerate(comp, start=1):
+            for b in range(1, p + 1):
+                beta[residue((a, b, c), charge, e)] += 1
+    return beta
+
+
+def defect(mp, charge, e: int) -> int:
+    """def(beta) = (Lambda|beta) - (beta|beta)/2 for mp's residue content
+    beta and Lambda = the sum of Lambda_{s_j mod e}, under the form of the
+    affine sl_e Cartan matrix (a_ii = 2, a_{i,i+-1} = -1, or -2 at e = 2)."""
+    beta = residue_content(mp, charge, e)
+    return (sum(beta[s % e] for s in charge) - sum(x * x for x in beta)
+            + sum(beta[i] * beta[(i + 1) % e] for i in range(e)))
+
+
+def graded_cartan(mat) -> dict:
+    """{(mu, nu): {exponent: coefficient}} of c_{mu nu}(q), the sum over
+    rows lambda of d_{lambda mu}(q) d_{lambda nu}(q), for every pair of
+    columns with a nonzero entry."""
+    by_row = {}
+    for row, col, x, c in mat._terms():
+        by_row.setdefault(row, []).append((col, x, c))
+    cartan = {}
+    for terms in by_row.values():
+        for mu, x1, c1 in terms:
+            for nu, x2, c2 in terms:
+                entry = cartan.setdefault((mu, nu), {})
+                entry[x1 + x2] = entry.get(x1 + x2, 0) + c1 * c2
+    return {pair: {x: c for x, c in entry.items() if c}
+            for pair, entry in cartan.items() if any(entry.values())}
+
+
+def unpermute(mp, perm):
+    """The label lambda with lambda[perm[j]] = mp[j]: sigma^-1 on labels,
+    for the sigma that sends lambda to (lambda[perm[0]], lambda[perm[1]],
+    ...)."""
+    out = [None] * len(perm)
+    for j, p in enumerate(perm):
+        out[p] = mp[j]
+    return tuple(out)

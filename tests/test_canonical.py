@@ -37,11 +37,15 @@ from qfock.wedge import WedgeEngine
 from oracles import (
     _relabel,
     bar_vector,
+    crystal_image,
+    defect,
     divide_exact,
     enumerate_degree_component,
     good_node,
+    graded_cartan,
     quantum_factorial,
     remove_node,
+    unpermute,
 )
 from paper_data import MATRICES, UGLOV_SETS
 
@@ -209,6 +213,57 @@ def test_columns_agree_under_the_relabeling_at_a_shifted_charge(ambient, data):
     assert len(here) == len(there)
     for col, entries in here.items():
         assert there.get(_relabel(col, e, charge, shifted)) == entries, col
+
+
+def _vectors(columns):
+    """The columns' vectors, as a sorted list, whichever labels they carry."""
+    return sorted(sorted(entries.items()) for entries in columns.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ambients(), st.data())
+def test_columns_agree_across_the_charge_orbit(ambient, data):
+    # the source paper's point: the decomposition numbers belong to the
+    # algebra, which permuting the charge by sigma and shifting it by t in
+    # e Z^l leave alone (S^lambda at s is S^{sigma lambda} at sigma s + t);
+    # only the labeling moves.  So the q = 1 columns at sigma s + t, rows
+    # mapped back by sigma^-1, are those at s, and the crystal isomorphism
+    # of the two vacuum components takes each column to its match; sigma =
+    # id is the relabeling Psi
+    e, l, charge, n = ambient
+    assume(_integral(e, l, charge))
+    perm = tuple(data.draw(st.permutations(range(l))))
+    shift = data.draw(st.lists(st.integers(-2, 2), min_size=l, max_size=l))
+    target = tuple(charge[p] + t * e for p, t in zip(perm, shift))
+    here = _columns(e, l, charge, n)
+    there = {col: {unpermute(row, perm): v for row, v in entries.items()}
+             for col, entries in _columns(e, l, target, n).items()}
+    assert _vectors(there) == _vectors(here)
+    for col, entries in here.items():
+        image = crystal_image(col, e, charge, target)
+        assert there.get(image) == entries, (col, image)
+        if perm == tuple(range(l)):
+            assert image == _relabel(col, e, charge, target), col
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ambients())
+def test_graded_cartan_entries_are_palindromes_centred_on_the_defect(ambient):
+    # the cyclotomic quiver Hecke algebra of a block beta is graded
+    # symmetric of degree 2 def(beta) (Brundan-Kleshchev 2009; Shan-
+    # Varagnolo-Vasserot), so each graded Cartan entry c_{mu nu}(q) =
+    # sum over lambda of d_{lambda mu}(q) d_{lambda nu}(q) reads the same
+    # backwards, and its end exponents sum to 2 def(beta) for mu's residue
+    # content beta; the diagonal is never zero
+    e, l, charge, n = ambient
+    assume(_integral(e, l, charge))
+    mat = decomposition_matrix(e, l, charge, n)
+    cartan = graded_cartan(mat)
+    assert all((mu, mu) in cartan for mu in mat.cols)
+    for (mu, nu), entry in cartan.items():
+        low, high = min(entry), max(entry)
+        assert all(entry.get(low + high - x) == c for x, c in entry.items()), (mu, nu, entry)
+        assert low + high == 2 * defect(mu, charge, e), (mu, nu, entry)
 
 
 def test_matrix_renderings_are_consistent():

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -166,16 +167,54 @@ def test_insert_ignores_the_leading_run_above_the_new_factor():
             assert got == {a + m: c for m, c in short_got.items()} == want, (e, l, j, a, b)
 
 
+def _triangle(key):
+    """(a, b) with a <= b of a memo key b (b + 1) / 2 + a."""
+    b = (isqrt(8 * key + 1) - 1) // 2
+    return key - b * (b + 1) // 2, b
+
+
 def test_insert_memo_keys_hold_no_entry_above_the_new_factor():
-    # a key (j, B) is a bit mask B translated by a multiple of e: no bit of B
-    # lies above j, and its lowest bit is below e
+    # a key B | 2 << J is a bit mask B, translated by a multiple of e, under
+    # a marker bit one above J: B is nonempty, its lowest bit is below e and
+    # below J, and its entry is the straightening of B ^ u_J in that frame
     for (e, l, text) in [(4, 2, "s=-16; k=8"), (3, 3, "s=2; k=12,7,2"), (2, 2, "s=1; k=7,6,5")]:
-        eng = WedgeEngine(e, l)
+        eng, oracle = WedgeEngine(e, l), LaurentWedgeEngine(e, l)
         eng.bar(monomial_from_text(text))
         assert eng._insert_cache
-        for j, tail in eng._insert_cache:
-            assert tail >> (j + 1) == 0, (e, l, text, j, tail)
-            assert 0 < tail & -tail < 1 << e, (e, l, text, j, tail)
+        for key, run in eng._insert_cache.items():
+            big_j = key.bit_length() - 2
+            tail = key ^ 2 << big_j
+            assert tail != 0 and tail & -tail < 1 << e, (e, l, text, big_j, tail)
+            assert tail & -tail < 1 << big_j, (e, l, text, big_j, tail)
+            assert tail | 2 << big_j == key, (e, l, text, key)
+            it = iter(run)
+            got = {_indices(m, 0): eng._polys[c] for m, c in zip(it, it)}
+            want = oracle.straighten_indices(_indices(tail, 0) + (big_j,))
+            assert got == want, (e, l, text, big_j, tail)
+
+
+def test_product_sum_and_pair_keys_decode_to_their_operands():
+    # a product or sum of ids a <= b is keyed b (b + 1) / 2 + a, and a pair
+    # k1 < k2 the same way: two engines given the same bar hold the same
+    # keys, and each decodes to the operands of what it holds
+    for (e, l, text) in [(4, 2, "s=-16; k=8"), (3, 3, "s=2; k=12,7,2"), (2, 2, "s=1; k=7,6,5")]:
+        u = monomial_from_text(text)
+        eng, twin = WedgeEngine(e, l), WedgeEngine(e, l)
+        eng.bar(u)
+        twin.bar(u)
+        assert eng._products and eng._sums, (e, l, text)
+        assert len(eng._products) == len(twin._products), (e, l, text)
+        assert len(eng._sums) == len(twin._sums), (e, l, text)
+        polys = eng._polys
+        for memo, op in ((eng._products, LaurentPoly.__mul__), (eng._sums, LaurentPoly.__add__)):
+            for key, c in memo.items():
+                a, b = _triangle(key)
+                assert 0 <= a <= b < len(polys), (e, l, text, key)
+                assert polys[c] == op(polys[a], polys[b]), (e, l, text, a, b)
+        for key, hit in eng._pair_cache.items():
+            k1, k2 = _triangle(key)
+            assert 0 <= k1 < k2, (e, l, text, key)
+            assert tuple((xy, polys[c]) for xy, c in hit) == eng.straighten_pair(k1, k2)
 
 
 def test_straighten_pair_translates_by_e():
@@ -242,9 +281,10 @@ def test_bar_fuel_regression_guard():
 
 def test_bar_memory_guard():
     # the insert memo holds one flat (mask, id, ...) run per entry, with ids
-    # into a table of distinct polynomials: 2.46 MiB peak here, against
-    # 3.42 MiB with one dict per entry and 6.6 MiB with one LaurentPoly per
-    # memo result
+    # into a table of distinct polynomials, and every memo is keyed by one
+    # int: 2.28 MiB peak here on CPython 3.11, against 2.46 MiB with tuple
+    # keys (which the bound refuses), 3.42 MiB with one dict per entry as
+    # well and 6.6 MiB with one LaurentPoly per memo result
     u = monomial_from_text("s=-16; k=8")
     tracemalloc.start()
     try:
@@ -252,14 +292,14 @@ def test_bar_memory_guard():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.8 * 2**20
+    assert peak < 2.4 * 2**20
 
 
 def test_bar_command_frees_its_engine_before_the_render(capsys):
     # the whole command after one untraced run, which pays the one-time
-    # imports and parser set-up: 2.46 MiB peak here, 2.74 MiB
-    # with the engine held through the render, 3.78 MiB with one dict per
-    # memo entry as well
+    # imports and parser set-up: 2.28 MiB peak here (2.46 MiB with tuple
+    # memo keys), 2.74 MiB with the engine held through the render and
+    # tuple keys, 3.78 MiB with one dict per memo entry as well
     argv = ["bar", "--e=4", "--l=2", "--monomial=s=-16; k=8", "--format=json"]
     assert cli.main(argv) == 0
     capsys.readouterr()
