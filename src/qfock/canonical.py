@@ -385,10 +385,10 @@ class DecompositionMatrix:
     each column to its canonical element as a frozen vector, one tuple of
     (key, exponent, coefficient) runs with no zero coefficient, and
     `row_of` maps each key to its row label (decomposition_matrix keys by
-    bead mask and shares the vectors with the build); every entry is read
-    through that one map.  `entries` holds the entries at q = 1, `aval` is
-    the a-value table at height n + 1, and `text` maps each row label to its
-    text form, which every renderer reads."""
+    bead mask and shares the vectors with the build).  That is the one copy
+    of the matrix: column() reads a column's entries at q = 1 from its
+    runs.  `aval` is the a-value table at height n + 1, and `text` maps
+    each row label to its text form, which every renderer reads."""
 
     def __init__(self, e, l, charge, n, rows, cols, columns, row_of, checks, aval, text):
         self.e = e
@@ -399,15 +399,19 @@ class DecompositionMatrix:
         self.cols = cols
         self.columns = columns
         self.row_of = row_of
-        entries = {}
-        for col, g in columns.items():
-            for key, _x, c in each_term(g):
-                entry = row_of[key], col
-                entries[entry] = entries.get(entry, 0) + c
-        self.entries = entries
         self.checks = checks
         self.aval = aval
         self.text = text
+
+    def column(self, col) -> dict:
+        """Column col at q = 1, {row: entry}, summed from its runs; a row
+        whose terms cancel at q = 1 is kept with entry 0."""
+        row_of = self.row_of
+        out = {}
+        for key, _x, c in each_term(self.columns[col]):
+            row = row_of[key]
+            out[row] = out.get(row, 0) + c
+        return out
 
     def _terms(self):
         """(row, column, exponent, coefficient) for every term of every
@@ -417,20 +421,13 @@ class DecompositionMatrix:
             for key, x, c in each_term(g):
                 yield row_of[key], col, x, c
 
-    @property
-    def qentries(self) -> dict:
-        """The entries as polynomials, {(row, column): LaurentPoly}."""
-        terms = {}
-        for row, col, x, c in self._terms():
-            terms.setdefault((row, col), {})[x] = c
-        return {key: LaurentPoly(t) for key, t in terms.items()}
-
     def triples(self):
         """The matrix as sorted (row label, column label, entry) triples,
         zero entries omitted; the canonical comparison form.  No two share
         their texts, so entries are never compared."""
         text = self.text
-        return sorted((text[row], text[col], v) for (row, col), v in self.entries.items() if v)
+        return sorted((text[row], text[col], v) for col in self.cols
+                      for row, v in self.column(col).items() if v)
 
     def q_triples(self):
         """[row label, column label, [[exponent, coefficient], ...]] in the
@@ -449,11 +446,11 @@ class DecompositionMatrix:
     def to_latex(self):
         """The LaTeX array, line by line.  Each row starts from "." in every
         column and is filled from that row's nonzero entries, grouped once."""
-        pos = {col: j for j, col in enumerate(self.cols)}
         nonzero = {}
-        for (row, col), v in self.entries.items():
-            if v:
-                nonzero.setdefault(row, []).append((pos[col], v))
+        for j, col in enumerate(self.cols):
+            for row, v in self.column(col).items():
+                if v:
+                    nonzero.setdefault(row, []).append((j, v))
         yield r"\begin{array}{l|%s}" % ("c" * len(self.cols)) + "\n"
         for row in self.rows:
             cells = ["."] * len(self.cols)
@@ -534,27 +531,31 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     algebra is split semisimple iff the matrix is square with no nonzero
     off-diagonal entry."""
     aval = matrix.aval
-    entries = matrix.entries
     violations = []
     off_diagonal = False
-    for (row, col), v in entries.items():
-        if v < 0:
-            violations.append("entry (%s, %s) = %d is negative"
-                              % (mp_to_text(row), mp_to_text(col), v))
-        if v and row != col:
-            off_diagonal = True
-            if aval[row] <= aval[col]:
-                violations.append("column %s: row %s has a=%d <= %d"
-                                  % (mp_to_text(col), mp_to_text(row), aval[row], aval[col]))
     for col in matrix.cols:
-        if entries.get((col, col)) != 1:
+        column = matrix.column(col)
+        for row, v in column.items():
+            if v < 0:
+                violations.append("entry (%s, %s) = %d is negative"
+                                  % (mp_to_text(row), mp_to_text(col), v))
+            if v and row != col:
+                off_diagonal = True
+                if aval[row] <= aval[col]:
+                    violations.append("column %s: row %s has a=%d <= %d"
+                                      % (mp_to_text(col), mp_to_text(row), aval[row], aval[col]))
+        if column.get(col) != 1:
             violations.append("column %s: diagonal entry is %r, not 1"
-                              % (mp_to_text(col), entries.get((col, col))))
-    if any(min(g[2::3], default=0) < 0 for g in matrix.columns.values()):
-        for (row, col), p in matrix.qentries.items():
-            if min(p.terms.values()) < 0:
-                violations.append("entry (%s, %s) = %s has a negative coefficient"
-                                  % (mp_to_text(row), mp_to_text(col), p))
+                              % (mp_to_text(col), column.get(col)))
+        g = matrix.columns[col]
+        if min(g[2::3], default=0) < 0:
+            terms = {}
+            for key, x, c in each_term(g):
+                _acc(terms, matrix.row_of[key], LaurentPoly({x: c}))
+            for row, p in terms.items():
+                if min(p.terms.values()) < 0:
+                    violations.append("entry (%s, %s) = %s has a negative coefficient"
+                                      % (mp_to_text(row), mp_to_text(col), p))
     semisimple = matrix.checks["semisimple"]
     identity = len(matrix.rows) == len(matrix.cols) and not off_diagonal
     if identity != semisimple:

@@ -94,12 +94,6 @@ class LaurentPoly:
 
     # -- the operations the theory needs ------------------------------------
 
-    def bar(self):
-        """The involution q -> q^-1 (exponent negation)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {-e: c for e, c in self.terms.items()}
-        return out
-
     def is_antisymmetric(self):
         """True iff bar(p) == -p."""
         for e, c in self.terms.items():

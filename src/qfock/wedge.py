@@ -365,25 +365,20 @@ class WedgeEngine:
         return {wedge_monomial(mono, s): c
                 for mono, c in self.straighten_indices(word).items()}
 
-    def bar(self, u: WedgeMonomial, r: int | None = None):
+    def bar(self, u: WedgeMonomial):
         """The bar involution of an ordered monomial, as a new dict
         {WedgeMonomial: c} on every call.
 
-        Reverses the first r factors (r >= degree is required; the result is
-        then independent of r, and r defaults to the least), straightens
-        them back against the frozen tail, and scales by
-        (-q)^{omega'} q^{-omega}, where omega and omega' count index pairs
-        i < j <= r sharing the bead letter a, resp. the runner b.  Every
-        image must have coefficient exactly 1 on u (bar is unitriangular);
-        anything else raises InvariantError.  The r factors are checked
-        against max_degree first.
+        Reverses the first r = max(degree, prefix length) factors (any
+        larger r gives the same result), straightens them back against the
+        frozen tail, and scales by (-q)^{omega'} q^{-omega}, where omega and
+        omega' count index pairs i < j <= r sharing the bead letter a, resp.
+        the runner b.  Every image must have coefficient exactly 1 on u (bar
+        is unitriangular); anything else raises InvariantError.  The r
+        factors are checked against max_degree first.
         """
-        n = degree(u)
         r0 = len(u.prefix)
-        if r is None:
-            r = max(n, r0)
-        elif r < max(n, r0):
-            raise ValueError("bar needs r >= max(degree, prefix length) = %d" % max(n, r0))
+        r = max(degree(u), r0)
         self._check_length(r)
         factors = list(u.prefix) + [u.s - i + 1 for i in range(r0 + 1, r + 1)]
         letters = [factorize(k, self.e, self.l) for k in factors]

@@ -7,7 +7,7 @@ fault in the optimized code cannot hide in them as well.
 from itertools import combinations, count
 from operator import mul
 
-from qfock.abacus import WedgeMonomial, factorize
+from qfock.abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from qfock.avalue import AValueTable, _entries, _min_ramp
 from qfock.fock import ChargedAbacus, apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
@@ -220,13 +220,19 @@ class LaurentWedgeEngine(WedgeEngine):
         return {_indices(m, origin): c for m, c in vec.items()}
 
 
+def qbar(p: LaurentPoly) -> LaurentPoly:
+    """The involution q -> q^-1 of a Laurent polynomial (exponent
+    negation)."""
+    return LaurentPoly({-x: c for x, c in p.terms.items()})
+
+
 def bar_vector(engine, vec):
     """The bar involution of a wedge vector {monomial: polynomial}, extended
     semilinearly: coefficients through q -> q^{-1}, monomials through
     engine.bar."""
     out = {}
     for u, c in vec.items():
-        cbar = c.bar()
+        cbar = qbar(c)
         for v, c2 in engine.bar(u).items():
             _acc(out, v, cbar * c2)
     return out
@@ -562,6 +568,21 @@ def bar_omegas_by_pairs(factors, e: int, l: int) -> tuple:
     return omega, omega_p
 
 
+def bar_reversing(engine, u: WedgeMonomial, r: int) -> dict:
+    """bar(u) read through its first r factors, for any r >= max(degree,
+    prefix length): the r factors reversed, straightened back against the
+    tail by engine.straighten_indices, and scaled by (-q)^{omega'}
+    q^{-omega}, the pairs counted by bar_omegas_by_pairs.  WedgeEngine.bar
+    reverses the least such r; the image is the same for every r."""
+    r0 = len(u.prefix)
+    assert r >= max(degree(u), r0)
+    factors = list(u.prefix) + [u.s - i + 1 for i in range(r0 + 1, r + 1)]
+    omega, omega_p = bar_omegas_by_pairs(factors, engine.e, engine.l)
+    pref = LaurentPoly({omega_p - omega: (-1) ** omega_p})
+    return {wedge_monomial(mono, u.s): pref * c
+            for mono, c in engine.straighten_indices(reversed(factors)).items()}
+
+
 def crystal_image(mp, e: int, charge, target):
     """The label at charge `target` reached from its vacuum by f~_i along
     the colours of a good-node path that peels mp to the vacuum at
@@ -604,6 +625,27 @@ def defect(mp, charge, e: int) -> int:
     beta = residue_content(mp, charge, e)
     return (sum(beta[s % e] for s in charge) - sum(x * x for x in beta)
             + sum(beta[i] * beta[(i + 1) % e] for i in range(e)))
+
+
+def entries(mat) -> dict:
+    """{(row, column): entry} of a DecompositionMatrix at q = 1, summed run
+    by run from its columns, keeping an entry whose terms cancel as 0."""
+    out = {}
+    for col, g in mat.columns.items():
+        for i in range(0, len(g), 3):
+            key = mat.row_of[g[i]], col
+            out[key] = out.get(key, 0) + g[i + 2]
+    return out
+
+
+def qentries(mat) -> dict:
+    """{(row, column): LaurentPoly} of a DecompositionMatrix, summed run by
+    run from its columns; zero entries left out."""
+    out = {}
+    for col, g in mat.columns.items():
+        for i in range(0, len(g), 3):
+            _acc(out, (mat.row_of[g[i]], col), LaurentPoly({g[i + 1]: g[i + 2]}))
+    return out
 
 
 def graded_cartan(mat) -> dict:

@@ -40,9 +40,11 @@ from oracles import (
     crystal_image,
     defect,
     divide_exact,
+    entries,
     enumerate_degree_component,
     good_node,
     graded_cartan,
+    qentries,
     quantum_factorial,
     remove_node,
     unpermute,
@@ -130,7 +132,7 @@ def test_canonical_element_shape():
 def test_paper_matrices():
     for charge, want in MATRICES.items():
         mat = decomposition_matrix(4, 2, charge, 4)
-        got = {(row, col, v) for (row, col), v in mat.entries.items() if v}
+        got = {(row, col, v) for (row, col), v in entries(mat).items() if v}
         assert got == want
         assert mat.checks["foreign_support"] == []
         assert verify_unitriangular(mat)["ok"]
@@ -165,7 +167,7 @@ def test_uglov_labels_are_the_canonical_basic_set(ambient):
     mat = decomposition_matrix(e, l, charge, n)
     assert set(mat.cols) == uglov_set(e, l, charge, n)
     support = {}
-    for (row, col), v in mat.entries.items():
+    for (row, col), v in entries(mat).items():
         if v:
             support.setdefault(col, []).append(row)
     minimal = {}
@@ -192,7 +194,7 @@ def test_decomp_refuses_a_non_integral_shift_vector(ambient):
 def _columns(e, l, charge, n):
     """{column: {row: entry}} of the matrix at q = 1, zero entries left out."""
     columns = {}
-    for (row, col), v in decomposition_matrix(e, l, charge, n).entries.items():
+    for (row, col), v in entries(decomposition_matrix(e, l, charge, n)).items():
         if v:
             columns.setdefault(col, {})[row] = v
     return columns
@@ -211,13 +213,13 @@ def test_columns_agree_under_the_relabeling_at_a_shifted_charge(ambient, data):
     shifted = charge[:j] + (charge[j] + t * e,) + charge[j + 1:]
     here, there = _columns(e, l, charge, n), _columns(e, l, shifted, n)
     assert len(here) == len(there)
-    for col, entries in here.items():
-        assert there.get(_relabel(col, e, charge, shifted)) == entries, col
+    for col, column in here.items():
+        assert there.get(_relabel(col, e, charge, shifted)) == column, col
 
 
 def _vectors(columns):
     """The columns' vectors, as a sorted list, whichever labels they carry."""
-    return sorted(sorted(entries.items()) for entries in columns.values())
+    return sorted(sorted(column.items()) for column in columns.values())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -236,12 +238,12 @@ def test_columns_agree_across_the_charge_orbit(ambient, data):
     shift = data.draw(st.lists(st.integers(-2, 2), min_size=l, max_size=l))
     target = tuple(charge[p] + t * e for p, t in zip(perm, shift))
     here = _columns(e, l, charge, n)
-    there = {col: {unpermute(row, perm): v for row, v in entries.items()}
-             for col, entries in _columns(e, l, target, n).items()}
+    there = {col: {unpermute(row, perm): v for row, v in column.items()}
+             for col, column in _columns(e, l, target, n).items()}
     assert _vectors(there) == _vectors(here)
-    for col, entries in here.items():
+    for col, column in here.items():
         image = crystal_image(col, e, charge, target)
-        assert there.get(image) == entries, (col, image)
+        assert there.get(image) == column, (col, image)
         if perm == tuple(range(l)):
             assert image == _relabel(col, e, charge, target), col
 
@@ -325,15 +327,17 @@ def test_verify_unitriangular_negative_control():
 
 
 def _verify_by_lookup(matrix):
-    """Oracle: the per-(row, col) scan verify_unitriangular replaced."""
+    """Oracle: the per-(row, col) scan verify_unitriangular replaced, on the
+    entries the oracles sum from the columns' runs."""
     aval = matrix.aval
+    at_1 = entries(matrix)
     violations = []
     minimal_rows = {}
     for col in matrix.cols:
-        support = [row for row in matrix.rows if matrix.entries.get((row, col))]
-        if matrix.entries.get((col, col)) != 1:
+        support = [row for row in matrix.rows if at_1.get((row, col))]
+        if at_1.get((col, col)) != 1:
             violations.append("column %s: diagonal entry is %r, not 1"
-                              % (mp_to_text(col), matrix.entries.get((col, col))))
+                              % (mp_to_text(col), at_1.get((col, col))))
         if not support:
             violations.append("column %s: empty" % mp_to_text(col))
             continue
@@ -351,12 +355,12 @@ def _verify_by_lookup(matrix):
         if len(cols) > 1:
             violations.append("columns %s share the minimal row set %s"
                               % ([mp_to_text(c) for c in cols], [mp_to_text(r) for r in lowest]))
-    for (row, col), v in matrix.entries.items():
+    for (row, col), v in at_1.items():
         if v < 0:
             violations.append("entry (%s, %s) = %d is negative"
                               % (mp_to_text(row), mp_to_text(col), v))
-    for (row, col), p in matrix.qentries.items():
-        if min(p.terms.values(), default=0) < 0:
+    for (row, col), p in qentries(matrix).items():
+        if min(p.terms.values()) < 0:
             violations.append("entry (%s, %s) = %s has a negative coefficient"
                               % (mp_to_text(row), mp_to_text(col), p))
     return {"ok": not violations, "violations": violations}
@@ -374,9 +378,9 @@ def _implied(violation):
 def _ariki(matrix):
     """The violation verify_unitriangular reports when Ariki's criterion
     disagrees with the matrix's shape, read by lookups; [] when it agrees."""
+    at_1 = entries(matrix)
     identity = len(matrix.rows) == len(matrix.cols) and not any(
-        matrix.entries.get((row, col)) for row in matrix.rows for col in matrix.cols
-        if row != col)
+        at_1.get((row, col)) for row in matrix.rows for col in matrix.cols if row != col)
     semisimple = matrix.checks["semisimple"]
     if identity == semisimple:
         return []
@@ -395,23 +399,39 @@ def _assert_matches_lookup(matrix):
     return report
 
 
+def _put(mat, row, col, *terms):
+    """Corrupts entry (row, col) in its column's runs, the matrix's one
+    copy: row's runs are dropped, then one run is appended for each
+    (exponent, coefficient) term."""
+    b = next(key for key, r in mat.row_of.items() if r == row)
+    kept = tuple(x for run in each_term(mat.columns[col]) if run[0] != b for x in run)
+    mat.columns[col] = kept + tuple(v for x, c in terms for v in (b, x, c))
+
+
 def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     mat = decomposition_matrix(4, 2, (0, 1), 5)
     assert verify_unitriangular(mat) == _verify_by_lookup(mat) == {"ok": True, "violations": []}
     # verify_unitriangular reads every entry's row as one of mat.rows
-    assert {row for row, _col in mat.entries} <= set(mat.rows)
-    clean = dict(mat.entries)
+    assert {row for row, _col in entries(mat)} <= set(mat.rows)
+    clean = dict(mat.columns)
     c0, c1, c2, c3 = mat.cols[:4]
-    mat.entries[c0, c0] = 2  # diagonal not 1
-    for row in mat.rows:  # empty column
-        mat.entries.pop((row, c1), None)
-    mat.entries[c0, c2] = 1  # a row of lower a-value than its column
-    mat.entries[mat.rows[-1], c3] = -1  # negative entry
-    mat.entries[mat.rows[-2], c3] = 0  # explicit zero: not support
+    # verify and the renderers read the same runs: a doubled diagonal shows
+    # in both
+    csv = set("".join(mat.to_csv()).splitlines())
+    _put(mat, c0, c0, (0, 2))
+    label = mp_to_text(c0).replace(",", " ")
+    assert csv ^ set("".join(mat.to_csv()).splitlines()) == {
+        "%s,%s,1" % (label, label), "%s,%s,2" % (label, label)}
+    assert verify_unitriangular(mat)["violations"] == [
+        "column %s: diagonal entry is 2, not 1" % mp_to_text(c0)]
+    mat.columns[c1] = ()  # empty column
+    _put(mat, c0, c2, (1, 1))  # a row of lower a-value than its column
+    _put(mat, mat.rows[-1], c3, (1, -1))  # negative entry, and coefficient
+    _put(mat, mat.rows[-2], c3, (1, 1), (1, -1))  # explicit zero: not support
     report = _assert_matches_lookup(mat)
     # the empty column c1 is reported only by its diagonal, and c2's minimal
     # row c0 (shared with column c0) only by c0's a-value in c2
-    assert len(report["violations"]) == 4
+    assert len(report["violations"]) == 5
     assert [v for v in _verify_by_lookup(mat)["violations"] if _implied(v)] == [
         "column %s: empty" % mp_to_text(c1),
         "column %s: minimal-a rows are %s" % (mp_to_text(c2), [mp_to_text(c0)]),
@@ -419,21 +439,19 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
         % ([mp_to_text(c0), mp_to_text(c2)], [mp_to_text(c0)]),
     ]
     # a q-entry with a negative coefficient but a positive value at q = 1
-    mat.entries = dict(clean)
-    off = next(key for key, p in mat.qentries.items() if key[0] != key[1] and p)
-    row = next(key for key, r in mat.row_of.items() if r == off[0])
-    column = [t for t in each_term(mat.columns[off[1]]) if t[0] != row]
-    mat.columns[off[1]] = sum(column, ()) + (row, 1, 2, row, 3, -1)
+    mat.columns = dict(clean)
+    off = next(key for key in qentries(mat) if key[0] != key[1])
+    _put(mat, *off, (1, 2), (3, -1))
     report = _assert_matches_lookup(mat)
     assert report["violations"] == ["entry (%s, %s) = %s has a negative coefficient"
                                     % (mp_to_text(off[0]), mp_to_text(off[1]),
-                                       mat.qentries[off])]
+                                       LaurentPoly({1: 2, 3: -1}))]
     rng = random.Random(11)
     for _ in range(40):  # random corruptions, shared minimal rows included
-        mat.entries = dict(clean)
+        mat.columns = dict(clean)
         for _ in range(rng.randint(1, 12)):
-            key = (rng.choice(mat.rows), rng.choice(mat.cols))
-            mat.entries[key] = rng.choice([-1, 0, 1, 2])
+            terms = rng.choice([(), ((1, -1),), ((1, 1), (1, -1)), ((1, 1),), ((0, 2),)])
+            _put(mat, rng.choice(mat.rows), rng.choice(mat.cols), *terms)
         _assert_matches_lookup(mat)
 
 
@@ -463,26 +481,22 @@ def test_verify_unitriangular_matches_lookup_on_drawn_corruptions(ambient, data)
             tied = [r for r in rows if r != col and aval[r] == aval[col]]
             low = tied or [r for r in rows if aval[r] < aval[col]]
             if low:
-                mat.entries[data.draw(st.sampled_from(low)), col] = 1
-        elif kind == "diagonal":  # dropped or doubled
-            value = data.draw(st.sampled_from([None, 0, 2]))
-            if value is None:
-                mat.entries.pop((col, col), None)
-            else:
-                mat.entries[col, col] = value
+                _put(mat, data.draw(st.sampled_from(low)), col, (1, 1))
+        elif kind == "diagonal":  # dropped, cancelled or doubled
+            _put(mat, col, col, *data.draw(st.sampled_from([(), ((0, 1), (0, -1)), ((0, 2),)])))
         elif kind == "negative":
-            mat.entries[row, col] = data.draw(st.integers(-2, -1))
+            _put(mat, row, col, (1, data.draw(st.integers(-2, -1))))
         elif kind == "zero":  # explicit: not support
-            mat.entries[row, col] = 0
+            _put(mat, row, col, (1, 1), (1, -1))
         elif kind == "empty":
-            for r in rows:
-                mat.entries.pop((r, col), None)
+            mat.columns[col] = ()
         elif kind == "semisimple":
             mat.checks["semisimple"] = not mat.checks["semisimple"]
         elif kind == "q":  # q - q^2 on a row: 0 at q = 1, so the entries stay
             mat.columns[col] += (mask[row], 1, 1, mask[row], 2, -1)
-        else:
-            mat.entries[row, col] = data.draw(st.integers(-1, 2))
+        else:  # appended to whatever the row holds
+            mat.columns[col] += (mask[row], data.draw(st.integers(0, 2)),
+                                 data.draw(st.sampled_from([-1, 1, 2])))
     _assert_matches_lookup(mat)
 
 
@@ -554,7 +568,7 @@ def test_rank5_labelings_agree_up_to_column_relabeling():
         assert verify_unitriangular(mat)["ok"]
         assert mat.checks["foreign_support"] == []
         cols = {}
-        for (r, c), v in mat.entries.items():
+        for (r, c), v in entries(mat).items():
             if v:
                 cols.setdefault(c, set()).add((r, v))
         colsets.append({frozenset(s) for s in cols.values()})
@@ -588,7 +602,7 @@ def test_entries_respect_residue_blocks():
     for n in (4, 5):
         for charge in [(0, 1), (4, 1), (0, 5)]:
             mat = decomposition_matrix(4, 2, charge, n)
-            for (row, col), v in mat.entries.items():
+            for (row, col), v in entries(mat).items():
                 if v:
                     assert residue_content(row, charge, 4) == \
                         residue_content(col, charge, 4), (row, col)
@@ -620,7 +634,7 @@ def test_fock_columns_match_wedge_columns():
                 mat = decomposition_matrix(e, l, charge, n)
                 for col in mat.cols:
                     want = basis.element_for_label(col, charge)
-                    got = {(mp, charge): c for (mp, c_col), c in mat.qentries.items()
+                    got = {(mp, charge): c for (mp, c_col), c in qentries(mat).items()
                            if c_col == col}
                     assert got == want, (e, l, charge, n, col)
 

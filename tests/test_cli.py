@@ -359,17 +359,22 @@ def test_ariki_criterion_matches_the_matrix_both_ways(monkeypatch):
 
 
 def test_decomp_build_and_render_memory_guard():
-    # tracemalloc peak of the rank-12 build plus its JSON --keep-q render,
-    # caches cold or warm: 2.92 MiB cold on CPython 3.11, with 25% slack;
-    # LaurentPoly values on tuple labels peaked at 9.4 MiB
+    # tracemalloc of the rank-12 build, its check and its JSON --keep-q
+    # render, caches cold or warm, on CPython 3.11 with 25% slack: the
+    # matrix holds 1.16 MiB once built and the run peaks at 2.05 MiB, cold;
+    # a second, (row, column)-keyed copy of the entries held 1.88 MiB and
+    # peaked at 2.77 MiB, and LaurentPoly values on tuple labels at 9.4 MiB
     tracemalloc.start()
     try:
         mat = decomposition_matrix(4, 2, (0, 1), 12)
+        held = tracemalloc.get_traced_memory()[0]
+        assert verify_unitriangular(mat)["ok"]
         cli._jdump(mat.to_json(keep_q=True), lambda text: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 2.92 * 2 ** 20, peak / 2 ** 20
+    assert held < 1.25 * 1.16 * 2 ** 20, held / 2 ** 20
+    assert peak < 1.25 * 2.05 * 2 ** 20, peak / 2 ** 20
 
 
 def test_wedge_engine_serves_only_highest_weight_labels(capsys, monkeypatch):

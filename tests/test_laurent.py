@@ -2,6 +2,8 @@ import random
 
 from qfock.laurent import LaurentPoly
 
+from oracles import qbar
+
 
 def P(**kw):
     # P(q2=1, q0=3) -> q^2 + 3; Pm for negative exponents via explicit dict
@@ -13,19 +15,19 @@ def rand_poly(rng, spread=6, size=4):
 
 
 def test_bar_examples():
-    assert LaurentPoly({2: 1, 0: 3}).bar() == LaurentPoly({-2: 1, 0: 3})
-    assert LaurentPoly().bar() == LaurentPoly()
+    assert qbar(LaurentPoly({2: 1, 0: 3})) == LaurentPoly({-2: 1, 0: 3})
+    assert qbar(LaurentPoly()) == LaurentPoly()
     p = LaurentPoly({1: 1, -1: -1})
-    assert p.bar() == -p
+    assert qbar(p) == -p
 
 
 def test_bar_is_ring_involution():
     rng = random.Random(1)
     for _ in range(200):
         p, r = rand_poly(rng), rand_poly(rng)
-        assert p.bar().bar() == p
-        assert (p * r).bar() == p.bar() * r.bar()
-        assert (p + r).bar() == p.bar() + r.bar()
+        assert qbar(qbar(p)) == p
+        assert qbar(p * r) == qbar(p) * qbar(r)
+        assert qbar(p + r) == qbar(p) + qbar(r)
 
 
 def test_is_antisymmetric_examples():
