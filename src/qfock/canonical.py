@@ -525,20 +525,17 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
     mu has d_{mu mu} = 1 and a strictly larger a_rel than mu on every other
     row of its support.  So mu is its column's unique a-minimal row: no
     column is empty and no two share their minimal row.  Also checked:
-    nonnegative entries and, since the d_{lambda mu}(q) are parabolic
-    Kazhdan-Lusztig polynomials, nonnegative q-coefficients; and Ariki's
-    criterion, checks["semisimple"], a second route to the shape: the
-    algebra is split semisimple iff the matrix is square with no nonzero
-    off-diagonal entry."""
+    since the d_{lambda mu}(q) are parabolic Kazhdan-Lusztig polynomials,
+    nonnegative q-coefficients (so no entry is negative at q = 1 either);
+    and Ariki's criterion, checks["semisimple"], a second route to the
+    shape: the algebra is split semisimple iff the matrix is square with no
+    nonzero off-diagonal entry."""
     aval = matrix.aval
     violations = []
     off_diagonal = False
     for col in matrix.cols:
         column = matrix.column(col)
         for row, v in column.items():
-            if v < 0:
-                violations.append("entry (%s, %s) = %d is negative"
-                                  % (mp_to_text(row), mp_to_text(col), v))
             if v and row != col:
                 off_diagonal = True
                 if aval[row] <= aval[col]:

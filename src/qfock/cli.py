@@ -41,7 +41,7 @@ from .avalue import AValueTable
 from .canonical import FockBasis, decomposition_matrix, verify_unitriangular
 from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predicate, uglov_set
 from .errors import InvariantError, UnsupportedRegimeError
-from .fock import fock_to_json
+from .laurent import LaurentPoly
 from .partitions import (
     charge_from_text,
     is_split_semisimple,
@@ -50,7 +50,7 @@ from .partitions import (
     multipartitions,
     rank,
 )
-from .wedge import WedgeEngine, vector_to_json
+from .wedge import WedgeEngine
 
 
 # Exit code of a run whose stdout was closed before all of it was written,
@@ -253,13 +253,17 @@ def _ambient(args):
     return args.e, l, charge
 
 
-def _wedge_vector_text(vec):
-    """The text lines of a wedge vector, one "(c) * [u]" per monomial, or
-    "0" alone."""
-    if not vec:
-        yield "0\n"
-    for u, c in sorted(vec.items(), key=lambda kv: (kv[0].s, kv[0].prefix)):
-        yield "(%s) * [%s]\n" % (c, u.to_text())
+def _emit_wedge(args, vec) -> None:
+    """Write a wedge vector {WedgeMonomial: polynomial}, sorted by (s,
+    prefix), in args.format: {monomial, coefficient} records, or one
+    "(c) * [u]" line per monomial, "0" alone for the zero vector."""
+    items = sorted(vec.items(), key=lambda kv: (kv[0].s, kv[0].prefix))
+    if args.format == "json":
+        _emit(args, _jdump, ({"monomial": u.to_json(), "coefficient": c.to_pairs()}
+                             for u, c in items))
+    else:
+        _emit(args, _lines, ("(%s) * [%s]\n" % (c, u.to_text()) for u, c in items)
+              if items else ["0\n"])
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -289,7 +293,7 @@ def cmd_crystal(args):
     e, l, charge = _ambient(args)
     graph = crystal_graph(e, l, charge, args.rank)
     if args.format == "dot":
-        _emit(args, _lines, crystal_to_dot(graph, charge))
+        _emit(args, _lines, crystal_to_dot(graph))
     else:
         _emit(args, _jdump, crystal_to_json(graph))
 
@@ -319,35 +323,29 @@ def cmd_avalue(args):
 def cmd_straighten(args):
     indices = [int(k) for k in args.indices.split(",")] if args.indices else []
     # no name holds the engine, so its memos are freed before the render
-    vec = WedgeEngine(args.e, args.l, args.max_degree).straighten(indices, args.s)
-    if args.format == "json":
-        _emit(args, _jdump, vector_to_json(vec))
-    else:
-        _emit(args, _lines, _wedge_vector_text(vec))
+    _emit_wedge(args, WedgeEngine(args.e, args.l, args.max_degree).straighten(indices, args.s))
 
 
 def cmd_bar(args):
     u = monomial_from_text(args.monomial)
     # as in straighten, the engine and its memos are freed before the render
-    vec = WedgeEngine(args.e, args.l, args.max_degree).bar(u)
-    if args.format == "json":
-        _emit(args, _jdump, vector_to_json(vec))
-    else:
-        _emit(args, _lines, _wedge_vector_text(vec))
+    _emit_wedge(args, WedgeEngine(args.e, args.l, args.max_degree).bar(u))
 
 
 def cmd_canonical(args):
     e, l, charge = _ambient(args)
     mp = mp_from_text(args.mp)
     vec = FockBasis(e, l, charge, rank(mp), args.max_degree).element(mp)
-    records = fock_to_json(vec)
-    if not args.keep_q:
-        records = (
-            {"multipartition": r["multipartition"], "charge": r["charge"],
-             "coefficient_at_1": sum(c for _exp, c in r["coefficient"])}
-            for r in records
-        )
-    _emit(args, _jdump, records)
+    if args.keep_q:
+        field, value = "coefficient", LaurentPoly.to_pairs
+    else:
+        field, value = "coefficient_at_1", lambda c: sum(c.terms.values())
+    # every label is at the basis's charge: sorted by label is sorted by
+    # (charge, label)
+    _emit(args, _jdump, (
+        {"multipartition": mp_to_text(label), "charge": list(at), field: value(c)}
+        for (label, at), c in sorted(vec.items())
+    ))
 
 
 def cmd_decomp(args):

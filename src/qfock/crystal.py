@@ -102,7 +102,7 @@ def crystal_graph(e: int, l: int, charge, n: int) -> dict:
     return {"layers": layers, "edges": edges, "uglov": marked}
 
 
-def crystal_to_dot(graph, charge):
+def crystal_to_dot(graph):
     """Graphviz rendering, line by line; vertices labeled by the
     multipartition text form, component vertices drawn solid."""
     yield "digraph crystal {\n  rankdir=TB;\n"

@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
-from .partitions import mp_to_text
-
 
 class ChargedAbacus:
     """Bead masks for the labels of rank at most n at one charge: the
@@ -223,16 +221,3 @@ def apply_f(i, terms, abacus, k=1) -> dict:
         return {key: c for key, c in out.items() if c}
     return out
 
-
-def fock_to_json(vec):
-    """The JSON records of a vector {(mp, charge): polynomial}, sorted by
-    (charge, multipartition), made one at a time as they are read."""
-    items = sorted(vec.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    return (
-        {
-            "multipartition": mp_to_text(mp),
-            "charge": list(charge),
-            "coefficient": c.to_pairs(),
-        }
-        for (mp, charge), c in items
-    )

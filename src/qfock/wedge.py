@@ -397,7 +397,7 @@ class WedgeEngine:
         return out
 
 
-# -- small helpers shared by tests and the CLI ---------------------------------
+# -- the length of a word to straighten ------------------------------------------
 
 def word_length(indices, s: int) -> int:
     """Length of the word `WedgeEngine.straighten` straightens: the indices,
@@ -407,14 +407,4 @@ def word_length(indices, s: int) -> int:
     if indices and min(indices) <= s - r:
         return s + 2 - min(indices)  # tail included down to min - 1
     return r
-
-
-def vector_to_json(vec):
-    """WedgeVector as {monomial, coefficient} records, sorted, made one at a
-    time as they are read."""
-    items = sorted(vec.items(), key=lambda kv: (kv[0].s, kv[0].prefix))
-    return (
-        {"monomial": u.to_json(), "coefficient": c.to_pairs()}
-        for u, c in items
-    )
 

@@ -367,12 +367,14 @@ def _verify_by_lookup(matrix):
 
 
 def _implied(violation):
-    """True for the three kinds of _verify_by_lookup's violations that the
-    unit diagonal and the off-row a-values imply: an empty column, a
-    minimal row set other than the column's label, and a minimal row set
-    shared by two columns."""
+    """True for the four kinds of _verify_by_lookup's violations that
+    verify_unitriangular's own checks imply.  The unit diagonal and the
+    off-row a-values imply three: an empty column, a minimal row set other
+    than the column's label, and a minimal row set shared by two columns.
+    The q-coefficient check covers the fourth, a negative entry at q = 1:
+    the entry sums its q-coefficients, so one of them is negative."""
     return (violation.endswith(": empty") or ": minimal-a rows are " in violation
-            or " share the minimal row set " in violation)
+            or " share the minimal row set " in violation or violation.endswith(" is negative"))
 
 
 def _ariki(matrix):
@@ -429,14 +431,16 @@ def test_verify_unitriangular_matches_lookup_scan_on_corrupted_matrices():
     _put(mat, mat.rows[-1], c3, (1, -1))  # negative entry, and coefficient
     _put(mat, mat.rows[-2], c3, (1, 1), (1, -1))  # explicit zero: not support
     report = _assert_matches_lookup(mat)
-    # the empty column c1 is reported only by its diagonal, and c2's minimal
-    # row c0 (shared with column c0) only by c0's a-value in c2
-    assert len(report["violations"]) == 5
+    # the empty column c1 is reported only by its diagonal, c2's minimal
+    # row c0 (shared with column c0) only by c0's a-value in c2, and the
+    # negative entry only by its negative q-coefficient
+    assert len(report["violations"]) == 4
     assert [v for v in _verify_by_lookup(mat)["violations"] if _implied(v)] == [
         "column %s: empty" % mp_to_text(c1),
         "column %s: minimal-a rows are %s" % (mp_to_text(c2), [mp_to_text(c0)]),
         "columns %s share the minimal row set %s"
         % ([mp_to_text(c0), mp_to_text(c2)], [mp_to_text(c0)]),
+        "entry (%s, %s) = -1 is negative" % (mp_to_text(mat.rows[-1]), mp_to_text(c3)),
     ]
     # a q-entry with a negative coefficient but a positive value at q = 1
     mat.columns = dict(clean)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -106,6 +107,59 @@ def test_straighten_and_bar(capsys):
         {"monomial": {"s": 0, "prefix": [1, 0]}, "coefficient": [[-1, -1], [1, 1]]},
         {"monomial": {"s": 0, "prefix": [2]}, "coefficient": [[0, 1]]},
     ]
+
+
+# stdout of the wedge-vector and canonical-record renders, in both formats:
+# a straightening and a bar of several terms, an Uglov label, a
+# highest-weight label and a label with q = 1 values of 2
+VECTOR_DIGESTS = [
+    ("straighten --e=3 --l=2 --s=0 --indices=-2,2,6",
+     "55d030e403edb475047ca453d1fe1a4320067d5a966aed3080871ae994dc2786", 198),
+    ("straighten --e=3 --l=2 --s=0 --indices=-2,2,6 --format=json",
+     "dc93bc3609f5875b81584acedc176c3b5c6b9e4712262c8b74fdd3f3dbf519fd", 1363),
+    ("bar --e=4 --l=2 --monomial=s=3;k=15,12,8",
+     "4e8bf5e936cd44ab5853b26a554016bdeac22ce7ee4171613d741e8f7739b88e", 1946),
+    ("bar --e=4 --l=2 --monomial=s=3;k=15,12,8 --format=json",
+     "25eaa781c2d437d17ed780949c272260f7e3d6574e21fe60b79a70933f997d33", 11211),
+    ("canonical --e=4 --charge=0,1 --mp=2,1|1",
+     "b90ecb788f6d8afa83ae8b26575c0141cda3ad45cf87539ac0e9144c74c351fa", 109),
+    ("canonical --e=4 --charge=0,1 --mp=-|1,1",
+     "8545383151124b9aa68526c7888383cd57898fba81e544d938a2cdd1e3237791", 109),
+    ("canonical --e=2 --charge=0,1 --mp=3,1|3",
+     "d759e896f708f63cb469f7da716594832bd474a2b7b4bbb5b2187a3066773770", 2293),
+]
+
+
+@pytest.mark.parametrize("command, digest, length", VECTOR_DIGESTS,
+                         ids=[c for c, _d, _n in VECTOR_DIGESTS])
+def test_vector_output_bytes(capsys, command, digest, length):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert len(out) == length
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # under --json, the same text as the envelope's "data"
+    code, wrapped, _ = run(capsys, "--json", *command.split())
+    assert code == 0
+    assert wrapped == _json_dumps({"command": command.split()[0], "data": out})
+
+
+def test_empty_straightening_output(capsys):
+    argv = ["straighten", "--e", "2", "--l", "1", "--s", "0", "--indices", "1,1"]
+    assert run(capsys, *argv) == (0, "0\n", "")
+    assert run(capsys, *argv, "--format", "json") == (0, "[]\n", "")
+    assert run(capsys, "--json", *argv)[1] == _json_dumps({"command": "straighten",
+                                                           "data": "0\n"})
+
+
+def test_canonical_values_at_one_sum_the_kept_coefficients(capsys):
+    argv = ["canonical", "--e=2", "--charge=0,1", "--mp=3,1|3"]
+    at_1 = json.loads(run(capsys, *argv)[1])
+    kept = json.loads(run(capsys, *argv, "--keep-q")[1])
+    assert [(r["multipartition"], r["charge"]) for r in at_1] == [
+        (r["multipartition"], r["charge"]) for r in kept]
+    assert [r["coefficient_at_1"] for r in at_1] == [
+        sum(c for _x, c in r["coefficient"]) for r in kept]
+    assert sorted(r["coefficient_at_1"] for r in at_1) == [1] * 18 + [2] * 3
 
 
 def test_bar_degree_guard(capsys, monkeypatch):
@@ -547,7 +601,7 @@ def test_json_envelope_streams_at_chunk_boundaries(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHUNK", chunk)
     mat = decomposition_matrix(4, 2, (0, 1), 4)
     texts = (
-        ("crystal", list(crystal_to_dot(crystal_graph(4, 2, (0, 1), 3), (0, 1)))),
+        ("crystal", list(crystal_to_dot(crystal_graph(4, 2, (0, 1), 3)))),
         ("decomp", list(mat.to_csv())),
         ("decomp", list(mat.to_latex())),
     )

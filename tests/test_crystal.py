@@ -159,7 +159,7 @@ def test_layer1_edges():
 
 def test_exports():
     g = crystal_graph(4, 2, (0, 1), 2)
-    dot = "".join(crystal_to_dot(g, (0, 1)))
+    dot = "".join(crystal_to_dot(g))
     assert dot.startswith("digraph crystal {") and '->' in dot and 'label="1|-"' in dot
     js = crystal_to_json(g)
     assert {v["label"] for v in js["vertices"] if v["uglov"]} >= {"-|-", "1|-", "-|1"}

@@ -1,7 +1,8 @@
 """Every module-level function or class in src/qfock and in the test
 oracles (tests/oracles.py), and every non-dunder method of such a class,
 must be named somewhere outside its own definition in src/ or tests/.  A
-name that nothing calls, imports or reads is dead code.
+name that nothing calls, imports or reads is dead code.  So is a parameter
+of a src/qfock function, or lambda, that its body never reads.
 
 A definition in src/ must also be named by src/ itself, not only by the
 tests: test-only code belongs in tests/oracles.py.  The names in TEST_ONLY
@@ -82,3 +83,25 @@ def test_no_src_definition_only_tests_name():
     assert not unlisted, "named only by tests/: " + ", ".join(unlisted)
     assert not set(TEST_ONLY) - names, "stale TEST_ONLY entries"
 
+
+
+def _unread_parameters(path, tree):
+    """'file:line function parameter' for each parameter, self and cls
+    excepted, that its function's body never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        for param in params:
+            if param.arg not in read and param.arg not in ("self", "cls"):
+                name = getattr(node, "name", "<lambda>")
+                yield "%s:%d %s %s" % (path.name, node.lineno, name, param.arg)
+
+
+def test_every_src_parameter_is_read():
+    unread = [entry for path in sorted(PACKAGE.glob("*.py"))
+              for entry in _unread_parameters(path, ast.parse(path.read_text()))]
+    assert not unread, "parameters never read: " + ", ".join(unread)

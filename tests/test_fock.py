@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qfock.canonical import FockBasis
 from qfock.crystal import uglov_set
-from qfock.fock import ChargedAbacus, fock_to_json
+from qfock.fock import ChargedAbacus
 from qfock.laurent import LaurentPoly
 from qfock.partitions import multipartitions
 
@@ -153,17 +153,6 @@ def test_sl2_commutator():
         if qc:
             expected[(mp, charge)] = qc
         assert lhs == expected
-
-
-def test_fock_json():
-    v = {
-        (((1,), ()), (0, 1)): LaurentPoly({1: 2}),
-        (((), ()), (0, 1)): LaurentPoly.one(),
-    }
-    assert list(fock_to_json(v)) == [
-        {"multipartition": "-|-", "charge": [0, 1], "coefficient": [[0, 1]]},
-        {"multipartition": "1|-", "charge": [0, 1], "coefficient": [[1, 2]]},
-    ]
 
 
 def _assert_mask_reads_the_nodes(abacus, mp):

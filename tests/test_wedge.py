@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from math import isqrt
@@ -15,7 +16,7 @@ from qfock.abacus import (
     wedge_monomial,
 )
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.wedge import WedgeEngine, _indices, _shared_pairs, vector_to_json
+from qfock.wedge import WedgeEngine, _indices, _shared_pairs
 
 from oracles import (
     LaurentWedgeEngine,
@@ -481,10 +482,11 @@ def test_bar_hands_each_caller_its_own_image():
     assert eng.bar(u) == WedgeEngine(4, 2).bar(u) != {}
 
 
-def test_vector_json_and_index_sum_helper():
-    eng = WedgeEngine(2, 1)
+def test_vector_json_and_index_sum_helper(capsys):
     u = wedge_monomial((2,), 0)
-    records = list(vector_to_json(eng.bar(u)))
+    argv = ["bar", "--e=2", "--l=1", "--monomial=" + u.to_text(), "--format=json"]
+    assert cli.main(argv) == 0
+    records = json.loads(capsys.readouterr().out)
     assert records == [
         {"monomial": {"s": 0, "prefix": [1, 0]}, "coefficient": [[-1, -1], [1, 1]]},
         {"monomial": {"s": 0, "prefix": [2]}, "coefficient": [[0, 1]]},
