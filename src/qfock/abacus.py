@@ -53,9 +53,9 @@ def wedge_monomial(prefix, s: int) -> WedgeMonomial:
 
 
 def monomial_from_text(text: str) -> WedgeMonomial:
-    """Parse the `s=3; k=15,12` form of to_text; ValueError if malformed."""
+    """Parse the `s=3; k=15,12` form of to_text, s first; ValueError if malformed."""
     fields = [chunk.split("=") for chunk in text.split(";")]
-    if [len(field) for field in fields] != [2, 2]:
+    if [(field[0].strip(), len(field)) for field in fields] != [("s", 2), ("k", 2)]:
         raise ValueError("malformed monomial %r, expected 's=<int>; k=<ints>'" % text)
     (_, spart), (_, body) = fields
     prefix = tuple(int(k) for k in body.split(",")) if body.strip() else ()

@@ -16,9 +16,9 @@ height.  Printed tables are calibrated by one additive constant per charge.
 
 The shift vector is m^(j) = s_j - (j-1)e/l + alpha*e with alpha the smallest
 integer >= 0 making every entry nonnegative.  Any larger value a gives the
-shift vector of the charge s + a*e, so alpha is not a free choice.  When l
-does not divide (j-1)e the entries are not integers and the inner sum
-over k = 1..x is ill-defined; such regimes are rejected rather than guessed.
+shift vector of the charge s + a*e, so alpha is not a free choice.  Unless l
+divides e, some (j-1)e/l is not an integer and the inner sum over k = 1..x is
+ill-defined; such regimes are rejected rather than guessed.
 """
 
 from __future__ import annotations
@@ -34,21 +34,12 @@ def m_vector(e: int, l: int, charge) -> tuple:
     smallest value >= 0 that makes every entry nonnegative."""
     if len(charge) != l:
         raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
-    integral = e % l == 0
-    if integral:
-        base = [charge[j] - j * e // l for j in range(l)]
-    else:
-        from fractions import Fraction  # only the error message needs it
-
-        base = [Fraction(charge[j]) - Fraction(j * e, l) for j in range(l)]
+    if e % l:
+        raise UnsupportedRegimeError("non-integral shift vector: l=%d does not divide e=%d; "
+                                     "a-values are only implemented for integral shifts" % (l, e))
+    base = [charge[j] - j * e // l for j in range(l)]
     alpha = max(0, -(min(base) // e))
-    shifts = tuple(b + alpha * e for b in base)
-    if not integral:
-        raise UnsupportedRegimeError(
-            "non-integral shift vector %s: a-values are only implemented "
-            "for integral shifts" % (shifts,)
-        )
-    return shifts, alpha
+    return tuple(b + alpha * e for b in base), alpha
 
 
 def _entries(comp, t: int, h: int) -> list:

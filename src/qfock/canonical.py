@@ -494,13 +494,10 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     aval = AValueTable(e, l, charge, n + 1)
     text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}
 
-    def order(mp):
-        return (aval[mp], text[mp])
-
-    rows = sorted(text, key=order)
+    rows = sorted(text, key=lambda mp: (aval[mp], text[mp]))
     row_of = {basis.abacus.mask(mp): mp for mp in rows}
     masks = {row_of[b]: b for b in uglov_layer(basis.abacus)}
-    cols = sorted(masks, key=order)
+    cols = [mp for mp in rows if mp in masks]
     columns = {}
     for col in cols:
         g = basis.build(masks[col])
@@ -548,11 +545,12 @@ def verify_unitriangular(matrix: DecompositionMatrix) -> dict:
         if min(g[2::3], default=0) < 0:
             terms = {}
             for key, x, c in each_term(g):
-                _acc(terms, matrix.row_of[key], LaurentPoly({x: c}))
+                entry = terms.setdefault(matrix.row_of[key], {})
+                entry[x] = entry.get(x, 0) + c
             for row, p in terms.items():
-                if min(p.terms.values()) < 0:
+                if min(p.values()) < 0:
                     violations.append("entry (%s, %s) = %s has a negative coefficient"
-                                      % (mp_to_text(row), mp_to_text(col), p))
+                                      % (mp_to_text(row), mp_to_text(col), LaurentPoly(p)))
     semisimple = matrix.checks["semisimple"]
     identity = len(matrix.rows) == len(matrix.cols) and not off_diagonal
     if identity != semisimple:

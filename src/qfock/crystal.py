@@ -48,22 +48,18 @@ def flotw_predicate(mp, e: int, charge) -> bool:
     def part(comp, idx):  # 1-based, zero past the end
         return comp[idx - 1] if 1 <= idx <= len(comp) else 0
 
-    # past the longest row both sides of every comparison read 0
+    # past the longest row both sides of every comparison read 0; component
+    # l compares with component 1 at gap e + s_1 - s_l
     bound = max((len(comp) for comp in mp), default=0) + 1
-    for j in range(l - 1):
+    ahead = tuple(charge[1:]) + (charge[0] + e,)
+    for j in range(l):
+        gap = ahead[j] - charge[j]
         for i in range(1, bound):
-            if part(mp[j], i) < part(mp[j + 1], i + charge[j + 1] - charge[j]):
+            if part(mp[j], i) < part(mp[(j + 1) % l], i + gap):
                 return False
-    for i in range(1, bound):
-        if part(mp[l - 1], i) < part(mp[0], i + e + charge[0] - charge[l - 1]):
-            return False
-    lengths = {p for comp in mp for p in comp}
-    for k in lengths:
-        ends = set()
-        for c, comp in enumerate(mp, start=1):
-            for a, p in enumerate(comp, start=1):
-                if p == k:
-                    ends.add((k - a + charge[c - 1]) % e)
+    for k in {p for comp in mp for p in comp}:
+        ends = {(k - a + s) % e for comp, s in zip(mp, charge)
+                for a, p in enumerate(comp, start=1) if p == k}
         if len(ends) == e:
             return False
     return True

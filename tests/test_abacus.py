@@ -128,6 +128,14 @@ def test_monomial_text():
     assert u.to_text() == "s=3; k=15,12"
     assert monomial_from_text("s=3; k=15,12") == u
     assert monomial_from_text("s=0; k=") == WedgeMonomial((), 0)
+    assert monomial_from_text(" s =3;k = 15,12") == u
+
+
+def test_monomial_text_names_its_fields():
+    # the fields are s, then k; neither swapped nor renamed ones are read
+    for text in ("k=1; s=5", "x=1; y=5", "s=1; s=5", "k=5; k=1", "s=1; kk=5", "=1; k=5"):
+        with pytest.raises(ValueError, match="malformed monomial"):
+            monomial_from_text(text)
 
 
 def test_degree_unaffected_by_charge_split():

@@ -82,9 +82,9 @@ def test_translated_symbol_examples():
 
 
 def test_non_integral_shift_rejected():
-    # the message prints the entries as Fractions
-    message = re.escape("non-integral shift vector (Fraction(3, 1), Fraction(5, 2)): "
-                        "a-values are only implemented for integral shifts")
+    # the message names l and e: the shifts are integers exactly when l | e
+    message = re.escape("non-integral shift vector: l=2 does not divide e=3; a-values are "
+                        "only implemented for integral shifts")
     with pytest.raises(UnsupportedRegimeError, match=message):
         m_vector(3, 2, (0, 1))
     with pytest.raises(UnsupportedRegimeError, match=message):

@@ -1,11 +1,13 @@
 import argparse
 import hashlib
+import io
 import json
+import re
 import sys
 import time
 import tracemalloc
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from qfock.canonical import FockBasis, decomposition_matrix, verify_unitriangula
 from qfock.cli import main
 from qfock.crystal import crystal_graph, crystal_to_dot, crystal_to_json
 from qfock.errors import InvariantError
-from qfock.partitions import multipartitions
+from qfock.partitions import mp_to_text, multipartitions
 from qfock.wedge import WedgeEngine
 
 
@@ -273,7 +275,8 @@ def test_engine_and_basis_outlive_the_recursion_limit():
 
 
 def test_malformed_monomials_are_invalid_input(capsys):
-    for text in ("s 1; k=9,4", "s=1; k 9,4", "s=1", "s=1; k=9; k=4", "s=1=2; k=9"):
+    for text in ("s 1; k=9,4", "s=1; k 9,4", "s=1", "s=1; k=9; k=4", "s=1=2; k=9",
+                 "k=1; s=5", "x=1; y=5"):
         code, out, err = run(capsys, "bar", "--e", "2", "--l", "1", "--monomial", text)
         assert code == 2 and out == "" and "invalid input" in err
 
@@ -481,6 +484,100 @@ def test_negative_rank_is_refused(capsys):
     for command in ("avalue", "semisimple", "uglov-set", "crystal", "decomp"):
         code, out, err = run(capsys, command, "--e", "4", "--charge", "0,1", "--rank=-1")
         assert code == 2 and out == "" and err == "invalid input: rank must be >= 0\n"
+
+
+def test_a_value_of_dashes_is_invalid_input(capsys):
+    # argparse drops a value of "--", so --mp=-- would reach the command as []
+    cases = [("mp", ["flotw-check", "--e=4", "--charge=0,1", "--mp=--"]),
+             ("charge", ["decomp", "--e=4", "--charge=--", "--rank=2"]),
+             ("monomial", ["bar", "--e=4", "--l=2", "--monomial=--"]),
+             ("indices", ["straighten", "--e=4", "--l=2", "--s=1", "--indices=--"])]
+    for name, argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("invalid input: ") and "--" + name in err, argv
+    # an empty --indices is still the empty word
+    code, out, err = run(capsys, "straighten", "--e=4", "--l=2", "--s=1", "--indices=")
+    assert (code, out, err) == (0, "(1) * [s=1; k=]\n", "")
+
+
+# Small draws for every command, each value valid but for at most one spoilt
+# one; wedge words stay under a cap of 24 for bar and canonical, whose
+# default cap of 64 admits bars with no work bound.
+_INT = st.integers(-12, 12) | st.sampled_from([-10**6, 10**6])
+_INDICES = st.lists(st.integers(-6, 6), max_size=4)
+_RANK = st.integers(0, 4)
+_MP_TEXT = st.text(alphabet="0123456789,|-", max_size=7).filter(
+    lambda t: sum(map(int, re.findall(r"\d+", t))) <= 6)
+_FORMATS = {"uglov-set": ["text", "json"], "crystal": ["dot", "json"],
+            "avalue": ["csv", "json"], "straighten": ["text", "json"],
+            "bar": ["text", "json"], "decomp": ["csv", "latex", "json"]}
+_SPOILT = {
+    "e": st.sampled_from(["-1", "0", "1"]),
+    "l": st.sampled_from(["-1", "0", "4"]),
+    "charge": st.sampled_from(["", ",", "x", "1,,2", "0,1,2,3"]),
+    "rank": st.just("-1"),
+    "mp": _MP_TEXT,
+    "indices": st.sampled_from([",", "1,,2", "x", " "]),
+    "monomial": st.sampled_from(["", "s=1", "k=1; s=5", "x=1; y=5", "s=1; k=x",
+                                 "s=1; k=3; k=2", "s=1; k=2,3", "s=6; k=1"]),
+    "max-degree": st.just("-1"),
+}
+
+
+def _join(xs):
+    return ",".join(map(str, xs))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(list(OPTIONS)[1:]))
+    e, l = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    values = {"e": e}
+    if command in ("straighten", "bar") or draw(st.booleans()):
+        values["l"] = l
+    if command == "straighten":
+        values["s"] = draw(_INT)
+        values["indices"] = _join(draw(_INDICES))
+    elif command == "bar":
+        prefix = sorted(set(draw(_INDICES)), reverse=True)
+        values["monomial"] = "s=%d; k=%s" % (draw(st.integers(-6, 6)), _join(prefix))
+    elif command == "flotw-check":  # ascending within [0, e)
+        values["charge"] = _join(sorted(draw(st.lists(st.integers(0, e - 1),
+                                                      min_size=l, max_size=l))))
+    else:
+        values["charge"] = _join(draw(st.lists(_INT, min_size=l, max_size=l)))
+    if command in ("semisimple", "uglov-set", "crystal", "avalue", "decomp"):
+        values["rank"] = draw(_RANK)
+    if command in ("flotw-check", "canonical"):
+        values["mp"] = mp_to_text(draw(st.sampled_from(multipartitions(l, draw(_RANK)))))
+    if command in ("bar", "canonical") or command == "straighten" and draw(st.booleans()):
+        values["max-degree"] = draw(st.integers(0, 24))
+    spoilt = draw(st.none() | st.sampled_from(sorted(values)))
+    if spoilt is not None:
+        values[spoilt] = draw(st.just("--") | _SPOILT.get(spoilt, st.nothing()))
+    argv = ["--json"] if draw(st.booleans()) else []
+    argv.append(command)
+    argv += ["--%s=%s" % kv for kv in values.items()]
+    if command in _FORMATS:
+        argv.append("--format=" + draw(st.sampled_from(_FORMATS[command])))
+    if command in ("canonical", "decomp") and draw(st.booleans()):
+        argv.append("--keep-q")
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    # every command, in-process: a clean exit code, and a failure that writes
+    # nothing to stdout and one line to stderr; nothing is raised
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert err.getvalue().endswith("\n"), argv
 
 
 def _json_dumps(obj):
