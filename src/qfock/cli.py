@@ -462,10 +462,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        # argparse drops a value of "--", so --mp=-- parses as []
-        listed = [name for name, value in vars(args).items() if isinstance(value, list)]
-        if listed:
-            raise ValueError("--%s=-- is not a value" % listed[0].replace("_", "-"))
+        # argparse through 3.11 parses --mp=-- as [], later versions as "--"
+        for name, value in vars(args).items():
+            if value in ([], "--"):
+                raise ValueError("--%s=-- is not a value" % name.replace("_", "-"))
         args.func(args)
     except UnsupportedRegimeError as exc:
         sys.stderr.write("unsupported regime: %s\n" % exc)
