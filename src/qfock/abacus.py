@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .partitions import check_multipartition
+from .partitions import check_multipartition, ints_from_text
 
 
 class BeadTriple(NamedTuple):
@@ -46,7 +46,7 @@ def wedge_monomial(prefix, s: int) -> WedgeMonomial:
             raise ValueError("prefix not strictly decreasing: %r" % (prefix,))
     r = len(prefix)
     if r and prefix[-1] <= s - r:
-        raise ValueError("prefix %r dips into the charge-%d tail" % (prefix, s))
+        raise ValueError("prefix %r dips into the tail of charge %d" % (prefix, s))
     while r and prefix[r - 1] == s - r + 1:
         r -= 1
     return WedgeMonomial(prefix[:r], s)
@@ -58,8 +58,9 @@ def monomial_from_text(text: str) -> WedgeMonomial:
     if [(field[0].strip(), len(field)) for field in fields] != [("s", 2), ("k", 2)]:
         raise ValueError("malformed monomial %r, expected 's=<int>; k=<ints>'" % text)
     (_, spart), (_, body) = fields
-    prefix = tuple(int(k) for k in body.split(",")) if body.strip() else ()
-    return wedge_monomial(prefix, int(spart))
+    prefix = ints_from_text(body, "k") if body.strip() else ()
+    (s,) = ints_from_text(spart, "s", single=True)
+    return wedge_monomial(prefix, s)
 
 
 def degree(u: WedgeMonomial) -> int:

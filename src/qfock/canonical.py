@@ -9,8 +9,9 @@ commutes with f_i).  fock.apply_f builds the divided power in one pass, as
 a sum over the k-sets of addable i-nodes, with no division by [k]!.
 Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
 off lambda is not in qZ[q] leaves G(lambda).  Labels are bead masks and
-coefficients plain ints throughout the build (see fock.py); tuples and
-polynomials appear only where element() hands a vector out.
+coefficients plain ints throughout the build (see fock.py), but for the
+tuple _order decodes once per new label for its key; tuples and
+polynomials otherwise appear only where a result leaves the build.
 A label with no good node at any colour is a highest-weight vertex of its
 crystal component.  Its start vector is v = u + bar(u), u the label's
 wedge monomial, which is bar-invariant with 2 on lambda; the same

@@ -44,6 +44,7 @@ from .errors import InvariantError, UnsupportedRegimeError
 from .laurent import LaurentPoly
 from .partitions import (
     charge_from_text,
+    ints_from_text,
     is_split_semisimple,
     mp_from_text,
     mp_to_text,
@@ -321,7 +322,7 @@ def cmd_avalue(args):
 
 
 def cmd_straighten(args):
-    indices = [int(k) for k in args.indices.split(",")] if args.indices else []
+    indices = ints_from_text(args.indices, "indices") if args.indices else ()
     # no name holds the engine, so its memos are freed before the render
     _emit_wedge(args, WedgeEngine(args.e, args.l, args.max_degree).straighten(indices, args.s))
 

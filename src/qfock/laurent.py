@@ -45,21 +45,10 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) - c
-            if s:
-                terms[e] = s
-            elif e in terms:
-                del terms[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = terms
-        return out
+        return self + -other
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):

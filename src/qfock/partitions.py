@@ -112,10 +112,23 @@ def mp_from_text(text: str) -> tuple:
         if chunk in ("-", ""):
             comps.append(())
         else:
-            comps.append(tuple(int(p) for p in chunk.split(",")))
+            comps.append(ints_from_text(chunk, "component"))
     check_multipartition(comps)
     return tuple(comps)
 
 
 def charge_from_text(text: str) -> tuple:
-    return tuple(int(s) for s in text.split(","))
+    return ints_from_text(text, "charge")
+
+
+def ints_from_text(text: str, field: str, single: bool = False) -> tuple:
+    """The comma-separated ints of text, exactly one if single; ValueError
+    naming field and quoting text otherwise."""
+    try:
+        values = tuple(int(k) for k in text.split(","))
+        if not single or len(values) == 1:
+            return values
+    except ValueError:
+        pass
+    raise ValueError("%s must be %s, not %r" % (
+        field, "one integer" if single else "comma-separated integers", text))

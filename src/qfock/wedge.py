@@ -70,16 +70,9 @@ _PLUS_Q = LaurentPoly({1: 1})
 _Q_MINUS_QINV = LaurentPoly({1: 1, -1: -1})
 
 
-def _odd_string(m):
-    """(q - q^{-1}) * (q^{2m+1} + q^{-2m-1}) / (q + q^{-1}) as a polynomial."""
-    body = LaurentPoly({2 * m - 2 * j: (-1) ** j for j in range(2 * m + 1)})
-    return _Q_MINUS_QINV * body
-
-
-def _even_string(m):
-    """(q - q^{-1}) * (q^{2m} - q^{-2m}) / (q + q^{-1}) as a polynomial."""
-    body = LaurentPoly({2 * m - 1 - 2 * j: (-1) ** j for j in range(2 * m)})
-    return _Q_MINUS_QINV * body
+def _string(n):
+    """(q - q^{-1}) * (q^n - (-q)^{-n}) / (q + q^{-1}) as a polynomial."""
+    return _Q_MINUS_QINV * LaurentPoly({n - 1 - 2 * j: (-1) ** j for j in range(n)})
 
 
 def _shared_pairs(values) -> int:
@@ -206,15 +199,15 @@ class WedgeEngine:
                 (0, lambda m: LaurentPoly({2 * m + 1: 1, 2 * m - 1: -1}), 1),
             )
         else:
-            # Mixed rule.  The alpha+beta chain carries even-string index
-            # m+1: starting it at m (whose string is the zero polynomial)
-            # breaks confluence and the two-factor bar involution, with
-            # defect 2(q-q^{-1})^2 exactly at the alpha+beta shift.
+            # Mixed rule.  The alpha+beta chain carries the string of n =
+            # 2m+2: giving it n = 2m (the zero polynomial at m = 0) breaks
+            # confluence and the two-factor bar involution, with defect
+            # 2(q-q^{-1})^2 exactly at the alpha+beta shift.
             reversal, strings = ONE, (
-                (beta, _odd_string, 0),
-                (alpha, _odd_string, 0),
-                (alpha + beta, lambda m: _even_string(m + 1), 0),
-                (0, _even_string, 1),
+                (beta, lambda m: _string(2 * m + 1), 0),
+                (alpha, lambda m: _string(2 * m + 1), 0),
+                (alpha + beta, lambda m: _string(2 * m + 2), 0),
+                (0, lambda m: _string(2 * m), 1),
             )
         out = [((k2, k1), reversal)]
         for shift, string, m in strings:

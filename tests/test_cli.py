@@ -281,6 +281,28 @@ def test_malformed_monomials_are_invalid_input(capsys):
         assert code == 2 and out == "" and "invalid input" in err
 
 
+def test_refused_texts_are_named_and_quoted(capsys):
+    # every comma-separated integer field goes through one reader, whose
+    # message names the field and quotes its text; a negative charge reads
+    # as one, not as a second dash
+    cases = [
+        (["decomp", "--e", "4", "--charge=1,,2", "--rank", "2"],
+         "charge must be comma-separated integers, not '1,,2'"),
+        (["straighten", "--e", "4", "--l", "2", "--s", "1", "--indices=1,x"],
+         "indices must be comma-separated integers, not '1,x'"),
+        (["bar", "--e", "4", "--l", "2", "--monomial=s=a;k=1"], "s must be one integer, not 'a'"),
+        (["bar", "--e", "4", "--l", "2", "--monomial=s=1,2;k=1"], "s must be one integer, not '1,2'"),
+        (["bar", "--e", "4", "--l", "2", "--monomial=s=1;k=1,,2"],
+         "k must be comma-separated integers, not '1,,2'"),
+        (["canonical", "--e", "4", "--charge=0,1", "--mp=1,x|-"],
+         "component must be comma-separated integers, not '1,x'"),
+        (["bar", "--e", "3", "--l", "2", "--monomial", "s=-1; k=-2,-4"],
+         "prefix (-2, -4) dips into the tail of charge -1"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", "invalid input: %s\n" % message), argv
+
+
 def test_internal_key_error_is_not_invalid_input(capsys, monkeypatch):
     # exit 2 is kept for parse and validation errors; a KeyError raised
     # inside a command is a bug and propagates

@@ -16,7 +16,7 @@ from qfock.abacus import (
     wedge_monomial,
 )
 from qfock.laurent import ONE, LaurentPoly, _acc
-from qfock.wedge import WedgeEngine, _indices, _shared_pairs
+from qfock.wedge import _Q_MINUS_QINV, WedgeEngine, _indices, _shared_pairs, _string
 
 from oracles import (
     LaurentWedgeEngine,
@@ -45,6 +45,13 @@ def test_straighten_pair_rule_examples():
     }
     for eng in (eng21, eng43):
         assert eng.straighten_pair(5, 5) == ()
+
+
+def test_string_is_the_alternating_sum_times_q_minus_q_inverse():
+    # (q + q^-1) _string(n) == (q - q^-1)(q^n - (-1)^n q^-n), both sides 0 at n = 0
+    for n in range(41):
+        rhs = _Q_MINUS_QINV * (poly({n: 1}) + poly({-n: -(-1) ** n}))
+        assert _string(n) * poly({1: 1, -1: 1}) == rhs, n
 
 
 def test_straighten_pair_requires_sorted_input():
