@@ -18,15 +18,14 @@ the wedge engine, and `bar` and `straighten` run on it alone.  Their
 --max-degree is the engine's cap on the length of a word to straighten
 (see WedgeEngine), checked before the word is built.
 
-main() is the in-process entry and returns the exit code.  A process
-(`qfock`, `python -m qfock.cli`) runs it through run(): once main()
-returns, stdout and stderr are flushed and the process ends by os._exit,
-with no interpreter teardown and no atexit hooks.
+main() is the in-process entry and returns the exit code, help and refusals
+included.  A process (`qfock`, `python -m qfock.cli`) runs it through run():
+once main() returns, stdout and stderr are flushed and the process ends by
+os._exit, with no interpreter teardown and no atexit hooks.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from _json import encode_basestring_ascii, make_encoder
@@ -34,6 +33,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain, islice
 from operator import add
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .abacus import monomial_from_text
@@ -43,7 +43,6 @@ from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predi
 from .errors import InvariantError, UnsupportedRegimeError
 from .laurent import LaurentPoly
 from .partitions import (
-    charge_from_text,
     ints_from_text,
     is_split_semisimple,
     mp_from_text,
@@ -234,7 +233,7 @@ def _emit(args, render, obj) -> None:
     head written first, then each chunk escaped as json.dumps escapes it,
     then its tail; the bytes are those of _jdump on that dict."""
     write = sys.stdout.write
-    if not args.json_envelope:
+    if not args.json:
         render(obj, write)
         return
     write('{\n  "command": %s,\n  "data": "' % encode_basestring_ascii(args.command))
@@ -245,7 +244,7 @@ def _emit(args, render, obj) -> None:
 def _ambient(args):
     """(e, l, charge) with l defaulted from the charge length when --l is
     absent."""
-    charge = charge_from_text(args.charge)
+    charge = ints_from_text(args.charge, "charge")
     l = len(charge) if args.l is None else args.l
     if args.e < 2 or l < 1:
         raise ValueError("need e >= 2 and l >= 1")
@@ -373,100 +372,107 @@ def cmd_decomp(args):
         _emit(args, _jdump, payload)
 
 
-# -- parser ------------------------------------------------------------------------
+# -- the command table -------------------------------------------------------------
+
+# An option is (name, kind, default, help): kind is int, str (a text), a tuple
+# of choices or bool (a flag), and the default REQUIRED means it must be given.
+REQUIRED = object()
+_E = ("e", int, REQUIRED, "quantum characteristic, >= 2")
+_L = ("l", int, None, "level (default: charge length)")
+_LEVEL = ("l", int, REQUIRED, "level, >= 1")
+_CHARGE = ("charge", str, REQUIRED, "comma-separated integers s_1,...,s_l")
+_AMBIENT = [_E, _L, _CHARGE, ("rank", int, REQUIRED, "number of boxes n >= 0")]
+_LABEL = [_E, _L, _CHARGE, ("mp", str, REQUIRED, "multipartition, e.g. '2,1|-'")]
+_KEEP_Q = ("keep-q", bool, False, "keep q-polynomials")
+_MAX_DEGREE = ("max-degree", int, 64, "cap on the length of a word to straighten")
+_TEXT = ("format", ("text", "json"), "text", "output format")
+
+# Each command once: its handler, its help line and its options.  The ""
+# entry is qfock itself, with the options read before the command.
+COMMANDS = {
+    "": (None, "Canonical bases of higher-level q-deformed Fock spaces and Ariki-Koike\n"
+               "decomposition matrices, in exact arithmetic.",
+         [("json", bool, False, "wrap any output in a JSON envelope")]),
+    "semisimple": (cmd_semisimple, "Ariki's split-semisimplicity criterion", _AMBIENT),
+    "uglov-set": (cmd_uglov_set, "rank-n layer of the crystal component", _AMBIENT + [_TEXT]),
+    "flotw-check": (cmd_flotw_check, "membership test for ascending charges in [0, e)", _LABEL),
+    "crystal": (cmd_crystal, "crystal graph on ranks <= n with component marking",
+                _AMBIENT + [("format", ("dot", "json"), "dot", "output format")]),
+    "avalue": (cmd_avalue, "calibrated a-value table for all rank-n labels",
+               _AMBIENT + [("format", ("csv", "json"), "csv", "output format")]),
+    "straighten": (cmd_straighten, "straighten a raw wedge against the charge-s tail", [
+        _E, _LEVEL, ("s", int, REQUIRED, "total charge of the ambient space"),
+        ("indices", str, REQUIRED, "comma-separated integers"), _MAX_DEGREE, _TEXT]),
+    "bar": (cmd_bar, "bar involution of an ordered monomial", [
+        _E, _LEVEL, ("monomial", str, REQUIRED, "e.g. 's=3; k=15,12,8'"), _MAX_DEGREE, _TEXT]),
+    "canonical": (cmd_canonical, "canonical basis element of a label",
+                  _LABEL + [_KEEP_Q, _MAX_DEGREE]),
+    "decomp": (cmd_decomp, "decomposition matrix at q = 1",
+               _AMBIENT + [("format", ("csv", "latex", "json"), "csv", "output format"), _KEEP_Q]),
+}
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The qfock parser.  Every command is listed, for the help and the
-    unknown-command error, but when argv is given only the command it
-    invokes, its first word that is not an option, gets its options: a
-    subparser's options matter only to the subparser that parses."""
-    invoked = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
-    parser = argparse.ArgumentParser(
-        prog="qfock",
-        description="Canonical bases of higher-level q-deformed Fock spaces and "
-                    "Ariki-Koike decomposition matrices, in exact arithmetic.",
-    )
-    parser.add_argument("--json", dest="json_envelope", action="store_true",
-                        help="wrap any output in a JSON envelope")
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse(argv) -> SimpleNamespace:
+    """`[--json] COMMAND [OPTION ...]` read against COMMANDS: the command,
+    its handler as func, and every option's value, named with `_` for `-`.
+    An option is `--name=value`, `--name value` (whatever the next word is)
+    or `--flag`.  `-h` or `--help` in an option's place makes func _help; a
+    word that does not fit raises ValueError."""
+    command, values, words = "", {}, iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(command=command, func=_help)
+        if not command and word[:1] != "-":
+            if not word or word not in COMMANDS:
+                raise ValueError("unknown command %r; see qfock --help" % word)
+            command = word
+            continue
+        name, eq, value = word.partition("=")
+        kind = next((o[1] for o in COMMANDS[command][2] if "--" + o[0] == name), None)
+        if kind is None:
+            raise ValueError("%s takes no argument %s" % (command or "qfock", name))
+        if kind is bool:
+            if eq:
+                raise ValueError("%s takes no value" % name)
+            value = True
+        elif not eq and (value := next(words, None)) is None:
+            raise ValueError("%s needs a value" % name)
+        elif value == "--":
+            raise ValueError("%s=-- is not a value" % name)
+        elif kind is int:
+            (value,) = ints_from_text(value, name, single=True)
+        elif kind is not str and value not in kind:
+            raise ValueError("%s must be one of %s, not %r" % (name, ", ".join(kind), value))
+        values[name[2:].replace("-", "_")] = value
+    if not command:
+        raise ValueError("no command; see qfock --help")
+    for name, _kind, default, _text in COMMANDS[""][2] + COMMANDS[command][2]:
+        if values.setdefault(name.replace("-", "_"), default) is REQUIRED:
+            raise ValueError("%s needs --%s" % (command, name))
+    return SimpleNamespace(command=command, func=COMMANDS[command][0], **values)
 
-    def command(name, help_text, func):
-        """The subparser of `name`, or None when argv invokes another."""
-        p = sub.add_parser(name, help=help_text)
-        if invoked is not None and name != invoked:
-            return None
-        p.set_defaults(func=func)
-        return p
 
-    def common(p, rank=True):
-        p.add_argument("--e", type=int, required=True, help="quantum characteristic, >= 2")
-        p.add_argument("--l", type=int, default=None, help="level (default: charge length)")
-        p.add_argument("--charge", required=True, help="comma-separated integers s_1,...,s_l")
-        if rank:
-            p.add_argument("--rank", type=int, required=True, help="number of boxes n >= 0")
-
-    if p := command("semisimple", "Ariki's split-semisimplicity criterion", cmd_semisimple):
-        common(p)
-
-    if p := command("uglov-set", "rank-n layer of the crystal component", cmd_uglov_set):
-        common(p)
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    if p := command("flotw-check", "membership test for ascending charges in [0, e)",
-                    cmd_flotw_check):
-        common(p, rank=False)
-        p.add_argument("--mp", required=True, help="multipartition, e.g. '2,1|-'")
-
-    if p := command("crystal", "crystal graph on ranks <= n with component marking",
-                    cmd_crystal):
-        common(p)
-        p.add_argument("--format", choices=["dot", "json"], default="dot")
-
-    if p := command("avalue", "calibrated a-value table for all rank-n labels", cmd_avalue):
-        common(p)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    if p := command("straighten", "straighten a raw wedge against the charge-s tail",
-                    cmd_straighten):
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--l", type=int, required=True)
-        p.add_argument("--s", type=int, required=True, help="total charge of the ambient space")
-        p.add_argument("--indices", required=True, help="comma-separated integers")
-        p.add_argument("--max-degree", type=int, default=64,
-                       help="cap on the length of the word, tail beads included")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    if p := command("bar", "bar involution of an ordered monomial", cmd_bar):
-        p.add_argument("--e", type=int, required=True)
-        p.add_argument("--l", type=int, required=True)
-        p.add_argument("--monomial", required=True, help="e.g. 's=3; k=15,12,8'")
-        p.add_argument("--max-degree", type=int, default=64,
-                       help="cap on the factors reversed, the degree or the prefix length")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    if p := command("canonical", "canonical basis element of a label", cmd_canonical):
-        common(p, rank=False)
-        p.add_argument("--mp", required=True)
-        p.add_argument("--keep-q", action="store_true", help="keep q-polynomials")
-        p.add_argument("--max-degree", type=int, default=64)
-
-    if p := command("decomp", "decomposition matrix at q = 1", cmd_decomp):
-        common(p)
-        p.add_argument("--format", choices=["csv", "latex", "json"], default="csv")
-        p.add_argument("--keep-q", action="store_true")
-
-    return parser
+def _help(args) -> None:
+    """Write the help of args.command, or of qfock when it is "", to stdout,
+    read from COMMANDS: a line per option, and for qfock per command."""
+    _func, about, options = COMMANDS[args.command]
+    rows = [("options:", None), ("-h, --help", "show this help")]
+    for name, kind, default, text in options:
+        text += (" (required)" if default is REQUIRED else "" if default is None or kind is bool
+                 else " (default: %s)" % default)
+        name += (" " + "|".join(kind) if isinstance(kind, tuple)
+                 else {int: " INT", str: " TEXT", bool: ""}[kind])
+        rows.append(("--" + name, text))
+    if not args.command:
+        rows += [("commands:", None)] + [(name, c[1]) for name, c in COMMANDS.items() if name]
+    head = "usage: qfock [--json] %s [OPTION ...]\n\n%s\n" % (args.command or "COMMAND", about)
+    sys.stdout.write(head + "".join("\n%s\n" % left if text is None else
+                                    "  %-24s %s\n" % (left, text) for left, text in rows))
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
     try:
-        # argparse through 3.11 parses --mp=-- as [], later versions as "--"
-        for name, value in vars(args).items():
-            if value in ([], "--"):
-                raise ValueError("--%s=-- is not a value" % name.replace("_", "-"))
+        args = parse(sys.argv[1:] if argv is None else argv)
         args.func(args)
     except UnsupportedRegimeError as exc:
         sys.stderr.write("unsupported regime: %s\n" % exc)
@@ -483,9 +489,8 @@ def main(argv=None) -> int:
 def run() -> NoReturn:
     """The process entry point: main() on sys.argv, ended by os._exit (see
     the module docstring).  A stdout closed by its reader ends it with
-    BROKEN_PIPE, without a traceback; anything else raised out of main(),
-    argparse's help and usage exits included, takes the normal interpreter
-    exit."""
+    BROKEN_PIPE, without a traceback; anything else raised out of main() is
+    a bug, and takes the normal interpreter exit with its traceback."""
     try:
         code = main()
         sys.stdout.flush()

@@ -109,26 +109,21 @@ def mp_from_text(text: str) -> tuple:
     comps = []
     for chunk in text.split("|"):
         chunk = chunk.strip()
-        if chunk in ("-", ""):
-            comps.append(())
-        else:
-            comps.append(ints_from_text(chunk, "component"))
+        comps.append(() if chunk in ("-", "") else ints_from_text(chunk, "component"))
     check_multipartition(comps)
     return tuple(comps)
 
 
-def charge_from_text(text: str) -> tuple:
-    return ints_from_text(text, "charge")
-
-
 def ints_from_text(text: str, field: str, single: bool = False) -> tuple:
-    """The comma-separated ints of text, exactly one if single; ValueError
-    naming field and quoting text otherwise."""
-    try:
-        values = tuple(int(k) for k in text.split(","))
-        if not single or len(values) == 1:
-            return values
-    except ValueError:
-        pass
+    """The comma-separated ints of text, each an optional sign and ASCII
+    digits between spaces (not all that int() takes), exactly one if single;
+    ValueError naming field and quoting text otherwise."""
+    fields = [k.strip(" ") for k in text.split(",")]
+    digits = [k[1:] if k[:1] in ("+", "-") else k for k in fields]
+    if all(d.isascii() and d.isdigit() for d in digits) and (not single or len(fields) == 1):
+        try:
+            return tuple(map(int, fields))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     raise ValueError("%s must be %s, not %r" % (
         field, "one integer" if single else "comma-separated integers", text))

@@ -673,3 +673,30 @@ def unpermute(mp, perm):
     for j, p in enumerate(perm):
         out[p] = mp[j]
     return tuple(out)
+
+
+# -- the Jantzen sum formula at level 1 ------------------------------------------
+
+
+def jantzen_sum(lam, e: int) -> dict:
+    """{nu: J_{lam nu}}, the nonzero coefficients of the Jantzen sum of the
+    Specht module S^lam at level 1 (James-Mathas, "A q-analogue of the
+    Jantzen-Schaper theorem", Proc. London Math. Soc. 74, 1997).  On a
+    beta-set B of the partition lam, every pair of beads X > Y and empty
+    position G < Y with T = X + Y - G empty gives nu = B - {X, Y} + {G, T},
+    with coefficient [e | X - G] - [e | Y - G] times (-1) to the number of
+    beads strictly between G and X plus those strictly between Y and T."""
+    n = len(lam)
+    beads = {p + n - i for i, p in enumerate(lam, start=1)}  # and every position < 0
+    out = {}
+    for x, y in combinations(sorted(beads, reverse=True), 2):
+        for g in range(y):
+            t = x + y - g
+            c = ((x - g) % e == 0) - ((y - g) % e == 0)
+            if not c or g in beads or t in beads:
+                continue
+            moved = sum(g < b < x for b in beads) + sum(y < b < t for b in beads)
+            nu = sorted(beads - {x, y} | {g, t}, reverse=True)
+            nu = tuple(p for p in (b - n + i for i, b in enumerate(nu, start=1)) if p)
+            out[nu] = out.get(nu, 0) + (-1) ** moved * c
+    return {nu: c for nu, c in out.items() if c}

@@ -44,6 +44,7 @@ from oracles import (
     enumerate_degree_component,
     good_node,
     graded_cartan,
+    jantzen_sum,
     qentries,
     quantum_factorial,
     remove_node,
@@ -266,6 +267,40 @@ def test_graded_cartan_entries_are_palindromes_centred_on_the_defect(ambient):
         low, high = min(entry), max(entry)
         assert all(entry.get(low + high - x) == c for x, c in entry.items()), (mu, nu, entry)
         assert low + high == 2 * defect(mu, charge, e), (mu, nu, entry)
+
+
+def _jantzen_mismatches(mat, q) -> list:
+    """The (row, column) pairs of a level-1 matrix with q-entries q where
+    d'_{lam mu}(1), the derivative at q = 1, is not the Jantzen sum
+    J_{lam nu} d_{nu mu}(1) over nu."""
+    at_1 = {key: sum(p.terms.values()) for key, p in q.items()}
+    out = []
+    for row in mat.rows:
+        jantzen = jantzen_sum(row[0], mat.e)
+        for col in mat.cols:
+            p = q.get((row, col), LaurentPoly())
+            if sum(x * c for x, c in p.terms.items()) != sum(
+                    c * at_1.get(((nu,), col), 0) for nu, c in jantzen.items()):
+                out.append((row, col))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.integers(0, 10), st.data())
+def test_jantzen_sum_gives_the_q_exponents_at_level_one(e, n, data):
+    # the Jantzen filtration of a Specht module grades it (Shan, Represent.
+    # Theory 16, 2012), so d'_{lam mu}(1) = sum over nu of J_{lam nu}
+    # d_{nu mu}(1): the q-exponents of each entry follow from q = 1 values
+    # and the Jantzen coefficients alone, which apply_f does not compute
+    mat = decomposition_matrix(e, 1, (0,), n)
+    q = qentries(mat)
+    assert _jantzen_mismatches(mat, q) == []
+    # one term's exponent moved keeps every q = 1 value, and breaks the
+    # identity at its entry
+    key = data.draw(st.sampled_from(sorted(q)))
+    x, c = data.draw(st.sampled_from(sorted(q[key].terms.items())))
+    q[key] = q[key] + LaurentPoly({x + 1: c, x: -c})
+    assert _jantzen_mismatches(mat, q) == [key]
 
 
 def test_matrix_renderings_are_consistent():

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -66,9 +65,10 @@ def test_uglov_set_json(capsys):
 def test_flotw_check(capsys):
     code, out, _ = run(capsys, "flotw-check", "--e", "4", "--charge", "0,1", "--mp", "4|-")
     assert code == 0 and out == "true\n"
-    # values starting with '-' need the --opt=value spelling
-    code, out, _ = run(capsys, "flotw-check", "--e", "4", "--charge", "0,1", "--mp=-|3,1")
-    assert code == 0 and out == "false\n"
+    # the word after a valued option is its value, even one that starts with '-'
+    for mp in (["--mp=-|3,1"], ["--mp", "-|3,1"]):
+        code, out, _ = run(capsys, "flotw-check", "--e", "4", "--charge", "0,1", *mp)
+        assert code == 0 and out == "false\n"
     code, _, err = run(capsys, "flotw-check", "--e", "4", "--charge", "1,0", "--mp=-|-")
     assert code == 2 and "invalid input" in err
 
@@ -178,11 +178,10 @@ def test_bar_degree_guard(capsys, monkeypatch):
 def test_bar_reversal_length_guard(capsys):
     # the image is the same for every reversal length, so bar takes none: it
     # reverses the monomial's own factors, and a long --r on a shallow
-    # monomial is refused by argparse before any work
+    # monomial is refused before any work
     argv = ["bar", "--e", "4", "--l", "2", "--monomial", "s=0; k=1"]
     for extra in (("--r", "400"), ("--r", "24", "--max-degree", "24")):
-        code, out, err = _parsed(cli.build_parser(), argv + list(extra), capsys)
-        assert code == 2 and out == "" and "--r" in err, extra
+        assert run(capsys, *argv, *extra) == (2, "", "invalid input: bar takes no argument --r\n")
     code, out, _ = run(capsys, *argv, "--max-degree", "24")
     assert code == 0 and "[s=0; k=1]" in out
 
@@ -298,6 +297,14 @@ def test_refused_texts_are_named_and_quoted(capsys):
          "component must be comma-separated integers, not '1,x'"),
         (["bar", "--e", "3", "--l", "2", "--monomial", "s=-1; k=-2,-4"],
          "prefix (-2, -4) dips into the tail of charge -1"),
+        # int() reads digit-group underscores and other scripts' digits;
+        # an integer text here is an optional sign and ASCII digits
+        (["uglov-set", "--e", "4", "--charge=1_0,\u0660", "--rank", "1"],
+         "charge must be comma-separated integers, not '1_0,\u0660'"),
+        (["semisimple", "--e=\u0664", "--charge=0,1", "--rank=1_0"],
+         "--e must be one integer, not '\u0664'"),
+        (["semisimple", "--e=4", "--charge=0,1", "--rank=1_0"],
+         "--rank must be one integer, not '1_0'"),
     ]
     for argv, message in cases:
         assert run(capsys, *argv) == (2, "", "invalid input: %s\n" % message), argv
@@ -364,8 +371,9 @@ def test_decomp_has_no_wedge_degree_guard(capsys):
     code, out, err = run(capsys, "decomp", "--e", "4", "--charge", "0,20", "--rank", "4")
     assert code == 0 and err == ""
     assert out == "".join(decomposition_matrix(4, 2, (0, 20), 4).to_csv())
-    with pytest.raises(SystemExit):
-        main(["decomp", "--e", "4", "--charge", "0,1", "--rank", "4", "--max-degree", "64"])
+    code, out, err = run(capsys, "decomp", "--e", "4", "--charge", "0,1", "--rank", "4",
+                         "--max-degree", "64")
+    assert (code, out, err) == (2, "", "invalid input: decomp takes no argument --max-degree\n")
 
 
 def test_decomp_ignores_cache_dir(tmp_path, capsys, monkeypatch):
@@ -509,24 +517,15 @@ def test_negative_rank_is_refused(capsys):
 
 
 def test_a_value_of_dashes_is_invalid_input(capsys):
-    # argparse through 3.11 parses --mp=-- as [], later versions as "--";
-    # main refuses both with one message
+    # one message for a text or an integer option, in either spelling
     cases = [("mp", ["flotw-check", "--e=4", "--charge=0,1", "--mp=--"]),
-             ("charge", ["decomp", "--e=4", "--charge=--", "--rank=2"]),
+             ("charge", ["decomp", "--e=4", "--charge", "--", "--rank=2"]),
              ("monomial", ["bar", "--e=4", "--l=2", "--monomial=--"]),
-             ("indices", ["straighten", "--e=4", "--l=2", "--s=1", "--indices=--"])]
+             ("indices", ["straighten", "--e=4", "--l=2", "--s=1", "--indices=--"]),
+             ("e", ["flotw-check", "--e=--", "--charge=0,1", "--mp=1|2"]),
+             ("rank", ["decomp", "--e=4", "--charge=0,1", "--rank", "--"])]
     for name, argv in cases:
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == "" and err.count("\n") == 1, argv
-        assert err.startswith("invalid input: ") and "--" + name in err, argv
-    # an integer option: main refuses [] through 3.11, argparse's int() the
-    # text "--" later, each with exit 2 and nothing on stdout
-    try:
-        code = main(["flotw-check", "--e=--", "--charge=0,1", "--mp=1|2"])
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    assert code == 2 and out.out == "" and out.err, out.err
+        assert run(capsys, *argv) == (2, "", "invalid input: --%s=-- is not a value\n" % name)
     # an empty --indices is still the empty word
     code, out, err = run(capsys, "straighten", "--e=4", "--l=2", "--s=1", "--indices=")
     assert (code, out, err) == (0, "(1) * [s=1; k=]\n", "")
@@ -536,6 +535,8 @@ def test_a_value_of_dashes_is_invalid_input(capsys):
 # one; wedge words stay under a cap of 24 for bar and canonical, whose
 # default cap of 64 admits bars with no work bound.
 _INT = st.integers(-12, 12) | st.sampled_from([-10**6, 10**6])
+# integer texts that int() reads but qfock refuses, and a sign it takes
+_ODD_INTS = st.sampled_from(["1_0", "\u0660", "+3"])
 _INDICES = st.lists(st.integers(-6, 6), max_size=4)
 _RANK = st.integers(0, 4)
 _MP_TEXT = st.text(alphabet="0123456789,|-", max_size=7).filter(
@@ -544,19 +545,16 @@ _FORMATS = {"uglov-set": ["text", "json"], "crystal": ["dot", "json"],
             "avalue": ["csv", "json"], "straighten": ["text", "json"],
             "bar": ["text", "json"], "decomp": ["csv", "latex", "json"]}
 _SPOILT = {
-    "e": st.sampled_from(["-1", "0", "1"]),
-    "l": st.sampled_from(["-1", "0", "4"]),
-    "charge": st.sampled_from(["", ",", "x", "1,,2", "0,1,2,3"]),
-    "rank": st.just("-1"),
-    "mp": _MP_TEXT,
-    "indices": st.sampled_from([",", "1,,2", "x", " "]),
+    "e": st.sampled_from(["-1", "0", "1"]) | _ODD_INTS,
+    "l": st.sampled_from(["-1", "0", "4"]) | _ODD_INTS,
+    "charge": st.sampled_from(["", ",", "x", "1,,2", "0,1,2,3", "1_0,0", "0,\u0660"]),
+    "rank": st.just("-1") | _ODD_INTS,
+    "mp": _MP_TEXT | st.sampled_from(["1_0|-", "\u0660|1"]),
+    "indices": st.sampled_from([",", "1,,2", "x", " ", "1_0", "+3,\u0660"]),
     "monomial": st.sampled_from(["", "s=1", "k=1; s=5", "x=1; y=5", "s=1; k=x",
-                                 "s=1; k=3; k=2", "s=1; k=2,3", "s=6; k=1"]),
-    "max-degree": st.just("-1"),
+                                 "s=1; k=3; k=2", "s=1; k=2,3", "s=6; k=1", "s=+3; k=1_0"]),
+    "max-degree": st.just("-1") | _ODD_INTS,
 }
-# "--" is drawn only for text options: for an integer option, argparse after
-# 3.11 refuses it with a usage error, as it does any text that is no integer
-_TEXT_OPTIONS = ("charge", "mp", "indices", "monomial")
 
 
 def _join(xs):
@@ -589,8 +587,7 @@ def _argv(draw):
         values["max-degree"] = draw(st.integers(0, 24))
     spoilt = draw(st.none() | st.sampled_from(sorted(values.keys() & _SPOILT)))
     if spoilt is not None:
-        dashes = st.just("--") if spoilt in _TEXT_OPTIONS else st.nothing()
-        values[spoilt] = draw(dashes | _SPOILT[spoilt])
+        values[spoilt] = draw(st.just("--") | _SPOILT[spoilt])
     argv = ["--json"] if draw(st.booleans()) else []
     argv.append(command)
     argv += ["--%s=%s" % kv for kv in values.items()]
@@ -737,8 +734,7 @@ def test_json_envelope_streams_at_chunk_boundaries(capsys, monkeypatch):
         ("decomp", list(mat.to_csv())),
         ("decomp", list(mat.to_latex())),
     )
-    args = cli.build_parser().parse_args(["--json", "semisimple", "--e=4", "--charge=0,1",
-                                          "--rank=1"])
+    args = cli.parse(["--json", "semisimple", "--e=4", "--charge=0,1", "--rank=1"])
     for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         for command, lines in texts:
             assert len(lines) > n
@@ -821,8 +817,8 @@ def test_avalue_default_height_is_rank_plus_one(capsys):
             assert code == 0 and json.loads(out)["height"] == n + 1
             code, out, _ = run(capsys, *argv)
             assert code == 0 and out.endswith("at height %d\n" % (n + 1))
-            code, out, err = _parsed(cli.build_parser(), argv + ["--height=%d" % (n + 1)], capsys)
-            assert code == 2 and out == "" and "--height" in err
+            code, out, err = run(capsys, *argv, "--height=%d" % (n + 1))
+            assert (code, out, err) == (2, "", "invalid input: avalue takes no argument --height\n")
 
 
 def test_peel_and_apply_f_do_not_grow_with_e(capsys):
@@ -837,37 +833,46 @@ def test_peel_and_apply_f_do_not_grow_with_e(capsys):
         assert time.perf_counter() - start < 0.5, argv
 
 
-def _parsed(parser, argv, capsys):
-    """What parse_args does with argv: the namespace or the exit code, and
-    the text written."""
-    try:
-        result = vars(parser.parse_args(argv))
-    except SystemExit as exc:
-        result = exc.code
-    out = capsys.readouterr()
-    return result, out.out, out.err
+# sha256 and length of qfock's help and of decomp's: written from COMMANDS
+# alone, the same bytes on every Python version and at every terminal width
+HELP_DIGESTS = [
+    ((), "a92e9fe496c14853120ea32acac109fc4d0bfd82361ef3e7a8a92b27e27141a6", 903),
+    (("decomp",), "fd7352934b24ba1b646dd585eddb7bc06a793d29666a7b559f5fd756c415be84", 488),
+]
 
 
-def test_parser_for_the_invoked_command_reads_as_the_full_parser(capsys):
-    # build_parser(argv) gives options to the invoked command only; help,
-    # usage errors and parsed values stay those of the full parser
-    commands = ["semisimple", "uglov-set", "flotw-check", "crystal", "avalue", "straighten",
-                "bar", "canonical", "decomp"]
-    cases = [[], ["--help"], ["-h"], ["--json"], ["--json", "--help"], ["nope"],
-             ["--json", "nope", "--e=4"], ["--bogus", "decomp"],
-             ["decomp", "--e=4", "--charge=0,1", "--rank=4", "--format=latex"],
-             ["--json", "bar", "--e=4", "--l=2", "--monomial=s=0; k=3"],
-             ["canonical", "--e=4", "--charge=0,1", "--mp=1|1", "--keep-q"]]
-    for name in commands:
-        cases += [[name, "--help"], [name], ["--json", name, "--e=4"], [name, "--bogus"],
-                  [name, "--e=x", "--charge=0,1"]]
-    for argv in cases:
-        got = _parsed(cli.build_parser(argv), argv, capsys)
-        assert got == _parsed(cli.build_parser(), argv, capsys), argv
-        assert got[1] or got[2] or isinstance(got[0], dict), argv
+def test_help_and_refusal_bytes(capsys):
+    for command, digest, length in HELP_DIGESTS:
+        code, out, err = run(capsys, *command, "--help")
+        assert (code, err, len(out)) == (0, "", length), command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+        assert run(capsys, "--json", *command, "-h") == (0, out, ""), command
+    # each refusal is one line on stderr naming the word at fault, and
+    # nothing on stdout
+    for argv, message in [
+        (["decomp", "--e=4", "--charge=0,1", "--rank=2", "--bogus"],
+         "decomp takes no argument --bogus"),
+        (["decomp", "--e=4", "--charge=0,1"], "decomp needs --rank"),
+        (["decomp", "--e=x", "--charge=0,1", "--rank=2"], "--e must be one integer, not 'x'"),
+        # an option's name is matched whole, never by a prefix
+        (["decomp", "--e", "4", "--cha", "0,1", "--ran", "2"], "decomp takes no argument --cha"),
+        (["decomp", "--e=4", "--charge=0,1", "--rank=2", "x"], "decomp takes no argument x"),
+        (["decomp", "--e=4", "--charge=0,1", "--rank"], "--rank needs a value"),
+        (["decomp", "--format=xml"], "--format must be one of csv, latex, json, not 'xml'"),
+        (["decomp", "--keep-q=1"], "--keep-q takes no value"),
+        (["--e=4", "decomp"], "qfock takes no argument --e"),
+        (["decomp", "--json", "--e=4"], "decomp takes no argument --json"),
+        (["nope"], "unknown command 'nope'; see qfock --help"),
+        (["--json"], "no command; see qfock --help"),
+    ]:
+        assert run(capsys, *argv) == (2, "", "invalid input: %s\n" % message), argv
+    # a value that starts with '-' is still the option's value
+    code, out, err = run(capsys, "uglov-set", "--e", "4", "--charge", "-1,2", "--rank", "1")
+    assert code == 0 and out and (code, out, err) == run(
+        capsys, "uglov-set", "--e=4", "--charge=-1,2", "--rank=1")
 
 
-# Every option of every command, --json (the parser's own) under "".  A new
+# Every option of every command, --json (qfock's own) under "".  A new
 # setting shows up here, where it must be argued for.
 OPTIONS = {
     "": ["--json"],
@@ -883,14 +888,6 @@ OPTIONS = {
 }
 
 
-def _options(parser):
-    return [opt for action in parser._actions if not isinstance(action, argparse._HelpAction)
-            for opt in action.option_strings]
-
-
 def test_option_inventory():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    found = {"": _options(parser)}
-    found.update((name, _options(p)) for name, p in commands.choices.items())
-    assert found == OPTIONS
+    assert {name: ["--" + option[0] for option in entry[2]]
+            for name, entry in cli.COMMANDS.items()} == OPTIONS

@@ -29,16 +29,11 @@ def _child_env():
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env["COLUMNS"] = "80"  # argparse wraps help and usage text to the terminal width
     return env
 
 
-def _in_process(argv, capsys, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse's help and usage exits
-        code = exc.code
+def _in_process(argv, capsys):
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out.encode(), out.err
 
@@ -51,11 +46,11 @@ def _in_process(argv, capsys, monkeypatch):
     (["--help"], 0),
     (CRYSTAL_DOT, 0),
 ])
-def test_process_matches_main(argv, code, capsys, monkeypatch):
+def test_process_matches_main(argv, code, capsys):
     proc = subprocess.run([sys.executable, "-m", "qfock.cli", *argv], env=_child_env(),
                           stdin=subprocess.DEVNULL, capture_output=True, timeout=60)
     got = (proc.returncode, proc.stdout, proc.stderr.decode())
-    assert got == _in_process(argv, capsys, monkeypatch)
+    assert got == _in_process(argv, capsys)
     assert proc.returncode == code
     if argv == CRYSTAL_DOT:  # far more than a pipe's buffer: os._exit lost none of it
         assert len(proc.stdout) == 427514
@@ -91,20 +86,41 @@ def _tracer_targets():
     raise AssertionError("no TARGETS in %s" % TRACER)
 
 
+# one run of every command, then help and a refusal
+EVERY_COMMAND = [
+    ["--json", "decomp", "--e=4", "--charge=0,1", "--rank=4", "--format=json", "--keep-q"],
+    ["semisimple", "--e=4", "--charge=0,1", "--rank=4"],
+    ["uglov-set", "--e=4", "--charge=0,1", "--rank=2", "--format=json"],
+    ["flotw-check", "--e=4", "--charge=0,1", "--mp=1|1"],
+    ["crystal", "--e=4", "--charge=0,1", "--rank=2", "--format=json"],
+    ["avalue", "--e=4", "--charge=0,1", "--rank=2", "--format=json"],
+    ["straighten", "--e=4", "--l=2", "--s=0", "--indices=1,3", "--format=json"],
+    ["bar", "--e=4", "--l=2", "--monomial=s=0; k=3", "--format=json"],
+    ["canonical", "--e=4", "--charge=0,1", "--mp=2,1|1", "--keep-q"],
+    ["--help"], ["decomp", "--help"], ["decomp", "--e=x"],
+]
+
+
 def test_import_loads_every_traced_module_and_no_json():
     # The perfbench tracer wraps functions in the namespaces that importing
     # qfock.cli loads, so those must load eagerly.  No command needs the
-    # json package: the encoder comes from _json.
-    code = ("import sys\n"
+    # json package (the encoder comes from _json), nor argparse and the
+    # gettext and locale modules it loads: the command line is read from
+    # cli.COMMANDS.
+    code = ("import io, sys\n"
             "import qfock.cli\n"
             "loaded = sorted(sys.modules)\n"
-            "qfock.cli.main(['--json', 'decomp', '--e=4', '--charge=0,1', '--rank=4',"
-            " '--format=json', '--keep-q'])\n"
-            "sys.stderr.write(' '.join(loaded) + '\\n' + ' '.join(sorted(sys.modules)))\n")
+            "sys.stdout = sys.stderr = io.StringIO()\n"
+            "codes = [qfock.cli.main(argv) for argv in %r]\n"
+            "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+            "print(codes)\n"
+            "print(' '.join(loaded) + '\\n' + ' '.join(sorted(sys.modules)))\n" % EVERY_COMMAND)
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=_child_env(),
                           stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    on_import, after_command = (set(line.split()) for line in proc.stderr.splitlines())
+    codes, on_import, after_commands = proc.stdout.splitlines()
+    assert codes == str([0] * (len(EVERY_COMMAND) - 1) + [2])
     traced = {module for module, _name in _tracer_targets()}
-    assert traced and not traced - on_import
-    assert not [m for m in after_command if m == "json" or m.startswith("json.")]
+    assert traced and not traced - set(on_import.split())
+    assert not [m for m in after_commands.split()
+                if m.split(".")[0] in ("json", "argparse", "gettext", "locale")]

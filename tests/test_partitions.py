@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.partitions import (
-    charge_from_text,
+    ints_from_text,
     is_split_semisimple,
     mp_from_text,
     mp_to_text,
@@ -203,4 +204,13 @@ def test_text_formats():
     assert mp_from_text("6,1|2,2|4,1") == mp
     assert mp_to_text(((), (4,))) == "-|4"
     assert mp_from_text("-|4") == ((), (4,))
-    assert charge_from_text("0,1") == (0, 1)
+    assert ints_from_text("0,1", "charge") == (0, 1)
+    # an optional sign and ASCII digits between spaces, and nothing else that
+    # int() takes
+    assert ints_from_text(" -2 , +3,0 ", "charge") == (-2, 3, 0)
+    for text in ("1_0", "\u0660", "+-3", "", "3 4", "\t3", "1,"):
+        with pytest.raises(ValueError, match="charge must be comma-separated integers"):
+            ints_from_text(text, "charge")
+    if hasattr(sys, "get_int_max_str_digits"):  # int()'s cap on digits, from CPython 3.11
+        with pytest.raises(ValueError, match="charge must be comma-separated integers"):
+            ints_from_text("0," + "9" * (sys.get_int_max_str_digits() + 1), "charge")
