@@ -140,9 +140,9 @@ def from_pair(mp, charge, e: int, l: int) -> WedgeMonomial:
     runners is a bead: the prefix is the sorted beads above `hole`, the
     tail continues from hole - 1, and s = hole - 1 + len(prefix).
     """
-    if len(mp) != l or len(charge) != l:
-        raise ValueError("need %d components and %d charges" % (l, l))
-    check_multipartition(mp)  # a zero part would misplace the first hole
+    check_multipartition(mp, l)  # a zero part would misplace the first hole
+    if len(charge) != l:
+        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
     runners = list(enumerate(zip(mp, charge), start=1))
     hole = min(bead_index(s_b - len(comp) + 1, b, e, l) for b, (comp, s_b) in runners)
     beads = []

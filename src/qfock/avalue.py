@@ -27,6 +27,7 @@ from itertools import count
 from operator import mul
 
 from .errors import UnsupportedRegimeError
+from .partitions import check_multipartition
 
 
 def m_vector(e: int, l: int, charge) -> tuple:
@@ -70,13 +71,20 @@ def a_rel(mc, table: AValueTable) -> int:
     v_1 >= v_2 >= ..., the k-th is the min of each pair it forms with the
     k - 1 before it, ties included, so S1 = sum_k (k - 1) v_k.  S2 is a sum
     over entries, so each component brings its own share.
+
+    ValueError unless mc has l components, each a composition: a tuple of
+    nonnegative ints, checked only when its piece is not yet memoized.
     """
+    if len(mc) != len(table.shifts):
+        check_multipartition(mc, len(table.shifts))  # raises the count's ValueError
     entries = []
     s2 = 0
     pieces = table.pieces
     for key in enumerate(mc):
         piece = pieces.get(key)
         if piece is None:
+            if not all(isinstance(p, int) and p >= 0 for p in key[1]):
+                raise ValueError("component %r is not a composition" % (key[1],))
             if table.h < len(key[1]):
                 raise ValueError("height %d is below the height of %r" % (table.h, mc))
             piece = pieces[key] = table.piece(*key)

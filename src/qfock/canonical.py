@@ -54,6 +54,7 @@ from .errors import InvariantError
 from .fock import ChargedAbacus, apply_f, each_term, freeze
 from .laurent import LaurentPoly, _acc
 from .partitions import (
+    check_multipartition,
     empty_multipartition,
     is_split_semisimple,
     mp_to_text,
@@ -183,10 +184,8 @@ class FockBasis:
         return WedgeEngine(self.e, self.l, self.max_degree)
 
     def mask(self, mp) -> int:
-        """The bead mask of mp, whose rank must be at most the basis's."""
-        if len(mp) != self.l:
-            raise ValueError("multipartition %s has %d components, expected %d"
-                             % (mp_to_text(mp), len(mp), self.l))
+        """The bead mask of mp, an l-partition of rank at most the basis's."""
+        check_multipartition(mp, self.l)
         if rank(mp) > self.abacus.n:
             raise ValueError("multipartition %s has rank %d, above the basis's rank %d"
                              % (mp_to_text(mp), rank(mp), self.abacus.n))
@@ -259,15 +258,10 @@ class FockBasis:
         v = {(lam, 0): 1}
         for w, c in image.items():
             nu, charge = to_pair(w, self.e, self.l)
-            if charge != self.charge:
+            if charge != self.charge or rank(nu) != n:
                 raise InvariantError(
-                    "bar of %s at charge %s has support %s at charge %s"
-                    % (mp_to_text(mp), self.charge, mp_to_text(nu), charge)
-                )
-            if rank(nu) != n:
-                raise InvariantError(
-                    "bar of %s at charge %s has support %s of another rank"
-                    % (mp_to_text(mp), self.charge, mp_to_text(nu))
+                    "bar of %s at charge %s and rank %d has support %s at charge %s and rank %d"
+                    % (mp_to_text(mp), self.charge, n, mp_to_text(nu), charge, rank(nu))
                 )
             b = self.abacus.mask(nu)  # bar(u) is 1 on u, so no term cancels
             if b != lam and self._order(b) <= low:
@@ -375,11 +369,6 @@ class FockBasis:
                     del v[mu, x + y]
 
 
-def _on_read(make):
-    """The items of make(), which is called when the first is read."""
-    yield from make()
-
-
 class DecompositionMatrix:
     """Rows: all l-partitions of rank n, sorted by (a_rel, text form).
     Columns: the Uglov l-partitions, sorted the same way.  `columns` maps
@@ -423,12 +412,12 @@ class DecompositionMatrix:
                 yield row_of[key], col, x, c
 
     def triples(self):
-        """The matrix as sorted (row label, column label, entry) triples,
-        zero entries omitted; the canonical comparison form.  No two share
-        their texts, so entries are never compared."""
+        """The matrix as (row label, column label, entry) triples, zero
+        entries omitted, sorted when the first is read: the canonical
+        comparison form.  No two share their texts, so no entry is compared."""
         text = self.text
-        return sorted((text[row], text[col], v) for col in self.cols
-                      for row, v in self.column(col).items() if v)
+        yield from sorted((text[row], text[col], v) for col in self.cols
+                          for row, v in self.column(col).items() if v)
 
     def q_triples(self):
         """[row label, column label, [[exponent, coefficient], ...]] in the
@@ -471,7 +460,7 @@ class DecompositionMatrix:
             "rank": self.n,
             "rows": map(text.__getitem__, self.rows),
             "columns": map(text.__getitem__, self.cols),
-            "triples": _on_read(self.triples),
+            "triples": self.triples(),
             "checks": self.checks,
         }
         if keep_q:

@@ -21,7 +21,11 @@ def is_partition(parts) -> bool:
     )
 
 
-def check_multipartition(mp):
+def check_multipartition(mp, l):
+    """ValueError unless mp has l components, each a partition."""
+    if len(mp) != l:
+        raise ValueError("multipartition %s has %d components, expected %d"
+                         % (mp_to_text(mp), len(mp), l))
     for comp in mp:
         if not is_partition(comp):
             raise ValueError("component %r is not a partition" % (comp,))
@@ -110,7 +114,7 @@ def mp_from_text(text: str) -> tuple:
     for chunk in text.split("|"):
         chunk = chunk.strip()
         comps.append(() if chunk in ("-", "") else ints_from_text(chunk, "component"))
-    check_multipartition(comps)
+    check_multipartition(comps, len(comps))
     return tuple(comps)
 
 

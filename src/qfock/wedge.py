@@ -348,15 +348,19 @@ class WedgeEngine:
         adjacent, so the word is extended with explicit tail beads down past
         its minimum index (anything deeper is inert) and straightened in
         full.  Returns {WedgeMonomial: coefficient}.  The word's length is
-        checked against max_degree first.
+        checked against max_degree first; a result that dips into the tail
+        below the word raises InvariantError.
         """
         indices = tuple(indices)
         n = word_length(indices, s)
         self._check_length(n)
         word = indices + tuple(s - i + 1 for i in range(len(indices) + 1, n + 1))
-        # wedge_monomial is injective on words of one length
-        return {wedge_monomial(mono, s): c
-                for mono, c in self.straighten_indices(word).items()}
+        out = {}
+        for mono, c in self.straighten_indices(word).items():
+            if mono and mono[-1] <= s - n:
+                raise InvariantError("straightened prefix dipped into the tail")
+            out[wedge_monomial(mono, s)] = c  # injective on words of one length
+        return out
 
     def bar(self, u: WedgeMonomial):
         """The bar involution of an ordered monomial, as a new dict
@@ -378,12 +382,7 @@ class WedgeEngine:
         omega = _shared_pairs(x.a for x in letters)
         omega_p = _shared_pairs(x.b for x in letters)
         pref = LaurentPoly({omega_p - omega: (-1) ** omega_p})
-        out = {}
-        floor = u.s - r
-        for mono, c in self.straighten_indices(reversed(factors)).items():
-            if mono and mono[-1] <= floor:
-                raise InvariantError("straightened prefix dipped into the tail")
-            out[wedge_monomial(mono, u.s)] = pref * c  # injective, as in straighten
+        out = {w: pref * c for w, c in self.straighten(factors[::-1], u.s).items()}
         one = out.get(u)
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))

@@ -6,7 +6,7 @@ from functools import cache
 from io import StringIO
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfock import canonical
@@ -48,6 +48,7 @@ from oracles import (
     qentries,
     quantum_factorial,
     remove_node,
+    residue_content,
     unpermute,
 )
 from paper_data import MATRICES, UGLOV_SETS
@@ -103,13 +104,13 @@ def test_sink_monomials_are_their_own_element():
 
 def test_level_two_equal_parameter_rank1():
     mat = decomposition_matrix(2, 2, (0, 0), 1)
-    assert mat.triples() == [("-|1", "1|-", 1), ("1|-", "1|-", 1)]
+    assert list(mat.triples()) == [("-|1", "1|-", 1), ("1|-", "1|-", 1)]
     assert verify_unitriangular(mat)["ok"]
 
 
 def test_rank0_matrix():
     mat = decomposition_matrix(4, 2, (0, 1), 0)
-    assert mat.triples() == [("-|-", "-|-", 1)]
+    assert list(mat.triples()) == [("-|-", "-|-", 1)]
     assert verify_unitriangular(mat)["ok"]
 
 
@@ -307,7 +308,7 @@ def test_matrix_renderings_are_consistent():
     mat = decomposition_matrix(4, 2, (0, 1), 2)
     csv = "".join(mat.to_csv())
     assert csv.splitlines()[0] == "row,column,entry"
-    assert len(csv.splitlines()) == 1 + len(mat.triples())
+    assert len(csv.splitlines()) == 1 + len(list(mat.triples()))
     latex = "".join(mat.to_latex())
     assert latex.count("\\\\") == len(mat.rows)
     out = []
@@ -624,27 +625,49 @@ def test_level_three_pipeline():
         assert mat.checks["foreign_support"] == []
 
 
-def test_entries_respect_residue_blocks():
-    # block theory: a nonzero entry forces equal residue-content multisets
-    # on its row and column labels; nothing in the recursion enforces this,
-    # so it is an independent consistency check on the computed matrices
-    from collections import Counter
+@st.composite
+def block_ambients(draw):
+    """(e, l, charge, n): the integral ambients (2,1), (3,1), (4,1), (2,2),
+    (4,2) and (3,3), charge entries in [-2, 2e] and n <= 6."""
+    e, l = draw(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (4, 2), (3, 3)]))
+    charge = tuple(draw(st.lists(st.integers(-2, 2 * e), min_size=l, max_size=l)))
+    return e, l, charge, draw(st.integers(0, 6))
 
-    def residue_content(mp, charge, e):
-        counts = Counter()
-        for c, comp in enumerate(mp, start=1):
-            for a, part in enumerate(comp, start=1):
-                for b in range(1, part + 1):
-                    counts[(b - a + charge[c - 1]) % e] += 1
-        return tuple(sorted(counts.items()))
 
-    for n in (4, 5):
-        for charge in [(0, 1), (4, 1), (0, 5)]:
-            mat = decomposition_matrix(4, 2, charge, n)
-            for (row, col), v in entries(mat).items():
-                if v:
-                    assert residue_content(row, charge, 4) == \
-                        residue_content(col, charge, 4), (row, col)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_ambients())
+@example((4, 2, (0, 1), 5))
+@example((4, 2, (4, 1), 5))
+@example((4, 2, (0, 5), 5))
+def test_residue_blocks_and_their_weight_0_and_1_shapes(ambient):
+    # block theory, at every rank up to the drawn one: a nonzero entry joins
+    # two labels of one residue content, which nothing in the build
+    # enforces.  After Fayers (Adv. Math. 206, 2006) a block of weight
+    # def = 0 is simple, and one of weight 1 is a line of 1s and qs: one
+    # more row than columns, each column holding exactly 1 and q, and no
+    # row more than two nonzero entries.
+    e, l, charge, top = ambient
+    for n in range(top + 1):
+        mat = decomposition_matrix(e, l, charge, n)
+        content = {mp: tuple(residue_content(mp, charge, e)) for mp in mat.rows}
+        by_col, by_row = {}, {}
+        for (row, col), c in qentries(mat).items():
+            assert content[row] == content[col], (row, col, charge)
+            by_col.setdefault(col, []).append(c)
+            by_row[row] = by_row.get(row, 0) + 1
+        blocks = {}
+        for mp in mat.rows:
+            blocks.setdefault(content[mp], []).append(mp)
+        for block in blocks.values():
+            weight = defect(block[0], charge, e)
+            cols = [mp for mp in block if mp in by_col]
+            if weight == 0:
+                assert len(block) == len(cols) == 1, (block, charge)
+            elif weight == 1:
+                assert len(block) == len(cols) + 1, (block, charge)
+                for col in cols:
+                    assert sorted(c.to_pairs() for c in by_col[col]) == [[[0, 1]], [[1, 1]]], (col, charge)
+                assert all(by_row.get(row, 0) <= 2 for row in block), (block, charge)
 
 
 def test_column_support_is_single_charge_and_rank():

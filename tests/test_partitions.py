@@ -1,10 +1,15 @@
 import random
 import sys
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qfock.abacus import from_pair
+from qfock.avalue import AValueTable
+from qfock.canonical import FockBasis
+from qfock.crystal import flotw_predicate
 from qfock.partitions import (
     ints_from_text,
     is_split_semisimple,
@@ -16,6 +21,7 @@ from qfock.partitions import (
 )
 
 from oracles import (
+    a_rel_per_label,
     above,
     add_node,
     add_nodes_to_part,
@@ -214,3 +220,80 @@ def test_text_formats():
     if hasattr(sys, "get_int_max_str_digits"):  # int()'s cap on digits, from CPython 3.11
         with pytest.raises(ValueError, match="charge must be comma-separated integers"):
             ints_from_text("0," + "9" * (sys.get_int_max_str_digits() + 1), "charge")
+
+
+# -- malformed labels at every entry point that takes one ------------------------
+
+LABEL_AMBIENTS = [(2, 1, (0,)), (4, 2, (0, 1)), (3, 3, (0, 1, 2))]
+
+
+@cache
+def _fock_basis(e, l, charge):
+    return FockBasis(e, l, charge, 12)
+
+
+@cache
+def _warm_table(e, l, charge):
+    """One a-value table per ambient, its memo already holding every
+    component of rank <= 3, so a malformed label meets memo hits."""
+    table = AValueTable(e, l, charge, 12)
+    for n in range(4):
+        for mp in multipartitions(l, n):
+            table[mp]
+    return table
+
+
+LABEL_ENTRY_POINTS = {
+    "FockBasis.element": lambda e, l, charge, mp: _fock_basis(e, l, charge).element(mp),
+    "flotw_predicate": lambda e, l, charge, mp: flotw_predicate(mp, e, charge),
+    "from_pair": lambda e, l, charge, mp: from_pair(mp, charge, e, l),
+    "AValueTable": lambda e, l, charge, mp: _warm_table(e, l, charge)[mp],
+}
+
+
+@st.composite
+def malformed_labels(draw):
+    """(ambient, kind, label): a label at the ambient's l with a wrong
+    component count, or one component given a zero part, two rising parts
+    or a negative part."""
+    ambient = draw(st.sampled_from(LABEL_AMBIENTS))
+    l = ambient[1]
+    comp = st.lists(st.integers(1, 4), max_size=3).map(lambda ps: tuple(sorted(ps, reverse=True)))
+    kind = draw(st.sampled_from(["count", "zero", "rising", "negative"]))
+    if kind == "count":
+        k = draw(st.integers(0, l + 2).filter(lambda k: k != l))
+        return ambient, kind, tuple(draw(comp) for _ in range(k))
+    mp = [draw(comp) for _ in range(l)]
+    c = draw(st.integers(0, l - 1))
+    parts = list(mp[c])
+    if kind == "zero":
+        bad = [0]
+    elif kind == "rising":
+        low = draw(st.integers(1, 3))
+        bad = [low, draw(st.integers(low + 1, 4))]
+    else:
+        bad = [draw(st.integers(-4, -1))]
+    at = draw(st.integers(0, len(parts)))
+    parts[at:at] = bad
+    mp[c] = tuple(parts)
+    return ambient, kind, tuple(mp)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(malformed_labels(), st.sampled_from(sorted(LABEL_ENTRY_POINTS)))
+@example(((4, 2, (0, 1)), "zero", ((0,), ())), "FockBasis.element")
+@example(((4, 2, (0, 1)), "zero", ((1, 0), (1,))), "FockBasis.element")
+@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "FockBasis.element")
+@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "flotw_predicate")
+@example(((4, 2, (0, 1)), "count", ((1,),)), "AValueTable")
+@example(((4, 2, (0, 1)), "count", ((1,), (), (1,))), "AValueTable")
+def test_every_label_entry_point_refuses_a_malformed_label(drawn, entry):
+    (e, l, charge), kind, mp = drawn
+    call = LABEL_ENTRY_POINTS[entry]
+    if entry == "AValueTable" and kind in ("zero", "rising"):
+        # the a-value layer reads l-compositions, which may have zero parts
+        # and rises (the node-addition preorder property compares them)
+        assert call(e, l, charge, mp) == a_rel_per_label(mp, _warm_table(e, l, charge))
+        return
+    with pytest.raises(ValueError, match="components, expected %d|is not a (partition|composition)" % l):
+        call(e, l, charge, mp)

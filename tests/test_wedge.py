@@ -480,6 +480,28 @@ def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
             eng.bar(u)
 
 
+def test_a_result_dipping_into_the_tail_is_an_invariant_failure(monkeypatch, capsys):
+    # every index a straightening emits lies within its word, so a result
+    # below the word is the engine's fault (exit 4), not the input's; bar
+    # reads its image through straighten and meets the same check
+    from qfock.errors import InvariantError
+
+    straighten = WedgeEngine.straighten_indices
+
+    def dipped(self, word):
+        out = straighten(self, word)
+        top = sorted(word, reverse=True)
+        out[tuple(top[:-1]) + (top[-1] - 3,)] = ONE
+        return out
+
+    monkeypatch.setattr(WedgeEngine, "straighten_indices", dipped)
+    with pytest.raises(InvariantError, match="dipped into the tail"):
+        WedgeEngine(2, 1).bar(wedge_monomial((2,), 0))
+    assert cli.main(["straighten", "--e=4", "--l=2", "--s=1", "--indices=3,8,1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "dipped into the tail" in err
+
+
 def test_bar_hands_each_caller_its_own_image():
     # a caller that empties the image it was given leaves the next call's
     # answer whole
