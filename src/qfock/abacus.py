@@ -10,25 +10,16 @@ its beads; reading off each runner gives the component partitions and the
 component charges (s_1, ..., s_l) with sum s.
 """
 
-from __future__ import annotations
+from collections import namedtuple
 
-from typing import NamedTuple
-
-from .partitions import check_multipartition, ints_from_text
+from .partitions import check_ambient, check_multipartition, ints_from_text
 
 
-class BeadTriple(NamedTuple):
-    a: int
-    b: int
-    m: int
-
-
-class WedgeMonomial(NamedTuple):
+class WedgeMonomial(namedtuple("WedgeMonomial", "prefix s")):
     """Canonical semi-infinite monomial: strictly decreasing prefix, total
     charge s, implicit tail k_i = s - i + 1 past the prefix."""
 
-    prefix: tuple
-    s: int
+    __slots__ = ()
 
     def to_text(self):
         return "s=%d; k=%s" % (self.s, ",".join(str(k) for k in self.prefix))
@@ -69,13 +60,13 @@ def degree(u: WedgeMonomial) -> int:
     return sum(k - u.s + i - 1 for i, k in enumerate(u.prefix, start=1))
 
 
-def factorize(k: int, e: int, l: int) -> BeadTriple:
+def factorize(k: int, e: int, l: int) -> tuple:
     """The unique (a, b, m) with k = a + e(l - b) - e*l*m."""
     a = (k - 1) % e + 1
     t = (k - a) // e
     b = l - t % l
     m = (a + e * (l - b) - k) // (e * l)
-    return BeadTriple(a, b, m)
+    return a, b, m
 
 
 def runner_value(k: int, e: int, l: int) -> tuple:
@@ -140,9 +131,8 @@ def from_pair(mp, charge, e: int, l: int) -> WedgeMonomial:
     runners is a bead: the prefix is the sorted beads above `hole`, the
     tail continues from hole - 1, and s = hole - 1 + len(prefix).
     """
-    check_multipartition(mp, l)  # a zero part would misplace the first hole
-    if len(charge) != l:
-        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
+    check_ambient(e, l, charge)
+    mp = check_multipartition(mp, l)  # a zero part would misplace the first hole
     runners = list(enumerate(zip(mp, charge), start=1))
     hole = min(bead_index(s_b - len(comp) + 1, b, e, l) for b, (comp, s_b) in runners)
     beads = []

@@ -21,20 +21,17 @@ divides e, some (j-1)e/l is not an integer and the inner sum over k = 1..x is
 ill-defined; such regimes are rejected rather than guessed.
 """
 
-from __future__ import annotations
-
 from itertools import count
 from operator import mul
 
 from .errors import UnsupportedRegimeError
-from .partitions import check_multipartition
+from .partitions import check_ambient, check_multipartition
 
 
 def m_vector(e: int, l: int, charge) -> tuple:
     """(shifts, alpha): the shift vector as ints and its alpha, the
     smallest value >= 0 that makes every entry nonnegative."""
-    if len(charge) != l:
-        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
+    check_ambient(e, l, charge)
     if e % l:
         raise UnsupportedRegimeError("non-integral shift vector: l=%d does not divide e=%d; "
                                      "a-values are only implemented for integral shifts" % (l, e))
@@ -57,7 +54,7 @@ def _min_ramp(x: int, m: int) -> int:
     return m * (m + 1) // 2 + (x - m) * m
 
 
-def a_rel(mc, table: AValueTable) -> int:
+def a_rel(mc, table: "AValueTable") -> int:
     """The two explicit sums of the a-value of mc at the table's height,
     read through the table's memo of per-component pieces.  Differences
     between equal-rank labels at a common height equal differences of true
@@ -76,7 +73,7 @@ def a_rel(mc, table: AValueTable) -> int:
     nonnegative ints, checked only when its piece is not yet memoized.
     """
     if len(mc) != len(table.shifts):
-        check_multipartition(mc, len(table.shifts))  # raises the count's ValueError
+        check_multipartition(mc, len(table.shifts))  # raises ValueError
     entries = []
     s2 = 0
     pieces = table.pieces

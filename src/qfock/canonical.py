@@ -41,8 +41,6 @@ support that does not rise aborts the run.  So it never compares a-values,
 which are not even defined across charges.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -185,7 +183,7 @@ class FockBasis:
 
     def mask(self, mp) -> int:
         """The bead mask of mp, an l-partition of rank at most the basis's."""
-        check_multipartition(mp, self.l)
+        mp = check_multipartition(mp, self.l)
         if rank(mp) > self.abacus.n:
             raise ValueError("multipartition %s has rank %d, above the basis's rank %d"
                              % (mp_to_text(mp), rank(mp), self.abacus.n))

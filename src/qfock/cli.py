@@ -24,8 +24,6 @@ once main() returns, stdout and stderr are flushed and the process ends by
 os._exit, with no interpreter teardown and no atexit hooks.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from _json import encode_basestring_ascii, make_encoder
@@ -34,7 +32,6 @@ from functools import lru_cache
 from itertools import chain, islice
 from operator import add
 from types import SimpleNamespace
-from typing import NoReturn
 
 from .abacus import monomial_from_text
 from .avalue import AValueTable
@@ -486,7 +483,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def run() -> NoReturn:
+def run():
     """The process entry point: main() on sys.argv, ended by os._exit (see
     the module docstring).  A stdout closed by its reader ends it with
     BROKEN_PIPE, without a traceback; anything else raised out of main() is

@@ -7,12 +7,12 @@ convention; f~_i adds the last uncancelled addable i-node, a bead moved one
 position up.  Tuples appear only where a result is handed out.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 
 from .fock import ChargedAbacus
-from .partitions import check_multipartition, empty_multipartition, mp_to_text, multipartitions
+from .partitions import (
+    check_ambient, check_multipartition, empty_multipartition, mp_to_text, multipartitions,
+)
 
 
 def uglov_layer(abacus) -> set:
@@ -39,7 +39,8 @@ def flotw_predicate(mp, e: int, charge) -> bool:
     requirement that the right-end residues of the length-k rows never
     exhaust all of {0..e-1}."""
     l = len(charge)
-    check_multipartition(mp, l)
+    check_ambient(e, l, charge)
+    mp = check_multipartition(mp, l)
     if not all(0 <= charge[j] <= charge[j + 1] for j in range(l - 1)) or charge[-1] >= e:
         raise ValueError("flotw_predicate needs 0 <= s_1 <= ... <= s_l < e")
 

@@ -29,9 +29,9 @@ changing is frozen into one tuple of (mask, exponent, coefficient) runs,
 which holds no tuple per term.
 """
 
-from __future__ import annotations
-
 from itertools import chain, combinations
+
+from .partitions import check_ambient
 
 
 class ChargedAbacus:
@@ -46,9 +46,7 @@ class ChargedAbacus:
         self.e = e
         self.l = l
         self.charge = tuple(charge)
-        if len(self.charge) != l:
-            raise ValueError("charge %r has %d entries, expected %d"
-                             % (self.charge, len(self.charge), l))
+        check_ambient(e, l, self.charge)
         self.n = n
         placed = list(self.charge)  # where each component's charge sits
         drop, top = 0, min(self.charge) + n

@@ -6,8 +6,6 @@ needs.  Polynomials are stored sparsely as {exponent: coefficient} with no
 zero coefficients; Python ints make overflow impossible.
 """
 
-from __future__ import annotations
-
 
 class LaurentPoly:
     """A Laurent polynomial over Z, immutable by convention.

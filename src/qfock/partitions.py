@@ -7,8 +7,6 @@ and charges are plain tuples throughout: hashability and cheap equality
 matter more than a class wrapper.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import chain, combinations, product
 
@@ -21,14 +19,27 @@ def is_partition(parts) -> bool:
     )
 
 
-def check_multipartition(mp, l):
-    """ValueError unless mp has l components, each a partition."""
-    if len(mp) != l:
-        raise ValueError("multipartition %s has %d components, expected %d"
-                         % (mp_to_text(mp), len(mp), l))
+def check_multipartition(mp, l) -> tuple:
+    """mp read as a tuple of l partitions, each a tuple; ValueError if it cannot be."""
+    try:
+        mp = tuple(map(tuple, mp))
+    except TypeError:
+        raise ValueError("multipartition %r is not a sequence of sequences" % (mp,)) from None
     for comp in mp:
         if not is_partition(comp):
             raise ValueError("component %r is not a partition" % (comp,))
+    if len(mp) != l:
+        raise ValueError("multipartition %s has %d components, expected %d"
+                         % (mp_to_text(mp), len(mp), l))
+    return mp
+
+
+def check_ambient(e, l, charge):
+    """ValueError unless e >= 2, l >= 1 and the charge has l entries."""
+    if e < 2 or l < 1:
+        raise ValueError("need e >= 2 and l >= 1")
+    if len(charge) != l:
+        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
 
 
 def rank(mp) -> int:
@@ -114,8 +125,7 @@ def mp_from_text(text: str) -> tuple:
     for chunk in text.split("|"):
         chunk = chunk.strip()
         comps.append(() if chunk in ("-", "") else ints_from_text(chunk, "component"))
-    check_multipartition(comps, len(comps))
-    return tuple(comps)
+    return check_multipartition(comps, len(comps))
 
 
 def ints_from_text(text: str, field: str, single: bool = False) -> tuple:

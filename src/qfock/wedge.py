@@ -55,8 +55,6 @@ of ids a <= b is keyed by the triangular number b (b + 1) / 2 plus a, which
 is exact for any ids, and the pair cache keys k1 < k2 the same way.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from itertools import chain
 
@@ -379,8 +377,8 @@ class WedgeEngine:
         self._check_length(r)
         factors = list(u.prefix) + [u.s - i + 1 for i in range(r0 + 1, r + 1)]
         letters = [factorize(k, self.e, self.l) for k in factors]
-        omega = _shared_pairs(x.a for x in letters)
-        omega_p = _shared_pairs(x.b for x in letters)
+        omega = _shared_pairs(a for a, _b, _m in letters)
+        omega_p = _shared_pairs(b for _a, b, _m in letters)
         pref = LaurentPoly({omega_p - omega: (-1) ** omega_p})
         out = {w: pref * c for w, c in self.straighten(factors[::-1], u.s).items()}
         one = out.get(u)

@@ -561,9 +561,9 @@ def bar_omegas_by_pairs(factors, e: int, l: int) -> tuple:
     omega = omega_p = 0
     for i in range(len(letters)):
         for j in range(i + 1, len(letters)):
-            if letters[i].a == letters[j].a:
+            if letters[i][0] == letters[j][0]:
                 omega += 1
-            if letters[i].b == letters[j].b:
+            if letters[i][1] == letters[j][1]:
                 omega_p += 1
     return omega, omega_p
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfock.abacus import (
-    BeadTriple,
     WedgeMonomial,
     _runner_tail_top,
     bead_index,
@@ -23,9 +22,9 @@ from paper_data import WORKED_LABEL, WORKED_MONOMIAL
 
 
 def test_factorize_examples():
-    assert factorize(15, 4, 3) == BeadTriple(3, 3, -1)
-    assert factorize(12, 4, 3) == BeadTriple(4, 1, 0)
-    assert factorize(1, 4, 3) == BeadTriple(1, 3, 0)
+    assert factorize(15, 4, 3) == (3, 3, -1)
+    assert factorize(12, 4, 3) == (4, 1, 0)
+    assert factorize(1, 4, 3) == (1, 3, 0)
 
 
 def test_factorize_reconstruction_grid():
@@ -75,6 +74,7 @@ def test_vacuum_cases():
     assert to_pair(WedgeMonomial((), 0), 2, 2) == ((((), ())), (0, 0))
     # one box on component 1 at charge (0,0), e=2, l=2 sits at global index 3
     assert from_pair(((1,), ()), (0, 0), 2, 2) == WedgeMonomial((3,), 0)
+    assert from_pair([[1], []], [0, 0], 2, 2) == WedgeMonomial((3,), 0)  # lists read as tuples
     # components must be partitions: a zero or increasing part is rejected
     for mp in [((1, 0), ()), ((0,), (1,)), ((1, 2), ())]:
         with pytest.raises(ValueError, match="not a partition"):

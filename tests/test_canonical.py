@@ -735,6 +735,7 @@ def test_fock_basis_of_each_rank_builds_the_same_elements():
         placed.add(basis.abacus.placed)
         for mp in sorted(uglov_set(e, 3, charge, n)):
             assert basis.element(mp) == wide.element(mp), (n, mp_to_text(mp))
+            assert basis.element([list(comp) for comp in mp]) == wide.element(mp)  # lists too
         assert not basis.wedge_labels
     assert len(placed) == 5 and not wide.wedge_labels
 

@@ -82,6 +82,7 @@ def test_flotw_examples():
     assert flotw_predicate(((), ()), 4, (0, 1))
     assert flotw_predicate(((4,), ()), 4, (0, 1))
     assert not flotw_predicate(((), (3, 1)), 4, (0, 1))
+    assert not flotw_predicate([[], [3, 1]], 4, [0, 1])  # lists read as tuples
     with pytest.raises(ValueError):
         flotw_predicate(((), ()), 4, (1, 0))  # charge outside the regime
 
@@ -89,6 +90,7 @@ def test_flotw_examples():
 @pytest.mark.parametrize("mp, charge", [
     (((1,), ()), (0, 1, 2)),
     (((1,), (), ()), (0, 1)),
+    ([[1]], (0, 1)),
 ])
 def test_flotw_refuses_a_label_and_charge_of_different_lengths(mp, charge):
     with pytest.raises(ValueError, match="components, expected %d" % len(charge)):

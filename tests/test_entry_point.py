@@ -106,7 +106,9 @@ def test_import_loads_every_traced_module_and_no_json():
     # qfock.cli loads, so those must load eagerly.  No command needs the
     # json package (the encoder comes from _json), nor argparse and the
     # gettext and locale modules it loads: the command line is read from
-    # cli.COMMANDS.
+    # cli.COMMANDS.  Nor typing and the re and enum modules it loads, nor
+    # __future__: every annotation in qfock is valid at run time, and
+    # WedgeMonomial is a collections.namedtuple.
     code = ("import io, sys\n"
             "import qfock.cli\n"
             "loaded = sorted(sys.modules)\n"
@@ -123,4 +125,5 @@ def test_import_loads_every_traced_module_and_no_json():
     traced = {module for module, _name in _tracer_targets()}
     assert traced and not traced - set(on_import.split())
     assert not [m for m in after_commands.split()
-                if m.split(".")[0] in ("json", "argparse", "gettext", "locale")]
+                if m.split(".")[0] in ("json", "argparse", "gettext", "locale",
+                                       "typing", "re", "enum", "__future__")]

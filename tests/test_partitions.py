@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qfock.abacus import from_pair
 from qfock.avalue import AValueTable
-from qfock.canonical import FockBasis
-from qfock.crystal import flotw_predicate
+from qfock.canonical import FockBasis, decomposition_matrix
+from qfock.crystal import crystal_graph, flotw_predicate, uglov_set
+from qfock.fock import ChargedAbacus
 from qfock.partitions import (
     ints_from_text,
     is_split_semisimple,
@@ -279,17 +280,35 @@ def malformed_labels(draw):
     return ambient, kind, tuple(mp)
 
 
+def _outcome(call, *args):
+    """call's answer, or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(malformed_labels(), st.sampled_from(sorted(LABEL_ENTRY_POINTS)))
-@example(((4, 2, (0, 1)), "zero", ((0,), ())), "FockBasis.element")
-@example(((4, 2, (0, 1)), "zero", ((1, 0), (1,))), "FockBasis.element")
-@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "FockBasis.element")
-@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "flotw_predicate")
-@example(((4, 2, (0, 1)), "count", ((1,),)), "AValueTable")
-@example(((4, 2, (0, 1)), "count", ((1,), (), (1,))), "AValueTable")
-def test_every_label_entry_point_refuses_a_malformed_label(drawn, entry):
+@given(malformed_labels(), st.sampled_from(sorted(LABEL_ENTRY_POINTS)), st.booleans())
+@example(((4, 2, (0, 1)), "zero", ((0,), ())), "FockBasis.element", False)
+@example(((4, 2, (0, 1)), "zero", ((1, 0), (1,))), "FockBasis.element", False)
+@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "FockBasis.element", False)
+@example(((4, 2, (0, 1)), "rising", ((1, 2), ())), "flotw_predicate", False)
+@example(((4, 2, (0, 1)), "count", ((1,),)), "AValueTable", False)
+@example(((4, 2, (0, 1)), "count", ((1,), (), (1,))), "AValueTable", False)
+@example(((4, 2, (0, 1)), "count", ((1,),)), "flotw_predicate", True)
+def test_every_label_entry_point_refuses_a_malformed_label(drawn, entry, as_lists):
     (e, l, charge), kind, mp = drawn
     call = LABEL_ENTRY_POINTS[entry]
+    if as_lists:
+        # a label given as lists reads as its tuples, but for the a-value
+        # table: a dict, it refuses an unhashable key as a dict does
+        lists = [list(comp) for comp in mp]
+        if entry == "AValueTable":
+            with pytest.raises(TypeError, match="unhashable"):
+                call(e, l, charge, lists)
+        else:
+            assert _outcome(call, e, l, charge, lists) == _outcome(call, e, l, charge, mp)
     if entry == "AValueTable" and kind in ("zero", "rising"):
         # the a-value layer reads l-compositions, which may have zero parts
         # and rises (the node-addition preorder property compares them)
@@ -297,3 +316,31 @@ def test_every_label_entry_point_refuses_a_malformed_label(drawn, entry):
         return
     with pytest.raises(ValueError, match="components, expected %d|is not a (partition|composition)" % l):
         call(e, l, charge, mp)
+
+
+# -- an ambient (e, l, charge) no entry point can use ----------------------------
+
+BAD_AMBIENTS = [(0, 2, (0, 1)), (1, 2, (0, 1)), (-2, 2, (0, 1)), (1, 1, (0,)), (4, 0, ()),
+                (4, 2, (0,)), (4, 1, (0, 1))]
+
+AMBIENT_ENTRY_POINTS = {
+    "ChargedAbacus": lambda e, l, charge: ChargedAbacus(e, l, charge, 3),
+    "uglov_set": lambda e, l, charge: uglov_set(e, l, charge, 3),
+    "crystal_graph": lambda e, l, charge: crystal_graph(e, l, charge, 2),
+    "FockBasis": lambda e, l, charge: FockBasis(e, l, charge, 3),
+    "decomposition_matrix": lambda e, l, charge: decomposition_matrix(e, l, charge, 2),
+    "AValueTable": lambda e, l, charge: AValueTable(e, l, charge, 4),
+    "from_pair": lambda e, l, charge: from_pair(((),) * l, charge, e, l),
+    "flotw_predicate": lambda e, l, charge: flotw_predicate(((),) * l, e, charge),
+}
+
+
+@pytest.mark.parametrize("entry, ambient", [
+    (entry, ambient) for entry in sorted(AMBIENT_ENTRY_POINTS) for ambient in BAD_AMBIENTS
+    # flotw_predicate reads l off the charge
+    if entry != "flotw_predicate" or len(ambient[2]) == ambient[1]
+], ids=str)
+def test_every_ambient_entry_point_refuses_a_bad_ambient(entry, ambient):
+    # refused before any of them divides by e or l, reads the charge or answers
+    with pytest.raises(ValueError, match="need e >= 2 and l >= 1|entries, expected"):
+        AMBIENT_ENTRY_POINTS[entry](*ambient)

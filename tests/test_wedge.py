@@ -450,7 +450,7 @@ def test_bar_omegas_from_counts_match_the_pair_loop():
         l = rng.randint(1, 5)
         word = [rng.randint(-3 * e * l, 3 * e * l) for _ in range(rng.randint(0, 60))]
         letters = [factorize(k, e, l) for k in word]
-        got = (_shared_pairs(x.a for x in letters), _shared_pairs(x.b for x in letters))
+        got = (_shared_pairs(x[0] for x in letters), _shared_pairs(x[1] for x in letters))
         assert got == bar_omegas_by_pairs(word, e, l), (e, l, word)
 
 
