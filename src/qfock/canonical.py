@@ -477,7 +477,7 @@ def decomposition_matrix(e, l, charge, n) -> DecompositionMatrix:
     label of a build is at its charge) raises at the first such label, so
     checks["foreign_support"] is always empty.
     """
-    semisimple = is_split_semisimple(e, charge, n)  # refuses a negative rank first
+    semisimple = is_split_semisimple(e, charge, n)  # refuses a bad e or rank first
     basis = FockBasis(e, l, charge, n)
     aval = AValueTable(e, l, charge, n + 1)
     text = {mp: mp_to_text(mp) for mp in multipartitions(l, n)}

@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid input (a ValueError from parsing or
-validation only), 3 unsupported regime (non-integral shift vector), 4
-internal invariant violation (a bar support that does not rise in wedge
-dominance or sits at another charge vector, a bar image without
-coefficient 1 on its own monomial, fuel exhaustion, a word to straighten
-too long for Python's recursion limit, a canonical element with the wrong
-coefficient on its label or an odd one to halve, a decomposition matrix
-with foreign support or failed unitriangularity),
+Exit codes: 0 success, 2 invalid input (main maps every ValueError to 2,
+one that a bug raises included; see ROADMAP item 5), 3 unsupported regime
+(non-integral shift vector), 4 internal invariant violation (a bar support
+that does not rise in wedge dominance or sits at another charge vector, a
+bar image without coefficient 1 on its own monomial, fuel exhaustion, a
+word to straighten too long for Python's recursion limit, a canonical
+element with the wrong coefficient on its label or an odd one to halve, a
+decomposition matrix with foreign support or failed unitriangularity),
 141 stdout closed by its reader before all output was written (a broken
 pipe; nothing is written to stderr).  Any other exception is a bug and
 propagates.  Identical invocations produce byte-identical output.
@@ -40,6 +40,7 @@ from .crystal import crystal_graph, crystal_to_dot, crystal_to_json, flotw_predi
 from .errors import InvariantError, UnsupportedRegimeError
 from .laurent import LaurentPoly
 from .partitions import (
+    check_ambient,
     ints_from_text,
     is_split_semisimple,
     mp_from_text,
@@ -91,9 +92,8 @@ def _jdump(obj, write) -> None:
     [row, col, [[exp, coef], ...]] takes three calls, not one per scalar.
     A list or iterator goes CHUNK items at a time, and the text so far is
     written after each chunk, so neither the whole payload nor the whole
-    text is held at once.  An iterator among those items is taken the same
-    way (the crystal's layers); lists among them are encoded with their
-    chunk."""
+    text is held at once.  The items of a chunk are encoded with it, an
+    iterator among them (one of the crystal's layers) whole."""
     out = []
     _write(obj, "\n", out, write)
     out.append("\n")
@@ -114,15 +114,8 @@ def _write(obj, nl: str, out: list, write=None):
         sep = "," + inner
         out += ("[", inner)
         while chunk:
-            if any(issubclass(t, Iterator) for t in set(map(type, chunk))):
-                # an item that is an iterator streams too: items one by one
-                for x in chunk[:-1]:
-                    _write(x, inner, out, write)
-                    out.append(sep)
-                _write(chunk[-1], inner, out, write)
-            else:
-                text = _batch(chunk, inner, sep)
-                out.append(sep.join(_texts(chunk, inner)) if text is None else text)
+            text = _batch(chunk, inner, sep)
+            out.append(sep.join(_texts(chunk, inner)) if text is None else text)
             chunk = list(islice(items, CHUNK))
             if chunk:
                 out.append(sep)
@@ -240,13 +233,10 @@ def _emit(args, render, obj) -> None:
 
 def _ambient(args):
     """(e, l, charge) with l defaulted from the charge length when --l is
-    absent."""
+    absent, checked by partitions.check_ambient."""
     charge = ints_from_text(args.charge, "charge")
     l = len(charge) if args.l is None else args.l
-    if args.e < 2 or l < 1:
-        raise ValueError("need e >= 2 and l >= 1")
-    if len(charge) != l:
-        raise ValueError("charge %s has %d entries, expected l=%d" % (args.charge, len(charge), l))
+    check_ambient(args.e, l, charge)
     return args.e, l, charge
 
 

@@ -68,8 +68,9 @@ def kleshchev_charge(residues, e: int, l: int, n: int) -> tuple:
     """A widely spread descending charge with the given residues mod e:
     s_j = v_j + (l - j) * 2*n*e.  Gaps of 2ne make the rank <= n crystal
     independent of the spread (the stability tests double the gap)."""
-    if len(residues) != l or any(not 0 <= v < e for v in residues):
-        raise ValueError("need l residues in [0, e)")
+    check_ambient(e, l, residues)
+    if n < 0 or any(not 0 <= v < e for v in residues):
+        raise ValueError("need residues in [0, e) and n >= 0")
     return tuple(residues[j] + (l - 1 - j) * 2 * n * e for j in range(l))
 
 

@@ -39,7 +39,8 @@ def check_ambient(e, l, charge):
     if e < 2 or l < 1:
         raise ValueError("need e >= 2 and l >= 1")
     if len(charge) != l:
-        raise ValueError("charge %r has %d entries, expected %d" % (charge, len(charge), l))
+        raise ValueError("charge %s has %d entries, expected %d"
+                         % (",".join(map(str, charge)), len(charge), l))
 
 
 def rank(mp) -> int:
@@ -98,6 +99,7 @@ def is_split_semisimple(e: int, charge, n: int) -> bool:
     semisimple: e > n, and no pair of charge entries satisfies
     d + s_i = s_j mod e for any |d| < n, i.e. no s_j - s_i mod e or its
     negative is below n: one test per pair, whatever n is."""
+    check_ambient(e, len(charge), charge)
     if n < 0:
         raise ValueError("rank must be >= 0")
     return n == 0 or e > n and all(

@@ -113,6 +113,8 @@ def test_kleshchev_charge():
     assert kleshchev_charge((0, 1), 4, 2, 4) == (32, 1)
     with pytest.raises(ValueError):
         kleshchev_charge((4, 0), 4, 2, 2)
+    with pytest.raises(ValueError, match="n >= 0"):
+        kleshchev_charge((0, 1), 4, 2, -1)
 
 
 def test_kleshchev_gap_stability():

@@ -4,7 +4,8 @@ route: decomp at rank 10 for the paper's three (4,2) charges and at rank 8
 for (3,3), charge (0,1,2), in every format, canonical for three labels
 whose builds take the wedge route for a highest-weight label, and decomp at
 rank 6 for three widely spread charges, whose bead masks are placed closer
-than the charge."""
+than the charge, and the crystal's JSON, plain and enveloped, whose layers
+are iterators within an iterator."""
 
 import hashlib
 
@@ -49,6 +50,10 @@ DIGESTS = [
      "f958e79c487ec39abd32c504860818fbe173d8e48d4e166f1755bdaa73237075", 175288),
     ("decomp --e=3 --charge=0,40,-30 --rank=6 --format=csv",
      "1ce569f749fb53cc038690d5c345d01e9ec21537ecd2ad9b6f5e530d493d4648", 15735),
+    ("crystal --e=4 --charge=0,5 --rank=6 --format=json",
+     "aedb22b69043c107f486667a712994e60531f8afa060a3326efea7e59d3072fd", 23531),
+    ("--json crystal --e=4 --charge=0,5 --rank=6 --format=json",
+     "dd7f5496a56bb8e09781407a91ae6cddcb3e40c732dad13688a9b83c159887a5", 27987),
 ]
 
 

@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 import sys
 from functools import cache
@@ -6,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qfock
 from qfock.abacus import from_pair
-from qfock.avalue import AValueTable
+from qfock.avalue import AValueTable, m_vector
 from qfock.canonical import FockBasis, decomposition_matrix
-from qfock.crystal import crystal_graph, flotw_predicate, uglov_set
+from qfock.crystal import crystal_graph, flotw_predicate, kleshchev_charge, uglov_set
 from qfock.fock import ChargedAbacus
 from qfock.partitions import (
+    check_ambient,
     ints_from_text,
     is_split_semisimple,
     mp_from_text,
@@ -155,6 +160,9 @@ def test_semisimple_examples():
     assert is_split_semisimple(17, (3, 3), 1) is False  # equal parameters, d = 0
     with pytest.raises(ValueError):
         is_split_semisimple(5, (0,), -1)
+    for e, charge, n in [(0, (), 0), (1, (0, 1), 0)]:  # n = 0 answered True
+        with pytest.raises(ValueError, match="need e >= 2 and l >= 1"):
+            is_split_semisimple(e, charge, n)
 
 
 def test_semisimple_shift_invariance():
@@ -332,15 +340,43 @@ AMBIENT_ENTRY_POINTS = {
     "AValueTable": lambda e, l, charge: AValueTable(e, l, charge, 4),
     "from_pair": lambda e, l, charge: from_pair(((),) * l, charge, e, l),
     "flotw_predicate": lambda e, l, charge: flotw_predicate(((),) * l, e, charge),
+    "is_split_semisimple": lambda e, l, charge: is_split_semisimple(e, charge, 2),
+    "m_vector": m_vector,
+    "kleshchev_charge": lambda e, l, charge: kleshchev_charge(charge, e, l, 3),
+    "check_ambient": check_ambient,
+}
+
+# These read l off the charge.
+CHARGE_LENGTH_IS_L = ("flotw_predicate", "is_split_semisimple")
+
+# Public functions and classes taking e and charge that need not check them.
+AMBIENT_EXEMPT = {
+    "DecompositionMatrix": "a record of what decomposition_matrix built, on an ambient it checked",
 }
 
 
 @pytest.mark.parametrize("entry, ambient", [
     (entry, ambient) for entry in sorted(AMBIENT_ENTRY_POINTS) for ambient in BAD_AMBIENTS
-    # flotw_predicate reads l off the charge
-    if entry != "flotw_predicate" or len(ambient[2]) == ambient[1]
+    if entry not in CHARGE_LENGTH_IS_L or len(ambient[2]) == ambient[1]
 ], ids=str)
 def test_every_ambient_entry_point_refuses_a_bad_ambient(entry, ambient):
     # refused before any of them divides by e or l, reads the charge or answers
     with pytest.raises(ValueError, match="need e >= 2 and l >= 1|entries, expected"):
         AMBIENT_ENTRY_POINTS[entry](*ambient)
+
+
+def test_every_public_callable_taking_an_ambient_is_an_ambient_entry_point():
+    takers = set()
+    for info in pkgutil.iter_modules(qfock.__path__):
+        module = importlib.import_module("qfock." + info.name)
+        for name, obj in vars(module).items():
+            if (name[:1] != "_" and (inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                try:
+                    params = inspect.signature(obj).parameters
+                except ValueError:  # a builtin's signature, as an exception class's
+                    continue
+                if {"e", "charge"} <= params.keys():
+                    takers.add(name)
+    assert "FockBasis" in takers and "is_split_semisimple" in takers
+    assert not takers - AMBIENT_EXEMPT.keys() - AMBIENT_ENTRY_POINTS.keys()
