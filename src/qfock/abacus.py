@@ -60,6 +60,14 @@ def degree(u: WedgeMonomial) -> int:
     return sum(k - u.s + i - 1 for i, k in enumerate(u.prefix, start=1))
 
 
+def dominance(u: WedgeMonomial) -> int:
+    """Wedge dominance: -sum_i (k_i^2 - (s - i + 1)^2) over u's prefix.  A
+    pair rewrite keeps k1 + k2 and emits indices in [k1, k2], so every term
+    but the plain reversal has a smaller sum of squares: every w != u in the
+    support of bar(u), and so of G(u), has strictly larger dominance."""
+    return -sum(k * k - (u.s - i) ** 2 for i, k in enumerate(u.prefix))
+
+
 def factorize(k: int, e: int, l: int) -> tuple:
     """The unique (a, b, m) with k = a + e(l - b) - e*l*m."""
     a = (k - 1) % e + 1

@@ -9,43 +9,43 @@ commutes with f_i).  fock.apply_f builds the divided power in one pass, as
 a sum over the k-sets of addable i-nodes, with no division by [k]!.
 Subtracting bar-invariant multiples of G(nu) wherever a coefficient of v
 off lambda is not in qZ[q] leaves G(lambda).  Labels are bead masks and
-coefficients plain ints throughout the build (see fock.py), but for the
-tuple _order decodes once per new label for its key; tuples and
-polynomials otherwise appear only where a result leaves the build.
+coefficients plain ints throughout the build (see fock.py); tuples and
+polynomials appear only where a result leaves the build.
 A label with no good node at any colour is a highest-weight vertex of its
 crystal component.  Its start vector is v = u + bar(u), u the label's
 wedge monomial, which is bar-invariant with 2 on lambda; the same
 corrections leave 2 G(lambda), the unique bar-invariant element congruent
 to 2u modulo q, and the build halves it.  The corrections are taken in
-wedge dominance order (see dominance), which needs no a-value, and may
-need G(nu) of labels below lambda or in other components, so the build is
-demand-driven on an explicit stack.  The `canonical` command and
+wedge dominance order (see abacus.dominance), which needs no a-value, and
+may need G(nu) of labels below lambda or in other components, so the build
+is demand-driven on an explicit stack.  The `canonical` command and
 decomposition_matrix use this route; the latter refuses a column whose
 build meets a highest-weight label other than the vacuum.
 
 CanonicalBasis builds G(v) for any ordered wedge monomial v, Uglov or not,
 by the bar recursion over the whole bar closure of v, independently of the
 Fock action; the tests compare FockBasis against it.  For such v let
-bar(v) = v + sum of other monomials (WedgeEngine.bar asserts the unit
-coefficient on v; CanonicalBasis keeps each image it reads).  Writing
-d = bar(v) - v and expanding d over the already-known canonical elements of
-the monomials reachable from v gives antisymmetric coefficients; truncating
-each to its positive-exponent half yields the corrections, and
+bar(v) = v + sum of other monomials (CanonicalBasis keeps each image it
+reads).  Writing d = bar(v) - v and expanding d over the already-known
+canonical elements of the monomials reachable from v gives antisymmetric
+coefficients; truncating each to its positive-exponent half yields the
+corrections, and
 
     G(v) = v + sum_alpha  trunc(gamma_alpha) G(alpha)
 
 is the unique bar-invariant element congruent to v modulo q.  The recursion
 takes the monomials reachable from v in wedge dominance order, the order
-FockBasis corrects in: every bar support rises in dominance, and a bar
-support that does not rise aborts the run.  So it never compares a-values,
-which are not even defined across charges.
+FockBasis corrects in.  Both builders rely on bar being unitriangular in
+that order, which WedgeEngine.bar checks on every image it makes: a unit
+coefficient on v, and a strictly larger dominance on every other monomial.
+So neither compares a-values, which are not even defined across charges.
 """
 
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 
-from .abacus import WedgeMonomial, bead_index, from_pair, to_pair
+from .abacus import WedgeMonomial, bead_index, dominance, from_pair, to_pair
 from .avalue import AValueTable
 from .crystal import uglov_layer
 from .errors import InvariantError
@@ -60,14 +60,6 @@ from .partitions import (
     rank,
 )
 from .wedge import WedgeEngine
-
-
-def dominance(u: WedgeMonomial) -> int:
-    """Wedge dominance: -sum_i (k_i^2 - (s - i + 1)^2) over u's prefix.  A
-    pair rewrite keeps k1 + k2 and emits indices in [k1, k2], so every term
-    but the plain reversal has a smaller sum of squares: every w != u in the
-    support of bar(u), and so of G(u), has strictly larger dominance."""
-    return -sum(k * k - (u.s - i) ** 2 for i, k in enumerate(u.prefix))
 
 
 class CanonicalBasis:
@@ -94,25 +86,14 @@ class CanonicalBasis:
     def bar_closure(self, u0: WedgeMonomial) -> list:
         """Monomials reachable from u0 through bar supports, sorted by
         (dominance, prefix): u0 first, each before everything its bar image
-        reaches.  A bar support that does not rise in wedge dominance
-        aborts."""
+        reaches, since WedgeEngine.bar checks that every support rises."""
         dom = {u0: dominance(u0)}
         work = [u0]
         while work:
-            u = work.pop()
-            low = dom[u]
-            for w in self._bar(u):
-                if w == u:
-                    continue
-                d = dom.get(w)
-                if d is None:
-                    d = dom[w] = dominance(w)
+            for w in self._bar(work.pop()):
+                if w not in dom:
+                    dom[w] = dominance(w)
                     work.append(w)
-                if d <= low:
-                    raise InvariantError(
-                        "bar(%s) has support %s, which does not rise in wedge dominance"
-                        % (u, w)
-                    )
         return sorted(dom, key=lambda u: (dom[u], u.prefix))
 
     def element(self, u0: WedgeMonomial):
@@ -170,12 +151,17 @@ class FockBasis:
         self.e = e
         self.l = l
         self.charge = tuple(charge)
-        self.abacus = ChargedAbacus(e, l, self.charge, n)
+        abacus = self.abacus = ChargedAbacus(e, l, self.charge, n)
         self.max_degree = max_degree
-        vacuum = self.abacus.mask(empty_multipartition(l))
+        vacuum = self._vacuum = abacus.mask(empty_multipartition(l))
         self._g = {vacuum: (vacuum, 0, 1)}  # frozen vectors
-        self._key = {}
         self.wedge_labels = []
+        # the squared wedge index of the bead at each bit j: position
+        # x = j // l + lo of component c = l - j % l, placed at p_c, is
+        # position x + s_c - p_c + 1 of runner c in the wedge's bijection
+        drops = [s - p for s, p in zip(self.charge, abacus.placed)]
+        self._squares = [bead_index(j // l + abacus.lo + drops[l - 1 - j % l] + 1, l - j % l,
+                                    e, l) ** 2 for j in range(l * abacus.positions)]
 
     @cached_property
     def engine(self) -> WedgeEngine:
@@ -198,30 +184,26 @@ class FockBasis:
         label = self.abacus.label
         return {(label(b), self.charge): LaurentPoly(t) for b, t in terms.items()}
 
-    def key(self, mp):
-        """Correction order: mp's rise, the dominance of its wedge monomial
-        up to a constant of the charge, which strictly grows from a label to
-        every other label in the support of its G.  Ties need no break: a
-        correction at nu changes only nu and labels of strictly larger rise,
-        so the labels tied with nu are untouched whichever goes first.
+    def key(self, b) -> int:
+        """Correction order: the rise of the label with bead mask b, the
+        dominance of its wedge monomial up to a constant of the charge,
+        which strictly grows from a label to every other label in the
+        support of its G.  Ties need no break: a correction at nu changes
+        only nu and labels of strictly larger rise, so the labels tied with
+        nu are untouched whichever goes first.
 
-        Row i (from 0) of component b holds the bead at s_b + part_i - i of
-        runner b, where the empty label has it at s_b - i; every other bead
-        is where the empty label has it.  So the squared indices are summed
-        over the rows alone, in O(rank), however widely the charge spreads."""
-        e, l = self.e, self.l
+        Beads that b shares with the vacuum cancel, so the rise sums the
+        squared wedge indices (_squares) over the vacuum's beads that b
+        lacks, minus those over b's beads that the vacuum lacks: at most two
+        bits per row, however widely the charge spreads."""
+        squares, vacuum = self._squares, self._vacuum
         rise = 0
-        for b, (comp, s_b) in enumerate(zip(mp, self.charge), start=1):
-            for i, part in enumerate(comp):
-                rise += bead_index(s_b - i, b, e, l) ** 2 - bead_index(part + s_b - i, b, e, l) ** 2
+        for bits, sign in ((vacuum & ~b, 1), (b & ~vacuum, -1)):
+            while bits:
+                j = bits.bit_length() - 1
+                rise += sign * squares[j]
+                bits ^= 1 << j
         return rise
-
-    def _order(self, b):
-        """key of the label with bead mask b, kept once worked out."""
-        hit = self._key.get(b)
-        if hit is None:
-            hit = self._key[b] = self.key(self.abacus.label(b))
-        return hit
 
     def _text(self, b) -> str:
         return mp_to_text(self.abacus.label(b))
@@ -245,13 +227,13 @@ class FockBasis:
     def _highest(self, lam) -> dict:
         """u + bar(u) for the wedge monomial u of a highest-weight label, as
         a flat vector: bar-invariant, with 2 on lam.  Every other label of
-        its support must be at this charge and rank, and have a strictly
-        larger rise (see key), the order the corrections are taken in."""
+        its support must be at this charge and rank; WedgeEngine.bar has
+        checked that it rises in wedge dominance, so in key order, the
+        order the corrections are taken in."""
         mp = self.abacus.label(lam)
         u = from_pair(mp, self.charge, self.e, self.l)
         image = self.engine.bar(u)
         self.wedge_labels.append(mp)
-        low = self._order(lam)
         n = rank(mp)
         v = {(lam, 0): 1}
         for w, c in image.items():
@@ -262,11 +244,6 @@ class FockBasis:
                     % (mp_to_text(mp), self.charge, n, mp_to_text(nu), charge, rank(nu))
                 )
             b = self.abacus.mask(nu)  # bar(u) is 1 on u, so no term cancels
-            if b != lam and self._order(b) <= low:
-                raise InvariantError(
-                    "bar(%s) has support %s, which does not rise in wedge dominance"
-                    % (u, w)
-                )
             for x, cx in c.terms.items():
                 v[b, x] = v.get((b, x), 0) + cx
         return v
@@ -349,7 +326,7 @@ class FockBasis:
                 bad.setdefault(mu, []).append((x, c))
         if not bad:
             return None, None
-        nu = min(bad, key=self._order)
+        nu = min(bad, key=self.key)
         return nu, bad[nu]
 
     def _subtract(self, v, nu, terms):
@@ -401,14 +378,6 @@ class DecompositionMatrix:
             out[row] = out.get(row, 0) + c
         return out
 
-    def _terms(self):
-        """(row, column, exponent, coefficient) for every term of every
-        entry, column by column."""
-        row_of = self.row_of
-        for col, g in self.columns.items():
-            for key, x, c in each_term(g):
-                yield row_of[key], col, x, c
-
     def triples(self):
         """The matrix as (row label, column label, entry) triples, zero
         entries omitted, sorted when the first is read: the canonical
@@ -420,8 +389,9 @@ class DecompositionMatrix:
     def q_triples(self):
         """[row label, column label, [[exponent, coefficient], ...]] in the
         order of triples, exponents rising; sorted when the first is read."""
-        text = self.text
-        flat = sorted((text[row], text[col], x, c) for row, col, x, c in self._terms())
+        text, row_of = self.text, self.row_of
+        flat = sorted((text[row_of[key]], text[col], x, c)
+                      for col, g in self.columns.items() for key, x, c in each_term(g))
         for (row, col), terms in groupby(flat, itemgetter(0, 1)):
             yield [row, col, [[x, c] for _row, _col, x, c in terms]]
 

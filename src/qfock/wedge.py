@@ -58,7 +58,7 @@ is exact for any ids, and the pair cache keys k1 < k2 the same way.
 from collections import Counter
 from itertools import chain
 
-from .abacus import WedgeMonomial, degree, factorize, wedge_monomial
+from .abacus import WedgeMonomial, degree, dominance, factorize, wedge_monomial
 from .errors import InvariantError
 from .laurent import ONE, LaurentPoly
 
@@ -368,9 +368,11 @@ class WedgeEngine:
         larger r gives the same result), straightens them back against the
         frozen tail, and scales by (-q)^{omega'} q^{-omega}, where omega and
         omega' count index pairs i < j <= r sharing the bead letter a, resp.
-        the runner b.  Every image must have coefficient exactly 1 on u (bar
-        is unitriangular); anything else raises InvariantError.  The r
-        factors are checked against max_degree first.
+        the runner b.  bar is unitriangular in wedge dominance (see
+        abacus.dominance), and this is where that is checked for every bar
+        image: a coefficient other than exactly 1 on u, or a support w != u
+        whose dominance does not rise above u's, raises InvariantError.  The
+        r factors are checked against max_degree first.
         """
         r0 = len(u.prefix)
         r = max(degree(u), r0)
@@ -384,6 +386,11 @@ class WedgeEngine:
         one = out.get(u)
         if one is None or one.terms != {0: 1}:
             raise InvariantError("bar(%s) has coefficient %s on its own monomial" % (u, one))
+        low = dominance(u)
+        for w in out:
+            if w != u and dominance(w) <= low:
+                raise InvariantError(
+                    "bar(%s) has support %s, which does not rise in wedge dominance" % (u, w))
         return out
 
 

@@ -9,6 +9,7 @@ from operator import mul
 
 from qfock.abacus import WedgeMonomial, degree, factorize, wedge_monomial
 from qfock.avalue import AValueTable, _entries, _min_ramp
+from qfock.canonical import FockBasis
 from qfock.fock import ChargedAbacus, apply_f
 from qfock.laurent import ONE, LaurentPoly, _acc
 from qfock.partitions import empty_multipartition, multipartitions, partitions, rank
@@ -608,6 +609,38 @@ def crystal_image(mp, e: int, charge, target):
     return there.label(b)
 
 
+def sharp(mp) -> tuple:
+    """#mp: every component conjugated, and the components in reverse
+    order."""
+    return tuple(tuple(sum(p > j for p in comp) for j in range(comp[0] if comp else 0))
+                 for comp in reversed(mp))
+
+
+def mullineux(mp, e: int, charge, target) -> tuple:
+    """M(mp), the label at charge `target` that mp's crystal path reaches
+    with every colour negated; the Mullineux map takes `target` to be the
+    dual (-s_l, ..., -s_1) of `charge`.  The path is FockBasis.peel's steps
+    (i, k) from mp down to the vacuum at `charge`, replayed from the vacuum
+    at `target` by applying f~_{-i} k times, read through
+    ChargedAbacus.signatures.  mp must lie in the vacuum's component at
+    `charge`."""
+    n, l = rank(mp), len(charge)
+    here, steps = FockBasis(e, l, charge, n), []
+    b = here.mask(mp)
+    while (peeled := here.peel(b)) is not None:
+        i, k, b = peeled
+        steps.append((i, k))
+    if b != here.mask(empty_multipartition(l)):
+        raise ValueError("%r is not in the vacuum's component at %r" % (mp, charge))
+    there = ChargedAbacus(e, l, target, n)
+    b = there.mask(empty_multipartition(l))
+    for i, k in reversed(steps):
+        for _ in range(k):
+            bit = there.signatures(b)[0][-i % e]
+            b ^= bit ^ bit >> l
+    return there.label(b)
+
+
 def residue_content(mp, charge, e: int) -> list:
     """beta_i, the number of nodes of mp with residue i, for i in [0, e)."""
     beta = [0] * e
@@ -653,8 +686,9 @@ def graded_cartan(mat) -> dict:
     rows lambda of d_{lambda mu}(q) d_{lambda nu}(q), for every pair of
     columns with a nonzero entry."""
     by_row = {}
-    for row, col, x, c in mat._terms():
-        by_row.setdefault(row, []).append((col, x, c))
+    for col, g in mat.columns.items():
+        for i in range(0, len(g), 3):
+            by_row.setdefault(mat.row_of[g[i]], []).append((col, g[i + 1], g[i + 2]))
     cartan = {}
     for terms in by_row.values():
         for mu, x1, c1 in terms:

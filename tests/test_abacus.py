@@ -42,7 +42,7 @@ def tail_cutoffs(draw):
     return draw(st.integers(-10**5, 10**5)), draw(st.integers(1, l)), draw(st.integers(2, 997)), l
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(tail_cutoffs())
 def test_runner_tail_top_closed_form_matches_the_search(args):
     cutoff, b, e, l = args

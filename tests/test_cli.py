@@ -598,7 +598,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(_argv())
 def test_cli_fuzz_exits_cleanly(argv):
     # every command, in-process: a clean exit code, and a failure that writes
@@ -657,7 +657,7 @@ _JSON = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_JSON)
 def test_jdump_matches_json_dumps(obj):
     assert _dumped(obj) == _json_dumps(obj)
@@ -670,7 +670,7 @@ _PAIRS = st.lists(st.lists(_SCALARS, max_size=3), max_size=3)
 _Q_TRIPLES = st.lists(st.tuples(_SCALARS, _SCALARS, _PAIRS).map(list), max_size=6)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_Q_TRIPLES | st.dictionaries(_KEYS, _Q_TRIPLES, max_size=3))
 def test_jdump_matches_json_dumps_on_q_triples(obj):
     assert _dumped(obj) == _json_dumps(obj)

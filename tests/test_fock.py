@@ -239,7 +239,7 @@ def fock_vectors(draw):
     return e, charge, draw(st.integers(0, e - 1)), draw(st.integers(1, 3)), vec
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(fock_vectors())
 def test_mask_route_matches_tuple_route(case):
     # apply_f and FockBasis.peel on bead masks against their tuple-label

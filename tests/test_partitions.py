@@ -176,7 +176,7 @@ def test_semisimple_shift_invariance():
         assert is_split_semisimple(e, charge, n) == is_split_semisimple(e, shifted, n)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(2, 1000), st.lists(st.integers(-3000, 3000), min_size=1, max_size=4),
        st.integers(0, 1100))
 def test_semisimple_closed_form_matches_the_search(e, charge, n):
@@ -296,7 +296,7 @@ def _outcome(call, *args):
         return "ValueError: %s" % exc
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(malformed_labels(), st.sampled_from(sorted(LABEL_ENTRY_POINTS)), st.booleans())
 @example(((4, 2, (0, 1)), "zero", ((0,), ())), "FockBasis.element", False)
 @example(((4, 2, (0, 1)), "zero", ((1, 0), (1,))), "FockBasis.element", False)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfock import cli
+from qfock import cli, wedge
 from qfock.abacus import (
     WedgeMonomial,
     degree,
+    dominance,
     factorize,
     monomial_from_text,
     wedge_monomial,
@@ -332,7 +333,7 @@ def monomials(draw):
     return wedge_monomial([s - i + g for i, g in enumerate(gamma)], s)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(ORACLE_AMBIENTS, st.lists(st.integers(-8, 8), max_size=6), st.integers(-8, 8))
 def test_straighten_indices_and_insert_match_the_laurent_oracle(ambient, word, j):
     eng, oracle = WedgeEngine(*ambient), LaurentWedgeEngine(*ambient)
@@ -343,7 +344,7 @@ def test_straighten_indices_and_insert_match_the_laurent_oracle(ambient, word, j
     assert len(eng._insert_cache) == len(oracle._insert_cache)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(ORACLE_AMBIENTS, monomials())
 def test_bar_matches_the_laurent_oracle(ambient, u):
     eng, oracle = WedgeEngine(*ambient), LaurentWedgeEngine(*ambient)
@@ -478,6 +479,24 @@ def test_bar_rejects_image_without_unit_coefficient(monkeypatch):
                             lambda word: {m: c * 2 for m, c in straighten(word).items()})
         with pytest.raises(InvariantError, match="coefficient 2 on its own monomial"):
             eng.bar(u)
+
+
+def test_bar_rejects_a_support_that_does_not_rise(monkeypatch, capsys):
+    # bar(b) = b + q a, planted through straighten with the prefactor 1, has
+    # its unit coefficient on b but a support a of lower wedge dominance:
+    # bar, where every image is made, refuses it, and the command exits 4
+    from qfock.errors import InvariantError
+
+    a, b = wedge_monomial((4,), 0), wedge_monomial((3, 0), 0)
+    assert dominance(a) < dominance(b)
+    monkeypatch.setattr(wedge, "_shared_pairs", lambda values: 0)
+    monkeypatch.setattr(WedgeEngine, "straighten",
+                        lambda self, indices, s: {b: ONE, a: LaurentPoly({1: 1})})
+    with pytest.raises(InvariantError, match="does not rise in wedge dominance"):
+        WedgeEngine(2, 2).bar(b)
+    assert cli.main(["bar", "--e=2", "--l=2", "--monomial=" + b.to_text()]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "does not rise" in err
 
 
 def test_a_result_dipping_into_the_tail_is_an_invariant_failure(monkeypatch, capsys):
