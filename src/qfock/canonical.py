@@ -214,15 +214,14 @@ class FockBasis:
         good node, i.e. is a highest-weight vertex of its crystal component.
         e~_i^k removes every normal i-node (see ChargedAbacus.signatures):
         removing the good one turns it into an uncancelled addable node and
-        leaves the others normal."""
+        leaves the others normal.  normal[i] is the mask of those nodes, so
+        one xor moves each of their beads one position down."""
         normal = self.abacus.signatures(b)[1]
-        i = min((i for i, nodes in normal.items() if nodes), default=None)
-        if i is None:
+        if not normal:
             return None
-        flip = 0
-        for bit in normal[i]:
-            flip |= bit | bit >> self.l
-        return i, len(normal[i]), b ^ flip
+        i = min(normal)
+        m = normal[i]
+        return i, m.bit_count(), b ^ m ^ m >> self.l
 
     def _highest(self, lam) -> dict:
         """u + bar(u) for the wedge monomial u of a highest-weight label, as

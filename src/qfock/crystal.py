@@ -2,9 +2,10 @@
 the FLOTW membership test, and Kleshchev charges.
 
 Labels are walked as bead masks on a fock.ChargedAbacus, whose signatures
-method reduces every i-signature in one pass and holds the cancellation
-convention; f~_i adds the last uncancelled addable i-node, a bead moved one
-position up.  Tuples appear only where a result is handed out.
+method reduces every i-signature, colour by colour on masks, and holds the
+cancellation convention; f~_i adds the last uncancelled addable i-node, a
+bead moved one position up.  Tuples appear only where a result is handed
+out.
 """
 
 from itertools import islice

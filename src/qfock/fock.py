@@ -21,7 +21,10 @@ larger component first.  The node at x is addable when (x - 1, c) holds a
 bead and (x, c) does not, and removable when (x, c) holds one and (x - 1, c)
 does not; adding or removing it moves one bead, an xor of two bits l apart.
 Its content is x + d_c and its residue that mod e, so the addable and
-removable i-nodes are ANDs with one residue mask per i.
+removable i-nodes are ANDs with one residue mask per i.  A label's reduced
+i-signatures take those two ANDs per residue of the window, and a bit walk
+only for a colour whose addable nodes interleave its removable ones; the
+normal nodes of a colour come out as one mask.
 
 A Fock vector is a flat dict {(mask, exponent): coefficient} of nonzero
 ints; every label in it is at the abacus's charge.  A vector that is done
@@ -37,8 +40,9 @@ from .partitions import check_ambient
 class ChargedAbacus:
     """Bead masks for the labels of rank at most n at one charge: the
     conversions to and from multipartition tuples, the node masks, and the
-    reduced i-signatures.  The bits of each (slot, partition) are kept once
-    worked out, for the life of the instance."""
+    reduced i-signatures.  Each component's bits by (slot, partition), and
+    its partition by those bits, are kept once worked out in either
+    direction, for the life of the instance."""
 
     def __init__(self, e: int, l: int, charge, n: int):
         if n < 0:
@@ -64,13 +68,16 @@ class ChargedAbacus:
         self._low = (1 << l) - 1
         column = ((1 << l * self.positions) - 1) // self._low  # bits 0, l, 2l, ...
         self._columns = [column << (l - c) for c in range(1, l + 1)]  # component c's bits
-        # the residue of the node at bit j, position plus drop mod e
-        self._residue_at = [(j // l + self.lo + drops[l - 1 - j % l]) % e
-                            for j in range(l * self.positions)]
         self._residues = {}  # residue -> the mask of its bits
-        for j, i in enumerate(self._residue_at):
+        for j in range(l * self.positions):
+            # the residue of the node at bit j, position plus drop mod e
+            i = (j // l + self.lo + drops[l - 1 - j % l]) % e
             self._residues[i] = self._residues.get(i, 0) | 1 << j
-        self._bits = {}  # (slot, partition) -> that component's bits
+        self._colours = sorted(self._residues.items())  # the window's residues, each once
+        # one bijection, each direction worked out once: (slot, partition) ->
+        # that component's bits, and the bits of a component -> its partition
+        self._bits = {}
+        self._parts = {}
 
     def mask(self, mp) -> int:
         """The bead mask of mp, whose rank must be at most n."""
@@ -92,23 +99,32 @@ class ChargedAbacus:
         return b
 
     def label(self, b) -> tuple:
-        """The multipartition of the bead mask b."""
-        l, lo = self.l, self.lo
-        bits = bin(b)[:1:-1]  # bits[j] is bit j
+        """The multipartition of the bead mask b, each component read
+        through the memo of its bits."""
         out = []
-        for c, s in enumerate(self.placed, start=1):
-            beads = bits[l - c::l]  # positions lo, lo + 1, ...
-            comp = []
-            end = len(beads)
-            while True:
-                x = beads.rfind("1", 0, end)
-                part = x + lo + len(comp) + 1 - s
-                if part <= 0:
-                    break
-                comp.append(part)
-                end = x
-            out.append(tuple(comp))
+        for slot, column in enumerate(self._columns):
+            bits = b & column
+            comp = self._parts.get(bits)
+            if comp is None:
+                comp = self._parts[bits] = self._partition(slot, bits)
+                self._bits[slot, comp] = bits
+            out.append(comp)
         return tuple(out)
+
+    def _partition(self, slot: int, bits: int) -> tuple:
+        """The partition that component slot + 1 holds when its bits are
+        bits."""
+        l, s = self.l, self.placed[slot]
+        beads = bin(bits >> l - 1 - slot)[:1:-1][::l]  # beads[x - lo]: a bead at x
+        comp = []
+        end = len(beads)
+        while True:
+            x = beads.rfind("1", 0, end)
+            part = x + self.lo + len(comp) + 1 - s
+            if part <= 0:
+                return tuple(comp)
+            comp.append(part)
+            end = x
 
     def nodes(self, b) -> tuple:
         """(addable, removable): the masks of b's addable and removable
@@ -123,10 +139,10 @@ class ChargedAbacus:
     def signatures(self, b) -> tuple:
         """(last, normal): the i-signatures of the label with bead mask b,
         reduced.  last[i] is the single-bit mask of the last uncancelled
-        addable i-node, which f~_i adds; normal[i] lists the surviving
-        removable i-nodes, the normal ones, most 'above' first, so the good
-        i-node is normal[i][0].  A colour with no such node has no key in
-        last, and none or an empty list in normal.
+        addable i-node, which f~_i adds; normal[i] is the mask of the
+        surviving removable i-nodes, the normal ones, so the good i-node,
+        the most 'above', is its lowest bit.  A colour with no such node has
+        no key in last, or in normal.
 
         The i-signature lists the addable and removable i-nodes from most
         'above' to least, which is bit order, and each addable node cancels
@@ -140,27 +156,34 @@ class ChargedAbacus:
         edge exactly when gamma becomes the good i-node of mp + gamma, and
         only the last uncancelled addable node does.
 
-        One pass over the node bits serves every colour; a bit's residue is
-        read off a table by its index, so the cost does not grow with e."""
+        Each colour is settled on its own, one AND with each of the two node
+        masks per residue of the abacus window, so the cost is bounded by
+        the window, not by e.  Most colours need no more: with no removable
+        node, with no addable node, or with every addable node above every
+        removable one (a bit below the lowest removable bit), nothing
+        cancels.  Only a colour with an addable node below a removable one
+        walks its addable bits."""
         add, rem = self.nodes(b)
-        residue_at = self._residue_at
         last = {}
         normal = {}
-        nodes = add | rem
-        while nodes:
-            bit = nodes & -nodes
-            nodes ^= bit
-            i = residue_at[bit.bit_length() - 1]
-            survivors = normal.get(i)
-            if bit & rem:
-                if survivors is None:
-                    normal[i] = [bit]
-                else:
-                    survivors.append(bit)
-            elif survivors:
-                survivors.pop()  # an addable node cancels the nearest survivor above
-            else:
-                last[i] = bit
+        for i, res in self._colours:
+            a = add & res
+            r = rem & res
+            if r and a > r & -r:  # an addable node below a removable one
+                top = 0
+                while a:
+                    bit = a & -a
+                    a ^= bit
+                    above = r & bit - 1
+                    if above:  # it cancels the nearest survivor above it
+                        r ^= 1 << above.bit_length() - 1
+                    else:
+                        top = bit
+                a = top
+            if a:
+                last[i] = 1 << a.bit_length() - 1
+            if r:
+                normal[i] = r
         return last, normal
 
 

@@ -152,6 +152,15 @@ def bit_node(abacus, b, bit):
     return a + 1, big[a], c + 1
 
 
+def single_bits(mask) -> list:
+    """The single-bit masks of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        out.append(mask & -mask)
+        mask ^= out[-1]
+    return out
+
+
 def straighten_naive(eng, indices):
     """Rewrite the leftmost unordered adjacent pair of a wedge with the
     engine's pair rules until every monomial is ordered; burns the engine's
@@ -596,8 +605,8 @@ def crystal_image(mp, e: int, charge, target):
     b, colours = here.mask(mp), []
     for _ in range(n):
         normal = here.signatures(b)[1]
-        i = min(i for i, nodes in normal.items() if nodes)
-        bit = normal[i][0]  # the good i-node
+        i = min(normal)
+        bit = normal[i] & -normal[i]  # the good i-node, the lowest normal bit
         b ^= bit ^ bit >> l
         colours.append(i)
     if b != here.mask(empty_multipartition(l)):
@@ -734,3 +743,39 @@ def jantzen_sum(lam, e: int) -> dict:
             nu = tuple(p for p in (b - n + i for i, b in enumerate(nu, start=1)) if p)
             out[nu] = out.get(nu, 0) + (-1) ** moved * c
     return {nu: c for nu, c in out.items() if c}
+
+
+# -- runner removal ----------------------------------------------------------------
+#
+# Component b of a label at charge s is the set of its beta-numbers
+# x = lambda_a - a + s_b, a = 1, 2, ..., placed on an e-runner abacus at row
+# x // e of runner x % e.
+
+def runner_row(e: int, charge, mps, full: bool) -> int:
+    """k for a new runner under the labels mps at charge: one above the
+    highest row that holds a first-row bead of any of them when full, else
+    the lowest row of a first gap; below either every row is full."""
+    if full:
+        return 1 + max((s - 1 + (comp[0] if comp else 0)) // e
+                       for mp in mps for comp, s in zip(mp, charge))
+    return min((s - max(len(mp[b]) for mp in mps)) // e for b, s in enumerate(charge))
+
+
+def add_runner(mp, charge, e: int, p: int, k: int) -> tuple:
+    """(mp+, charge+): mp's abacus on e + 1 runners, with a new runner
+    inserted at index p (0 <= p <= e) that holds a bead in every row below
+    k; the runners from p up move one to the right."""
+    out, shifted = [], []
+    for comp, s in zip(mp, charge):
+        low = min((s - len(comp)) // e, k)  # every row below it is full, runner p too
+        beads = [r * (e + 1) + p for r in range(low, k)]
+        for a in count(1):
+            x = (comp[a - 1] if a <= len(comp) else 0) - a + s
+            if x < low * e:
+                break
+            beads.append(x // e * (e + 1) + x % e + (x % e >= p))
+        beads.sort(reverse=True)
+        s = low * (e + 1) + len(beads)  # the charge of the new bead set
+        out.append(tuple(x + a - s for a, x in enumerate(beads, start=1) if x + a > s))
+        shifted.append(s)
+    return tuple(out), tuple(shifted)

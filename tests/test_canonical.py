@@ -36,6 +36,7 @@ from qfock.wedge import WedgeEngine
 
 from oracles import (
     _relabel,
+    add_runner,
     bar_vector,
     crystal_image,
     defect,
@@ -50,6 +51,7 @@ from oracles import (
     quantum_factorial,
     remove_node,
     residue_content,
+    runner_row,
     sharp,
     unpermute,
 )
@@ -364,6 +366,56 @@ def test_mullineux_symmetry_needs_the_components_reversed():
     kept = _mullineux_mismatches(4, (0, 1), 4, columns, (0, -1),
                                  lambda mp: tuple(sharp((comp,))[0] for comp in mp))
     assert kept
+
+
+def _entry(e, charge, lam, mu) -> LaurentPoly:
+    """d_{lam mu}(q) at charge, from G(mu) built by a FockBasis of its own."""
+    g = FockBasis(e, len(charge), charge, rank(mu)).element(mu)
+    return g.get((lam, tuple(charge)), LaurentPoly())
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]),
+       st.booleans(), st.data())
+def test_runner_removal_relates_the_graded_entries_at_e_and_e_plus_one(ambient, full, data):
+    # runner removal (James-Mathas, J. Algebra 258, 2002, at level 1; here
+    # at every level): a runner inserted at the same index p into the
+    # abaci of lam and mu, full or empty under both, leaves the graded
+    # entry unchanged, d_{lam mu}(q) at (e, s) = d_{lam+ mu+}(q) at
+    # (e + 1, s+).  Rows of another rank read 0 on both sides.  Only columns
+    # whose lift is an Uglov label have an entry, and the lifted rank stays
+    # at most 9
+    e, l = ambient
+    charge = tuple(data.draw(st.lists(st.integers(-1, 2), min_size=l, max_size=l)))
+    n = data.draw(st.integers(0, 4 if l == 3 else 5))
+    mu = data.draw(st.sampled_from(sorted(uglov_set(e, l, charge, n))))
+    support = sorted(lam for lam, _at in FockBasis(e, l, charge, n).element(mu))
+    rows = support if data.draw(st.booleans()) else multipartitions(l, n)
+    lam = data.draw(st.sampled_from(rows))
+    p = data.draw(st.integers(0, e))
+    k = runner_row(e, charge, (lam, mu), full)
+    (lam_plus, at), (mu_plus, lifted) = (add_runner(mp, charge, e, p, k) for mp in (lam, mu))
+    assert at == lifted
+    m = rank(mu_plus)
+    assume(m <= 9 and mu_plus in uglov_set(e + 1, l, lifted, m))
+    assert _entry(e + 1, lifted, lam_plus, mu_plus) == _entry(e, charge, lam, mu), \
+        (e, charge, lam, mu, p, k)
+
+
+def test_runner_removal_needs_a_full_or_empty_runner():
+    # the control: at (2, 2), charge (0, 1), d_{lam mu} = q for lam =
+    # (1|1), mu = (-|2); a runner inserted at p = 2 keeps it when full
+    # (k = 2) or empty (k = -1), and loses it when filled up to row 0
+    e, charge, lam, mu = 2, (0, 1), ((1,), (1,)), ((), (2,))
+    assert runner_row(e, charge, (lam, mu), True) == 2
+    assert runner_row(e, charge, (lam, mu), False) == -1
+    assert _entry(e, charge, lam, mu) == LaurentPoly({1: 1})
+    for k in (2, -1):
+        (lam_plus, at), (mu_plus, _at) = (add_runner(mp, charge, e, 2, k) for mp in (lam, mu))
+        assert _entry(e + 1, at, lam_plus, mu_plus) == LaurentPoly({1: 1})
+    assert add_runner(lam, charge, e, 2, 0) == (((1, 1), (1,)), (0, 1))
+    assert add_runner(mu, charge, e, 2, 0) == (((), (3,)), (0, 1))
+    assert _entry(e + 1, (0, 1), ((1, 1), (1,)), ((), (3,))) == LaurentPoly()
 
 
 def test_matrix_renderings_are_consistent():

@@ -4,6 +4,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfock.crystal import (
     crystal_graph,
@@ -14,7 +16,7 @@ from qfock.crystal import (
     uglov_set,
 )
 from qfock.fock import ChargedAbacus
-from qfock.partitions import multipartitions, rank
+from qfock.partitions import multipartitions, partitions, rank
 
 from oracles import (
     add_node,
@@ -27,6 +29,7 @@ from oracles import (
     reduce_signature,
     removable_nodes,
     signature_nodes,
+    single_bits,
     uglov_layers,
 )
 from paper_data import UGLOV_SETS
@@ -229,7 +232,7 @@ def test_signatures_match_brute_force_edges_and_good_nodes():
                 edges = sorted((i, bit_node(abacus, b, bit)) for i, bit in last.items())
                 assert edges == oracle_edges(mp, charge, e), (mp, charge, e)
                 for i in range(e):
-                    good = bit_node(abacus, b, normal[i][0]) if normal.get(i) else None
+                    good = bit_node(abacus, b, normal[i] & -normal[i]) if i in normal else None
                     assert good == oracle_good_node(mp, i, charge, e), (mp, charge, e, i)
 
 
@@ -246,25 +249,128 @@ def _assert_signatures_reduce_the_i_signatures(abacus, mp):
     last, normal = abacus.signatures(b)
     assert {i: bit_node(abacus, b, bit) for i, bit in last.items()} == \
         {i: g for i, (g, _normal) in want.items() if g is not None}, (mp, charge, e)
-    assert {i: [bit_node(abacus, b, bit) for bit in bits] for i, bits in normal.items() if bits} == \
+    assert {i: [bit_node(abacus, b, bit) for bit in single_bits(bits)]
+            for i, bits in normal.items()} == \
         {i: nodes for i, (_g, nodes) in want.items() if nodes}, (mp, charge, e)
 
 
-@pytest.mark.parametrize("e", [2, 3, 4, 5, 9, 50, 10**6])
-def test_signatures_reduce_the_i_signatures(e):
-    # one pass reduces every colour's signature, on every label of rank
-    # <= 7, at charges close together and far apart (the abacus places the
-    # far ones closer), and at an e far above the rank
+def _charges(e):
+    """Charges close together and far apart (the abacus places the far
+    ones closer)."""
     charges = [(0,), (5 * e + 2,), (0, 1), (0, 1 + 7 * e), (-3 * e + 1, 2),
                (0, 1, 2), (0, 2 * e + 3, -4 * e - 1)]
     if e == 4:
         charges += [(0, 100000), (0, 40, -30)]
-    for charge in charges:
+    return charges
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 9, 50, 10**6])
+def test_signatures_reduce_the_i_signatures(e):
+    # every colour's signature reduced, on every label of rank <= 7, at
+    # charges close together and far apart, and at an e far above the rank
+    for charge in _charges(e):
         l = len(charge)
         abacus = ChargedAbacus(e, l, charge, 7)
         for n in range(8):
             for mp in multipartitions(l, n):
                 _assert_signatures_reduce_the_i_signatures(abacus, mp)
+
+
+@st.composite
+def _labels_at_charges(draw):
+    """(e, charge, mp, n): e in 2..12 or 10**6, l <= 4, charge entries in
+    [-3e, 3e], and one multipartition of rank at most n <= 9."""
+    e = draw(st.integers(2, 12) | st.just(10**6))
+    l = draw(st.integers(1, 4))
+    charge = tuple(draw(st.lists(st.integers(-3 * e, 3 * e), min_size=l, max_size=l)))
+    n = draw(st.integers(0, 9))
+    mp, budget = [], n
+    for _ in range(l):
+        m = draw(st.integers(0, budget))
+        mp.append(draw(st.sampled_from(partitions(m))))
+        budget -= m
+    return e, charge, tuple(mp), n
+
+
+# one pin per way a colour is settled, at (4, 2), charge (0, 1); see
+# test_pinned_labels_reach_each_way_a_colour_is_settled
+ONLY_ADDABLE = (4, (0, 1), ((), ()), 0)  # colour 0
+ADDABLE_ABOVE = (4, (0, 1), ((2,), ()), 2)  # colour 1: the addable bit below the removable one
+INTERLEAVED = (4, (0, 1), ((1,), (3,)), 4)  # colour 0: addable, removable, addable
+BETWEEN = (4, (0, 1), ((), (4, 1)), 5)  # colour 0: removable, addable, removable
+
+
+@settings(max_examples=300)
+@given(_labels_at_charges())
+@example(ONLY_ADDABLE)
+@example(ADDABLE_ABOVE)
+@example(INTERLEAVED)
+@example(BETWEEN)
+def test_signatures_match_the_tuple_route_on_drawn_labels(drawn):
+    # signatures against signature_nodes + reduce_signature, on drawn
+    # charges, levels up to 4 and e up to 12 or far above the rank
+    e, charge, mp, n = drawn
+    _assert_signatures_reduce_the_i_signatures(ChargedAbacus(e, len(charge), charge, n), mp)
+
+
+def test_pinned_labels_reach_each_way_a_colour_is_settled():
+    def colour(pin, i):
+        e, charge, mp, n = pin
+        abacus = ChargedAbacus(e, len(charge), charge, n)
+        add, rem = abacus.nodes(abacus.mask(mp))
+        return add & abacus.residue(i), rem & abacus.residue(i)
+
+    a, r = colour(ONLY_ADDABLE, 0)
+    assert a and not r
+    a, r = colour(ADDABLE_ABOVE, 1)
+    assert r and 0 < a < r & -r
+    a, r = colour(INTERLEAVED, 0)
+    assert single_bits(a | r) == [a & -a, r, a ^ a & -a]
+    a, r = colour(BETWEEN, 0)
+    assert single_bits(a | r) == [r & -r, a, r ^ r & -r]
+
+
+@pytest.mark.parametrize("charge, n", [((0, 1), 4), ((0, 40, -30), 5)])
+def test_signatures_visit_the_residues_of_the_window_whatever_e(charge, n):
+    # at e = 10**6 signatures visits each residue of the abacus window once,
+    # at most l * positions of them, on every label of rank <= n
+    e, l = 10**6, len(charge)
+    abacus = ChargedAbacus(e, l, charge, n)
+    window = sorted({(x + s - p) % e for s, p in zip(charge, abacus.placed)
+                     for x in range(abacus.lo, abacus.lo + abacus.positions)})
+    assert len(window) <= l * abacus.positions
+    visited = []
+
+    class Recorder(list):
+        def __iter__(self):
+            for i, res in super().__iter__():
+                visited.append(i)
+                yield i, res
+
+    abacus._colours = Recorder(abacus._colours)
+    for m in range(n + 1):
+        for mp in multipartitions(l, m):
+            visited.clear()
+            abacus.signatures(abacus.mask(mp))
+            assert visited == window, mp
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 9, 50, 10**6])
+def test_labels_decode_through_the_component_memo(e):
+    # label(mask(mp)) == mp on every label of rank <= 7, at the charges
+    # above: on one warm abacus shared across ranks, and on a fresh one per
+    # rank, which decodes every mask before it masks anything and then
+    # masks each label to the same bits
+    for charge in _charges(e):
+        l = len(charge)
+        warm = ChargedAbacus(e, l, charge, 7)
+        for n in range(8):
+            labels = multipartitions(l, n)
+            masks = [warm.mask(mp) for mp in labels]
+            assert [warm.label(b) for b in masks] == labels, (charge, n)
+            fresh = ChargedAbacus(e, l, charge, 7)
+            assert [fresh.label(b) for b in masks] == labels, (charge, n)
+            assert [fresh.mask(mp) for mp in labels] == masks, (charge, n)
 
 
 @pytest.mark.parametrize("e, charge, top", [
@@ -301,12 +407,21 @@ def _timed(fn, *args):
     return value, time.perf_counter() - t0
 
 
-def test_uglov_set_and_flotw_do_not_grow_with_e():
-    # neither walks every residue: at e = 10**6 they take what they take at
-    # e = 10**3 (the rank-4 layer at (0, 1) is the same set at both)
+def test_uglov_set_crystal_graph_and_flotw_do_not_grow_with_e():
+    # none walks every residue: at e = 10**6 they take what they take at
+    # e = 10**3 (the rank-4 layer at (0, 1) is the same set at both, and
+    # the crystal the same graph once a colour is read as a content mod e)
     small = uglov_set(10**3, 2, (0, 1), 4)
     big, seconds = _timed(uglov_set, 10**6, 2, (0, 1), 4)
     assert big == small and seconds < 0.05
+
+    def signed(graph, e):
+        return [(mp, i if i < e // 2 else i - e, mu) for mp, i, mu in graph["edges"]]
+
+    graph = crystal_graph(10**3, 2, (0, 1), 4)
+    wide, seconds = _timed(crystal_graph, 10**6, 2, (0, 1), 4)
+    assert wide["layers"] == graph["layers"] and wide["uglov"] == graph["uglov"]
+    assert sorted(signed(wide, 10**6)) == sorted(signed(graph, 10**3)) and seconds < 0.05
     for mp in multipartitions(2, 4):
         member, seconds = _timed(flotw_predicate, mp, 10**6, (0, 1))
         assert member == flotw_predicate(mp, 10**3, (0, 1)) == (mp in small)

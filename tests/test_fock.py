@@ -23,6 +23,7 @@ from oracles import (
     n_count,
     peel_on_tuples,
     signature_nodes,
+    single_bits,
 )
 
 
@@ -163,11 +164,7 @@ def _assert_mask_reads_the_nodes(abacus, mp):
     assert abacus.label(b) == mp
     add, rem = abacus.nodes(b)
     want = [(cont % e, addable) for cont, _c, _node, addable in signature_nodes(mp, charge)]
-    bits = []
-    nodes = add | rem
-    while nodes:
-        bits.append(nodes & -nodes)
-        nodes ^= bits[-1]
+    bits = single_bits(add | rem)
     assert len(bits) == len(want), (e, charge, mp)
     for bit, (i, addable) in zip(bits, want):
         assert bit & abacus.residue(i) and bool(bit & add) == addable, (e, charge, mp)
@@ -187,14 +184,18 @@ def test_bead_masks_round_trip_and_read_the_nodes():
 
 
 def test_one_partition_at_two_slots_gets_each_slots_bits():
-    # the abacus keeps each component's bits by (slot, partition), so a
-    # partition met at one slot is worked out anew at the other
+    # the abacus keeps each component's bits by (slot, partition), and each
+    # partition by its bits, so a partition met at one slot is worked out
+    # anew at the other, in either direction: an abacus that first decodes
+    # masks made elsewhere reads each component back at its own slot
+    labels = (((2, 1), ()), ((), (2, 1)), ((2, 1), (2, 1)), ((2, 1), ()))
     for charge in ((0, 5), (3, 3)):
         abacus = ChargedAbacus(4, 2, charge, 6)
-        for mp in (((2, 1), ()), ((), (2, 1)), ((2, 1), (2, 1)), ((2, 1), ())):
+        for mp in labels:
             _assert_mask_reads_the_nodes(abacus, mp)
-        assert abacus.mask(((2, 1), (2, 1))) == \
-            ChargedAbacus(4, 2, charge, 6).mask(((2, 1), (2, 1)))
+        reader = ChargedAbacus(4, 2, charge, 6)
+        assert [reader.label(abacus.mask(mp)) for mp in labels] == list(labels)
+        assert [reader.mask(mp) for mp in labels] == [abacus.mask(mp) for mp in labels]
 
 
 @pytest.mark.parametrize("call", [
